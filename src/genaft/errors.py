@@ -14,7 +14,7 @@ class InputError(GenaftError):
     """Malformed input: bad JSON shape, unknown fields, invalid names."""
 
 
-class ElementNotFoundError(GenaftError):
+class ElementNotFoundError(InputError):
     """An identifier is not an element of the poset at hand."""
 
 

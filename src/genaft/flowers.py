@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import PreconditionError, RecomposeUndefinedError
 from .framework import Approximant, ApproximationFramework, Caps, CheckResult, DEFAULT_CAPS
 from . import framework as _fx
-from .posets import FinitePoset
+from .posets import FinitePoset, set_id
 
 FLOWER_ENUMERATION_LIMIT = 12
 
@@ -253,27 +253,14 @@ def build_flower_framework(
     """
     cls = exact.classify()
     if not cls.is_bounded_complete:
+        subset = exact.pair_without_glb() if cls.has_least else exact.elements
         raise PreconditionError(
-            f"flower framework needs a bounded-complete cpo; {_witness(exact, cls)}"
+            f"flower framework needs a bounded-complete cpo; "
+            f"the subset {set_id(subset)} has no greatest lower bound"
         )
     if enumerate_space is None:
         enumerate_space = len(exact) <= FLOWER_ENUMERATION_LIMIT
     return FlowerFramework(exact, enumerable=enumerate_space)
-
-
-def _witness(exact: FinitePoset, cls) -> str:
-    import itertools
-
-    if not cls.has_least:
-        return f"the subset {set_label(exact.elements)} has no greatest lower bound"
-    for a, b in itertools.combinations(exact.elements, 2):
-        if exact.glb([a, b]) is None:
-            return f"the subset {set_label((a, b))} has no greatest lower bound"
-    return "some subset has no greatest lower bound"
-
-
-def set_label(xs) -> str:
-    return "{" + ",".join(sorted(xs)) + "}"
 
 
 def enumerate_flowers(exact: FinitePoset) -> list[Flower]:

@@ -139,7 +139,8 @@ def build_interval_framework(exact: FinitePoset) -> IntervalFramework:
         if not cls.has_least:
             missing = "a least element"
         elif not cls.is_bounded_complete:
-            missing = _name_missing_glb(exact)
+            a, b = exact.pair_without_glb()
+            missing = f"a greatest lower bound for {{{a},{b}}}"
         else:
             missing = "a greatest element"
         raise PreconditionError(
@@ -147,11 +148,3 @@ def build_interval_framework(exact: FinitePoset) -> IntervalFramework:
         )
     return IntervalFramework(exact)
 
-
-def _name_missing_glb(exact: FinitePoset) -> str:
-    import itertools
-
-    for a, b in itertools.combinations(exact.elements, 2):
-        if exact.glb([a, b]) is None:
-            return f"a greatest lower bound for {{{a},{b}}}"
-    return "a greatest lower bound for some subset"

@@ -52,7 +52,9 @@ class PosetClassification:
 class FinitePoset:
     """An explicit finite poset over string identifiers."""
 
-    __slots__ = ("elements", "_index", "_up", "_down", "_full")
+    __slots__ = (
+        "elements", "_index", "_up", "_down", "_full", "_up_index", "_down_index", "_classification"
+    )
 
     def __init__(
         self,
@@ -100,28 +102,46 @@ class FinitePoset:
         for i in range(n):
             for j in _bits(up[i]):
                 down[j] |= 1 << i
-        self.elements = elems
-        self._index = index
-        self._up = up
-        self._down = down
-        self._full = (1 << n) - 1
+        self._set_order(elems, up, down, None)
 
     @classmethod
-    def _from_masks(cls, elements: tuple[str, ...], up: list[int]) -> "FinitePoset":
-        """Internal fast path: masks already reflexive-transitively closed."""
+    def _from_masks(
+        cls,
+        elements: tuple[str, ...],
+        up: list[int],
+        down: list[int],
+        classification: PosetClassification,
+    ) -> "FinitePoset":
+        """Internal fast path for constructions that know their order:
+        `up` and `down` already reflexive-transitively closed and
+        mutually transposed, `classification` already decided."""
         p = cls.__new__(cls)
-        n = len(elements)
-        index = {x: i for i, x in enumerate(elements)}
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
-        p.elements = elements
-        p._index = index
-        p._up = up
-        p._down = down
-        p._full = (1 << n) - 1
+        p._set_order(elements, up, down, classification)
         return p
+
+    def _set_order(
+        self,
+        elements: tuple[str, ...],
+        up: list[int],
+        down: list[int],
+        classification: PosetClassification | None,
+    ) -> None:
+        """Store the closed order and index its principal sets.
+
+        Principal up-sets (down-sets) are pairwise distinct by
+        antisymmetry, so each maps back to its element.  A set of
+        common upper bounds has a least element exactly when it is one
+        of these principal up-sets, which makes lub and glb a fold plus
+        one lookup.
+        """
+        self.elements = elements
+        self._index = {x: i for i, x in enumerate(elements)}
+        self._up = up
+        self._down = down
+        self._full = (1 << len(elements)) - 1
+        self._up_index = {m: i for i, m in enumerate(up)}
+        self._down_index = {m: i for i, m in enumerate(down)}
+        self._classification = classification
 
     @classmethod
     def from_json(cls, data, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> "FinitePoset":
@@ -203,19 +223,13 @@ class FinitePoset:
         ubs = self._full
         for i in _bits(smask):
             ubs &= self._up[i]
-        for i in _bits(ubs):
-            if ubs & ~self._up[i] == 0:
-                return i
-        return -1
+        return self._up_index.get(ubs, -1)
 
     def _glb_mask(self, smask: int) -> int:
         lbs = self._full
         for i in _bits(smask):
             lbs &= self._down[i]
-        for i in _bits(lbs):
-            if lbs & ~self._down[i] == 0:
-                return i
-        return -1
+        return self._down_index.get(lbs, -1)
 
     def least(self) -> str | None:
         return self.lub(())
@@ -288,28 +302,43 @@ class FinitePoset:
     # -- classification --------------------------------------------------
 
     def classify(self) -> PosetClassification:
-        """Completeness flags, computed with the finite shortcuts.
+        """Completeness flags.
 
-        Bounded-completeness is decided on pairs: in a finite poset,
-        glbs of pairs extend to glbs of all non-empty subsets by
-        folding.  Agreement with brute-force subset enumeration is part
-        of the test suite.
+        Powersets and products record them when they are built; any
+        other poset computes them on the first call and keeps them.
         """
-        n = len(self.elements)
-        if n == 0:
-            return PosetClassification(False, False, False, False)
-        has_least = self.least() is not None
-        bounded = has_least and all(
-            self._glb_mask((1 << a) | (1 << b)) >= 0
-            for a, b in itertools.combinations(range(n), 2)
-        )
-        complete = bounded and self.greatest() is not None
-        return PosetClassification(
-            has_least=has_least,
-            is_cpo=has_least,
-            is_bounded_complete=bounded,
-            is_complete_lattice=complete,
-        )
+        return self._flags()
+
+    def _flags(self) -> PosetClassification:
+        """classify() for products reading their factors' flags, which
+        are not requests to classify them.
+
+        The generic computation decides bounded-completeness on pairs:
+        in a finite poset, glbs of pairs extend to glbs of all non-empty
+        subsets by folding.  Agreement with brute-force subset
+        enumeration is part of the test suite.
+        """
+        if self._classification is None:
+            has_least = self._full in self._up_index
+            bounded = has_least and self.pair_without_glb() is None
+            complete = bounded and self._full in self._down_index
+            self._classification = PosetClassification(
+                has_least=has_least,
+                is_cpo=has_least,
+                is_bounded_complete=bounded,
+                is_complete_lattice=complete,
+            )
+        return self._classification
+
+    def pair_without_glb(self) -> tuple[str, str] | None:
+        """The first pair of elements, in element order, that has no
+        greatest lower bound; None when every pair has one."""
+        down, down_index = self._down, self._down_index
+        for a, da in enumerate(down):
+            for b in range(a + 1, len(down)):
+                if da & down[b] not in down_index:
+                    return self.elements[a], self.elements[b]
+        return None
 
     # -- misc ------------------------------------------------------------
 
@@ -380,28 +409,22 @@ def powerset_lattice(
             f"powerset would have {1 << len(atom_list)} elements, cap is {max_elements}"
         )
     n = len(atom_list)
-    subsets = []
-    for bits in range(1 << n):
-        subsets.append(set_id(atom_list[i] for i in range(n) if bits >> i & 1))
-    up = [0] * (1 << n)
-    for bits in range(1 << n):
-        rest = (~bits) & ((1 << n) - 1)
-        mask = 0
-        sup = rest
-        # iterate supersets of `bits`: bits | (any subset of rest)
-        while True:
-            mask |= 1 << (bits | sup)
-            if sup == 0:
-                break
-            sup = (sup - 1) & rest
-        up[bits] = mask
+    subsets = tuple(
+        set_id(atom_list[i] for i in range(n) if bits >> i & 1) for bits in range(1 << n)
+    )
+    # Index `bits` is the subset with those atom bits.  below[bits] masks
+    # its subsets: doubling over atom h, each subset of the first h atoms
+    # gains a copy with atom h, whose index is 1 << h higher.  The
+    # supersets of `bits` are `bits` plus any subset of the other atoms.
+    below = [1]
+    for h in range(n):
+        below += [d | d << (1 << h) for d in below]
+    full = (1 << n) - 1
+    above = [below[full ^ bits] << bits for bits in range(1 << n)]
     if order == "superset":
-        down = [0] * (1 << n)
-        for i in range(1 << n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
-        up = down
-    return FinitePoset._from_masks(tuple(subsets), up)
+        above, below = below, above
+    complete = PosetClassification(True, True, True, True)
+    return FinitePoset._from_masks(subsets, above, below, complete)
 
 
 def product_poset(
@@ -417,14 +440,57 @@ def product_poset(
         total *= len(f)
     if total > max_elements:
         raise SizeCapError(f"product would have {total} elements, cap is {max_elements}")
-    combos = list(itertools.product(*(f.elements for f in factors)))
-    ids = tuple(tuple_id(c) for c in combos)
-    up = [0] * total
-    for i, ci in enumerate(combos):
-        for j, cj in enumerate(combos):
-            if all(f.leq(a, b) for f, a, b in zip(factors, ci, cj)):
-                up[i] |= 1 << j
-    return FinitePoset._from_masks(ids, up)
+    combos = list(itertools.product(*(range(len(f)) for f in factors)))
+    ids = tuple(
+        tuple_id([f.elements[c] for f, c in zip(factors, combo)]) for combo in combos
+    )
+    # at[k][c]: the tuples whose k-th component is c.
+    at = [[0] * len(f) for f in factors]
+    for i, combo in enumerate(combos):
+        for k, c in enumerate(combo):
+            at[k][c] |= 1 << i
+    full = (1 << total) - 1
+    up = _pointwise(combos, at, [f._up for f in factors], full)
+    down = _pointwise(combos, at, [f._down for f in factors], full)
+    # Every flag holds of a product exactly when it holds of each factor
+    # (an empty factor makes the product empty, with every flag false).
+    flags = [f._flags() for f in factors]
+    classification = PosetClassification(
+        has_least=all(c.has_least for c in flags),
+        is_cpo=all(c.is_cpo for c in flags),
+        is_bounded_complete=all(c.is_bounded_complete for c in flags),
+        is_complete_lattice=all(c.is_complete_lattice for c in flags),
+    )
+    return FinitePoset._from_masks(ids, up, down, classification)
+
+
+def _pointwise(
+    combos: list[tuple[int, ...]],
+    at: list[list[int]],
+    factor_masks: list[list[int]],
+    full: int,
+) -> list[int]:
+    """Per tuple, the tuples related to it in every component.
+
+    Each factor element's mask is lifted once to the tuples whose
+    component lies in it; a tuple's mask is the AND of its lifts.
+    """
+    lifted = []
+    for at_k, masks in zip(at, factor_masks):
+        lifted_k = []
+        for m in masks:
+            out = 0
+            for c in _bits(m):
+                out |= at_k[c]
+            lifted_k.append(out)
+        lifted.append(lifted_k)
+    out = []
+    for combo in combos:
+        m = full
+        for lifted_k, c in zip(lifted, combo):
+            m &= lifted_k[c]
+        out.append(m)
+    return out
 
 
 def product_components(ident: str) -> tuple[str, ...]:

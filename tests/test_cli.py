@@ -189,3 +189,11 @@ def test_output_is_deterministic(capsys, data_dir):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_check_unknown_hasse_element_exits_two(capsys, tmp_path):
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps({"elements": ["x"], "hasse": [["x", "ghost"]]}))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "ghost" in err

@@ -1,5 +1,6 @@
 """Order-theoretic primitives against brute-force oracles."""
 
+import dataclasses
 import itertools
 import json
 
@@ -89,6 +90,12 @@ def _brute_lub(p, s):
     return least[0] if least else None
 
 
+def _brute_glb(p, s):
+    lbs = [x for x in p.elements if all(p.leq(x, y) for y in s)]
+    greatest = [x for x in lbs if all(p.leq(l, x) for l in lbs)]
+    return greatest[0] if greatest else None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(0, 255))
 def test_lub_glb_match_brute_force(seed, subset_bits):
@@ -97,9 +104,7 @@ def test_lub_glb_match_brute_force(seed, subset_bits):
     p = random_poset(random.Random(seed), max_elements=6)
     s = [x for i, x in enumerate(p.elements) if subset_bits >> i & 1]
     assert p.lub(s) == _brute_lub(p, s)
-    dual = [x for x in p.elements if all(p.leq(x, y) for y in s)]
-    greatest = [x for x in dual if all(p.leq(l, x) for l in dual)]
-    assert p.glb(s) == (greatest[0] if greatest else None)
+    assert p.glb(s) == _brute_glb(p, s)
 
 
 # -- subset shape ----------------------------------------------------------------
@@ -218,6 +223,49 @@ def test_classify_matches_subset_enumeration(seed):
     assert cls.has_least == has_least == cls.is_cpo
     assert cls.is_bounded_complete == bounded
     assert cls.is_complete_lattice == complete
+    for r in range(len(p) + 1):
+        for s in itertools.combinations(p.elements, r):
+            assert p.glb(s) == _brute_glb(p, s)
+            assert p.lub(s) == _brute_lub(p, s)
+    pairs = [s for s in itertools.combinations(p.elements, 2) if _brute_glb(p, s) is None]
+    assert p.pair_without_glb() == (pairs[0] if pairs else None)
+
+
+def _assert_classification_is_generic(p):
+    """The flags `p` carries equal those computed from its order alone."""
+    recorded = p.classify()
+    rebuilt = FinitePoset.from_json(p.to_json())
+    assert recorded == rebuilt.classify()
+    if len(p) <= 12:
+        has_least, bounded, complete = _brute_classify(rebuilt)
+        assert (recorded.has_least, recorded.is_bounded_complete, recorded.is_complete_lattice) == (
+            has_least,
+            bounded,
+            complete,
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(["subset", "superset"]))
+def test_powerset_classification_is_recorded_correctly(n, order):
+    _assert_classification_is_generic(powerset_lattice([f"a{i}" for i in range(n)], order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_product_classification_is_recorded_correctly(seed, k):
+    import random
+
+    rng = random.Random(seed)
+    factors = [random_poset(rng, max_elements=5) for _ in range(k)]
+    _assert_classification_is_generic(product_poset(factors))
+
+
+def test_product_with_an_empty_factor(fig):
+    prod = product_poset([fig, FinitePoset([])])
+    assert len(prod) == 0
+    assert not any(dataclasses.astuple(prod.classify()))
+    _assert_classification_is_generic(prod)
 
 
 # -- powersets and products -----------------------------------------------------
