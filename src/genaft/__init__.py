@@ -51,7 +51,6 @@ from .fixpoints import (
     MonotoneOperator,
     is_postfixpoint,
     is_prefixpoint,
-    is_terminal,
     lfp,
     run_monotone_induction,
 )
@@ -77,7 +76,6 @@ from .framework import (
     check_glb_property,
     check_preamble,
     check_weak_ilp,
-    lub_approximants,
     report_dumps,
     report_ok,
     report_to_json,

@@ -3,7 +3,6 @@
 from .autoepistemic import (
     AelTheory,
     ael_operator,
-    belief_state_id,
     belief_state_space,
     eval_objective,
     interpretation_ids,
@@ -38,7 +37,6 @@ __all__ = [
     "ael_operator",
     "assignment_id",
     "assignment_of",
-    "belief_state_id",
     "belief_state_space",
     "eval_objective",
     "fitting_approximator",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
 
 from ..engine import ExactOperator
 from ..errors import InputError, SizeCapError
@@ -172,8 +171,15 @@ def ael_operator(
     atoms = theory.atoms
     atom_index = {a: i for i, a in enumerate(atoms)}
     n_interp = 1 << len(atoms)
-    interp_ids = interpretation_ids(atoms)
     domain = belief_state_space(theory, max_elements=max_elements)
+    # The lattice's atoms are the sorted interpretation identifiers: the
+    # index of a state (a mask over interpretations) moves bit k to the
+    # rank of interpretation k's identifier.
+    interp_ids = interpretation_ids(atoms)
+    rank = {ident: r for r, ident in enumerate(sorted(interp_ids))}
+    index_of = [0]
+    for ident in interp_ids:
+        index_of += [i | 1 << rank[ident] for i in index_of]
 
     modal = theory.modal_subformulas()
     modal_masks = []
@@ -198,20 +204,10 @@ def ael_operator(
         admitted_cache[kvals] = out
         return out
 
-    table = {}
-    for state in range(1 << n_interp):
+    table = [0] * len(index_of)
+    for state, index in enumerate(index_of):
         # K(g) holds iff every deemed-possible interpretation satisfies g;
         # the empty (inconsistent) state knows everything vacuously.
         kvals = tuple(state & ~gmask == 0 for _, gmask in modal_masks)
-        members = admitted(kvals)
-        table[_state_id(state, interp_ids)] = _state_id(members, interp_ids)
+        table[index] = index_of[admitted(kvals)]
     return ExactOperator(domain, table)
-
-
-def _state_id(state_mask: int, interp_ids: list[str]) -> str:
-    return set_id(interp_ids[i] for i in range(len(interp_ids)) if state_mask >> i & 1)
-
-
-def belief_state_id(theory: AelTheory, interps: Iterable[frozenset[str]]) -> str:
-    """Identifier of the belief state holding exactly these interpretations."""
-    return set_id(set_id(i) for i in interps)

@@ -169,13 +169,15 @@ def wadf_operator(
             )
         return out
 
-    table = {}
-    for ident in domain.elements:
-        assignment = product_components(ident)
-        revised = tuple(
-            evaluate(a, w.acceptance[a], assignment) for a in w.arguments
-        )
-        table[ident] = tuple_id(revised)
+    # product_poset lists assignments in itertools.product order, so an
+    # assignment's index is its value indices read as mixed-radix digits.
+    values = w.value_poset
+    table = []
+    for assignment in itertools.product(values.elements, repeat=len(w.arguments)):
+        index = 0
+        for a in w.arguments:
+            index = index * len(values) + values.index(evaluate(a, w.acceptance[a], assignment))
+        table.append(index)
     return ExactOperator(domain, table)
 
 

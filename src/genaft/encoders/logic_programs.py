@@ -19,7 +19,7 @@ from ..engine import Approximator, ExactOperator
 from ..errors import InputError, SizeCapError
 from ..framework import Approximant
 from ..intervals import IntervalFramework, build_interval_framework
-from ..posets import FinitePoset, powerset_lattice, set_id
+from ..posets import FinitePoset, powerset_ids, powerset_lattice, set_id, subset_masks
 
 ATOM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 DEFAULT_ATOM_CAP = 12
@@ -104,33 +104,17 @@ def parse_program(source: Iterable[str] | str, atoms: Iterable[str] | None = Non
     return NormalLogicProgram(tuple(sorted(seen)), tuple(rules))
 
 
-class _Bits:
-    """Bitmask codec between atom sets and powerset-lattice identifiers."""
-
-    def __init__(self, atoms: tuple[str, ...]):
-        self.atoms = atoms
-        self.index = {a: i for i, a in enumerate(atoms)}
-
-    def mask(self, s: Iterable[str]) -> int:
-        m = 0
-        for a in s:
-            m |= 1 << self.index[a]
-        return m
-
-    def unmask(self, m: int) -> frozenset[str]:
-        return frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
-
-    def ident(self, m: int) -> str:
-        return set_id(self.unmask(m))
-
-
 def _compiled(program: NormalLogicProgram):
-    bits = _Bits(program.atoms)
+    """The sorted atoms, and the rules as (head, positive body, negative
+    body) masks over them: a set's mask is also its index in the
+    program's powerset lattice."""
+    atoms = sorted(program.atoms)
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
     rules = [
-        (1 << bits.index[r.head], bits.mask(r.pos), bits.mask(r.neg))
+        (bit[r.head], sum(bit[a] for a in r.pos), sum(bit[a] for a in r.neg))
         for r in program.rules
     ]
-    return bits, rules
+    return atoms, rules
 
 
 def _consequence(rules, imask: int) -> int:
@@ -149,6 +133,17 @@ def lp_exact_space(
     return powerset_lattice(program.atoms, "subset")
 
 
+def _check_powerset(program: NormalLogicProgram, space: FinitePoset) -> None:
+    """Reject a `space` that is not the powerset lattice of the program's
+    atoms under subset order: tables and approximants read element index
+    i as the set of atoms with mask i."""
+    atoms = sorted(program.atoms)
+    if space.elements != powerset_ids(atoms) or space._down != subset_masks(len(atoms)):
+        raise InputError(
+            f"the space is not the powerset lattice of the program's atoms {set_id(atoms)}"
+        )
+
+
 def lp_operator(
     program: NormalLogicProgram,
     space: FinitePoset | None = None,
@@ -157,14 +152,15 @@ def lp_operator(
 ) -> ExactOperator:
     """The immediate-consequence operator on the powerset of atoms.
 
-    `space` lets program corpora over one atom set share the lattice.
+    `space` lets program corpora over one atom set share the lattice; it
+    must be that set's powerset lattice under subset order.
     """
-    domain = space if space is not None else lp_exact_space(program, atom_cap=atom_cap)
-    bits, rules = _compiled(program)
-    table = {}
-    for imask in range(1 << len(program.atoms)):
-        table[bits.ident(imask)] = bits.ident(_consequence(rules, imask))
-    return ExactOperator(domain, table)
+    if space is None:
+        space = lp_exact_space(program, atom_cap=atom_cap)
+    else:
+        _check_powerset(program, space)
+    _, rules = _compiled(program)
+    return ExactOperator(space, [_consequence(rules, imask) for imask in range(len(space))])
 
 
 def fitting_approximator(
@@ -183,26 +179,22 @@ def fitting_approximator(
     """
     if fw is None:
         fw = build_interval_framework(lp_exact_space(program, atom_cap=atom_cap))
-    bits, rules = _compiled(program)
+    else:
+        _check_powerset(program, fw.exact)
+    _, rules = _compiled(program)
+    exact = fw.exact
 
     def apply(x: Approximant) -> Approximant:
-        low, high = bits.mask(_members(x.alb)), bits.mask(_members(x.aub))
+        low, high = exact.index(x.alb), exact.index(x.aub)
         new_low = new_high = 0
         for head, pos, neg in rules:
             if pos & ~low == 0 and neg & high == 0:
                 new_low |= head
             if pos & ~high == 0 and neg & low == 0:
                 new_high |= head
-        return Approximant(fw, bits.ident(new_low), bits.ident(new_high))
+        return Approximant(fw, exact.elements[new_low], exact.elements[new_high])
 
     return Approximator(fw, apply, name="fitting")
-
-
-def _members(ident: str) -> frozenset[str]:
-    if not (ident.startswith("{") and ident.endswith("}")):
-        raise InputError(f"not a set identifier: {ident!r}")
-    inner = ident[1:-1]
-    return frozenset(inner.split(",")) if inner else frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +216,11 @@ def lp_oracle(program: NormalLogicProgram, *, atom_cap: int = DEFAULT_ATOM_CAP) 
     fixpoint, supported models by direct closure checking."""
     if len(program.atoms) > atom_cap:
         raise SizeCapError(f"{len(program.atoms)} atoms exceed the cap of {atom_cap}")
-    bits, rules = _compiled(program)
-    n = len(program.atoms)
+    atoms, rules = _compiled(program)
+    n = len(atoms)
+
+    def unmask(m: int) -> frozenset[str]:
+        return frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
 
     def reduct_lfp(imask: int) -> int:
         kept = [(h, p) for h, p, neg in rules if neg & imask == 0]
@@ -243,9 +238,9 @@ def lp_oracle(program: NormalLogicProgram, *, atom_cap: int = DEFAULT_ATOM_CAP) 
     supported = []
     for imask in range(1 << n):
         if reduct_lfp(imask) == imask:
-            answers.append(bits.unmask(imask))
+            answers.append(unmask(imask))
         if _consequence(rules, imask) == imask:
-            supported.append(bits.unmask(imask))
+            supported.append(unmask(imask))
 
     true = 0
     while True:
@@ -256,7 +251,7 @@ def lp_oracle(program: NormalLogicProgram, *, atom_cap: int = DEFAULT_ATOM_CAP) 
     possible = reduct_lfp(true)
     return LpOracle(
         answer_sets=tuple(sorted(answers, key=sorted)),
-        wf_true=bits.unmask(true),
-        wf_possible=bits.unmask(possible),
+        wf_true=unmask(true),
+        wf_possible=unmask(possible),
         supported=tuple(sorted(supported, key=sorted)),
     )

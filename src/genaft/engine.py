@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .errors import (
+    InputError,
     InvalidRefinementError,
     MonotonicityError,
     PreconditionError,
@@ -39,28 +40,30 @@ from .posets import FinitePoset, _bits
 
 @dataclass
 class ExactOperator:
-    """A total map on the exact poset; no monotonicity assumed."""
+    """A total map on the exact poset, as an index table; no monotonicity
+    assumed.
+
+    `table[i]` is the index of the image of `domain.elements[i]`.
+    Identifiers appear only at the edge, in `apply`.
+    """
 
     domain: FinitePoset
-    mapping: Callable[[str], str] | dict
+    table: list[int]
+
+    def __post_init__(self):
+        n = len(self.domain)
+        if len(self.table) != n or not all(isinstance(j, int) and 0 <= j < n for j in self.table):
+            raise InputError(f"an operator on {n} elements needs a table of {n} indices below {n}")
 
     def apply(self, x: str) -> str:
-        if isinstance(self.mapping, dict):
-            return self.mapping[x]
-        return self.mapping(x)
-
-    def __call__(self, x: str) -> str:
-        return self.apply(x)
-
-    def table(self) -> dict[str, str]:
-        return {x: self.apply(x) for x in self.domain.elements}
+        return self.domain.elements[self.table[self.domain.index(x)]]
 
     def monotonicity_violation(self) -> tuple[str, str] | None:
-        for x in self.domain.elements:
-            fx = self.apply(x)
-            for y in self.domain.elements:
-                if self.domain.leq(x, y) and not self.domain.leq(fx, self.apply(y)):
-                    return (x, y)
+        up, table = self.domain._up, self.table
+        for i, fi in enumerate(table):
+            for j in _bits(up[i]):
+                if not up[fi] >> table[j] & 1:
+                    return (self.domain.elements[i], self.domain.elements[j])
         return None
 
     def is_monotone(self) -> bool:
@@ -87,9 +90,6 @@ class Approximator:
             self._cache[x] = hit
         return hit
 
-    def __call__(self, x: Approximant) -> Approximant:
-        return self.apply(x)
-
 
 class _Domain:
     """Adapter giving the fixpoint engine a leq/least view of a space."""
@@ -107,12 +107,16 @@ class _Domain:
         return self._least
 
 
-def ultimate_approximator(fw: ApproximationFramework, op: ExactOperator) -> Approximator:
-    """The most precise approximator of `op` on `fw`."""
+def _table_on(fw: ApproximationFramework, op: ExactOperator) -> list[int]:
+    """`op`'s table, once `fw.exact` has the same elements in its order."""
     if fw.exact.elements != op.domain.elements:
         raise PreconditionError("framework and operator live on different exact spaces")
-    table = op.table()
-    return Approximator(fw, fw.ultimate_map(lambda y: table[y]), name=f"ultimate({op.domain!r})")
+    return op.table
+
+
+def ultimate_approximator(fw: ApproximationFramework, op: ExactOperator) -> Approximator:
+    """The most precise approximator of `op` on `fw`."""
+    return Approximator(fw, fw.ultimate_map(_table_on(fw, op)), name=f"ultimate({op.domain!r})")
 
 
 def approximation_violation(
@@ -124,15 +128,15 @@ def approximation_violation(
     """A pair (approximant, element) breaking "a approximates op", or None."""
     rng = rng or random.Random(0)
     fw = a.space
+    table = _table_on(fw, op)
     pool = fw.enumerate_approximants(caps.max_approximants)
     if pool is None:
         pool = [fw.sample_approximant(rng) for _ in range(caps.samples)]
     for x in pool:
         image = fw.members_mask(a.apply(x))
         for i in _bits(fw.members_mask(x)):
-            y = fw.exact.elements[i]
-            if not image >> fw.exact.index(op.apply(y)) & 1:
-                return (x, y)
+            if not image >> table[i] & 1:
+                return (x, fw.exact.elements[i])
     return None
 
 
@@ -193,7 +197,16 @@ def stable_revision(a: Approximator, x: Approximant) -> Approximant:
 
 
 def _step_cap(fw: ApproximationFramework) -> int:
-    return 4 * len(fw.exact) + 16
+    """The iteration bound of every induction on `fw`: 2·|exact|.
+
+    Each step strictly raises precision: a higher ALB, or an AUB with a
+    smaller lower closure.  The ALBs form a chain in the exact poset and
+    rise at most |exact| − 1 times; the closures are non-empty subsets
+    of it and shrink at most |exact| − 1 times.  So a chain has at most
+    2·|exact| − 2 steps, and one more iteration sees the fixpoint.  The
+    inner inductions move in L or in U alone: |exact| − 1 steps at most.
+    """
+    return 2 * len(fw.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +228,8 @@ def well_founded(a: Approximator) -> Approximant:
     """Least fixpoint of stable revision, from the least approximant."""
     fw = a.space
     x = fw.least_approximant()
-    for _ in range(_step_cap(fw)):
+    cap = _step_cap(fw)
+    for _ in range(cap):
         nxt = stable_revision(a, x)
         if nxt == x:
             return x
@@ -224,7 +238,7 @@ def well_founded(a: Approximator) -> Approximant:
                 "stable revision decreased; the approximator is not precision-monotone"
             )
         x = nxt
-    raise MonotonicityError("stable revision did not reach a fixpoint")
+    raise MonotonicityError(f"stable revision found no fixpoint within 2*|exact| = {cap} steps")
 
 
 def supported_fixpoints(a: Approximator) -> list[str]:
@@ -407,7 +421,10 @@ def run_wf_induction(
             )
         x = y
         trace.append(x)
-    raise MonotonicityError(f"well-founded induction not terminal within {cap} steps")
+    raise MonotonicityError(
+        f"well-founded induction not terminal within {cap} steps"
+        f" (the bound 2*|exact| is {_step_cap(fw)})"
+    )
 
 
 def random_wf_strategy(rng: random.Random) -> Callable:

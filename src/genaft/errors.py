@@ -22,7 +22,7 @@ class NotAPartialOrderError(InputError):
     """The supplied relation is not antisymmetric once closed (a cycle)."""
 
 
-class SizeCapError(GenaftError):
+class SizeCapError(InputError):
     """A construction would exceed its configured size cap."""
 
 

@@ -36,20 +36,15 @@ class OrderedDomain(Protocol):
 class MonotoneOperator:
     """A self-map on an ordered domain, assumed monotone.
 
-    `mapping` may be a callable or a dict table; the image must stay
-    inside the domain (not checked up front for virtual domains).
+    The image must stay inside the domain (not checked up front for
+    virtual domains).
     """
 
     domain: OrderedDomain
-    mapping: Callable | dict
+    mapping: Callable
 
     def apply(self, x):
-        if isinstance(self.mapping, dict):
-            return self.mapping[x]
         return self.mapping(x)
-
-    def __call__(self, x):
-        return self.apply(x)
 
 
 @dataclass(frozen=True)
@@ -72,11 +67,6 @@ def is_prefixpoint(op: MonotoneOperator, x) -> bool:
 
 def is_postfixpoint(op: MonotoneOperator, x) -> bool:
     return op.domain.leq(x, op.apply(x))
-
-
-def is_terminal(op: MonotoneOperator, x) -> bool:
-    """A limit cannot be refined further iff it is a pre-fixpoint."""
-    return is_prefixpoint(op, x)
 
 
 def lfp(op: MonotoneOperator, *, start=None, step_cap: int = DEFAULT_STEP_CAP):

@@ -206,8 +206,6 @@ class FlowerFramework(ApproximationFramework):
     def enumerate_approximants(self, cap: int | None = None) -> list[Approximant] | None:
         """All flowers, found by subset filtering rather than through
         recompose so that checks exercise recompose independently."""
-        from .framework import DEFAULT_CAPS
-
         cap = DEFAULT_CAPS.max_approximants if cap is None else cap
         if not self._enumerable:
             return None
@@ -219,23 +217,21 @@ class FlowerFramework(ApproximationFramework):
             return None
         return list(self._all_approximants)
 
-    def flower_of(self, x: Approximant) -> Flower:
-        return Flower(self.exact, self.members(x))
-
     def format_approximant(self, x: Approximant) -> str:
         return "⟨" + str(x.alb) + " | {" + ",".join(x.aub) + "}⟩"
 
-    def ultimate_map(self, table: Callable[[str], str]) -> Callable[[Approximant], Approximant]:
+    def ultimate_map(self, table: list[int]) -> Callable[[Approximant], Approximant]:
         """Most precise approximator: the flower closure of the image.
 
         The closure is the precision-greatest flower approximating every
         image point, so no information beyond the image set is lost.
         """
+        image_mask, exact = self._image_masks(table), self.exact
 
         def apply(x: Approximant) -> Approximant:
-            image = {table(y) for y in self.members(x)}
-            g = self.exact.glb(image)
-            return Approximant(self, g, tuple(sorted(self.exact.max_set(image))))
+            image = image_mask(x)
+            glb = exact.elements[exact._glb_mask(image)]
+            return Approximant(self, glb, self.aub_of_mask(image))
 
         return apply
 

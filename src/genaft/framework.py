@@ -186,8 +186,21 @@ class ApproximationFramework(ABC):
     def format_approximant(self, x: Approximant) -> str: ...
 
     @abstractmethod
-    def ultimate_map(self, table: Callable[[str], str]) -> Callable[[Approximant], Approximant]:
-        """The most precise approximator of the exact map `table`."""
+    def ultimate_map(self, table: list[int]) -> Callable[[Approximant], Approximant]:
+        """The most precise approximator of the exact map `table`, which
+        sends element index i to element index table[i]."""
+
+    def _image_masks(self, table: list[int]) -> Callable[[Approximant], int]:
+        """The map from an approximant to the mask of its members' images."""
+        bits = [1 << j for j in table]
+
+        def image(x: Approximant) -> int:
+            out = 0
+            for i in _bits(self.members_mask(x)):
+                out |= bits[i]
+            return out
+
+        return image
 
     # -- shared derived operations ----------------------------------------
 
@@ -238,23 +251,11 @@ class ApproximationFramework(ABC):
             return None
         return self.exact.elements[mask.bit_length() - 1]
 
+    @abstractmethod
     def enumerate_approximants(self, cap: int | None = None) -> list[Approximant] | None:
-        """All approximants, via (ALB, AUB) canonical pairs; None over cap."""
-        cap = DEFAULT_CAPS.max_approximants if cap is None else cap
-        aubs = self.enumerate_aubs()
-        if aubs is None:
-            return None
-        out = []
-        for u in aubs:
-            for l in self.albs():
-                if not self.cross_leq(l, u):
-                    continue
-                x = self.recompose(l, u)
-                if x.alb == l and x.aub == u:
-                    out.append(x)
-                    if len(out) > cap:
-                        return None
-        return out
+        """All approximants, built without recompose so that checks
+        exercise recompose independently; None over cap or when the
+        space is too large to materialise."""
 
     def sample_approximant(self, rng: random.Random) -> Approximant:
         for _ in range(64):
@@ -771,8 +772,3 @@ def check_framework(
     results.append(check_glb_property(fw, caps, rng))
     results.extend(check_approximates_relation(fw, caps, rng))
     return results
-
-
-def lub_approximants(fw: ApproximationFramework, xs: Sequence[Approximant]) -> Approximant | None:
-    """lub in the approximation space; None when no upper bound exists."""
-    return fw.lub_p(list(xs))

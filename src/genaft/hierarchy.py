@@ -148,7 +148,7 @@ def check_space_precision(
     cx = None
     for x1 in coarse_pool:
         e = w.embed(x1)
-        if w.fine.members_mask(e) != _remask(w, x1):
+        if w.fine.members_mask(e) != w.coarse.members_mask(x1):
             cx = {"coarse": _show(x1), "embedded": _show(e)}
             break
         if w.collapse(e) != x1:
@@ -195,10 +195,6 @@ def check_space_precision(
             break
     results.append(_result("space_precision.comparison_factors_through_collapse", cross_exh, cx))
     return results
-
-
-def _remask(w: SpacePrecisionWitness, x1: Approximant) -> int:
-    return w.coarse.members_mask(x1)
 
 
 def check_fixpoint_preservation(

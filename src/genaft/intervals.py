@@ -13,7 +13,7 @@ import random
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError, RecomposeUndefinedError
-from .framework import Approximant, ApproximationFramework
+from .framework import DEFAULT_CAPS, Approximant, ApproximationFramework
 from .posets import FinitePoset
 
 
@@ -89,8 +89,6 @@ class IntervalFramework(ApproximationFramework):
     def enumerate_approximants(self, cap: int | None = None) -> list[Approximant] | None:
         """All consistent pairs, built directly rather than through
         recompose so that checks exercise recompose independently."""
-        from .framework import DEFAULT_CAPS
-
         cap = DEFAULT_CAPS.max_approximants if cap is None else cap
         out = []
         for l in self.exact.elements:
@@ -108,21 +106,19 @@ class IntervalFramework(ApproximationFramework):
             raise PreconditionError(f"{sorted(ms)} is not an interval")
         return x
 
-    def truth_leq(self, x: Approximant, y: Approximant) -> bool:
-        """The truth order on pairs; exposed for completeness, unused by
-        any algorithm here."""
-        return self.exact.leq(x.alb, y.alb) and self.exact.leq(x.aub, y.aub)
-
     def format_approximant(self, x: Approximant) -> str:
         return f"[{x.alb}, {x.aub}]"
 
-    def ultimate_map(self, table: Callable[[str], str]) -> Callable[[Approximant], Approximant]:
+    def ultimate_map(self, table: list[int]) -> Callable[[Approximant], Approximant]:
         """Most precise approximator: glb and lub of the image over the
         approximated interval."""
+        image_mask, exact = self._image_masks(table), self.exact
 
         def apply(x: Approximant) -> Approximant:
-            image = {table(y) for y in self.members(x)}
-            return Approximant(self, self.exact.glb(image), self.exact.lub(image))
+            image = image_mask(x)
+            return Approximant(
+                self, exact.elements[exact._glb_mask(image)], exact.elements[exact._lub_mask(image)]
+            )
 
         return apply
 

@@ -31,7 +31,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_ELEMENTS = 4096
-DEFAULT_ATOM_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -386,45 +385,55 @@ def tuple_id(parts: Sequence[str]) -> str:
     return "(" + "|".join(parts) + ")"
 
 
+def powerset_ids(atoms: Sequence[str]) -> tuple[str, ...]:
+    """The set_id of every subset of the sorted distinct `atoms`; index i
+    holds the subset of the atoms at the set bits of i."""
+    inner = [""]
+    for a in atoms:
+        inner += [f"{s},{a}" if s else a for s in inner]
+    return tuple("{" + s + "}" for s in inner)
+
+
+def subset_masks(n: int) -> list[int]:
+    """Per subset of n atoms, indexed as in powerset_ids, the mask of its
+    subsets: doubling over atom h, each subset of the first h atoms
+    gains a copy with atom h, whose index is 1 << h higher."""
+    below = [1]
+    for h in range(n):
+        below += [d | d << (1 << h) for d in below]
+    return below
+
+
 def powerset_lattice(
     atoms: Iterable[str],
     order: str = "subset",
     *,
-    atom_cap: int = DEFAULT_ATOM_CAP,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> FinitePoset:
     """The lattice of all subsets of `atoms` under subset or superset order.
 
-    Element identifiers are canonical "{a,b}" strings.  Under "superset"
-    the order is reversed, so the least element is the full set; this is
-    the belief-state order, where smaller sets carry more knowledge.
+    Element identifiers are canonical "{a,b}" strings, and the subset
+    with atom mask i (over the sorted atoms) has index i.  Under
+    "superset" the order is reversed, so the least element is the full
+    set; this is the belief-state order, where smaller sets carry more
+    knowledge.
     """
     atom_list = sorted(set(atoms))
     if order not in ("subset", "superset"):
         raise InputError(f"unknown order {order!r}")
-    if len(atom_list) > atom_cap:
-        raise SizeCapError(f"{len(atom_list)} atoms exceed the cap of {atom_cap}")
     if 1 << len(atom_list) > max_elements:
         raise SizeCapError(
             f"powerset would have {1 << len(atom_list)} elements, cap is {max_elements}"
         )
     n = len(atom_list)
-    subsets = tuple(
-        set_id(atom_list[i] for i in range(n) if bits >> i & 1) for bits in range(1 << n)
-    )
-    # Index `bits` is the subset with those atom bits.  below[bits] masks
-    # its subsets: doubling over atom h, each subset of the first h atoms
-    # gains a copy with atom h, whose index is 1 << h higher.  The
-    # supersets of `bits` are `bits` plus any subset of the other atoms.
-    below = [1]
-    for h in range(n):
-        below += [d | d << (1 << h) for d in below]
+    below = subset_masks(n)
+    # The supersets of `bits` are `bits` plus any subset of the other atoms.
     full = (1 << n) - 1
     above = [below[full ^ bits] << bits for bits in range(1 << n)]
     if order == "superset":
         above, below = below, above
     complete = PosetClassification(True, True, True, True)
-    return FinitePoset._from_masks(subsets, above, below, complete)
+    return FinitePoset._from_masks(powerset_ids(atom_list), above, below, complete)
 
 
 def product_poset(

@@ -191,6 +191,14 @@ def test_output_is_deterministic(capsys, data_dir):
     assert first == second
 
 
+def test_solve_over_the_atom_cap_exits_two(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"atoms": [f"a{i}" for i in range(13)], "rules": []}))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert err == "input error: 13 atoms exceed the cap of 12\n"
+
+
 def test_check_unknown_hasse_element_exits_two(capsys, tmp_path):
     path = tmp_path / "ghost.json"
     path.write_text(json.dumps({"elements": ["x"], "hasse": [["x", "ghost"]]}))

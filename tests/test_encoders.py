@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from genaft import build_interval_framework, kripke_kleene, set_id, ultimate_approximator
+from genaft import (
+    build_interval_framework,
+    kripke_kleene,
+    powerset_lattice,
+    set_id,
+    ultimate_approximator,
+)
 from genaft.encoders import (
     AelTheory,
     NormalLogicProgram,
@@ -44,6 +50,25 @@ def test_lp_operator_negative_self_loop_is_non_monotone():
 def test_lp_operator_two_negations():
     op = lp_operator(parse_program(["q :- not p", "r :- not q"], atoms=["p", "q", "r"]))
     assert op.apply("{}") == "{q,r}"
+
+
+def test_lp_operator_with_unsorted_atoms():
+    rules = parse_program(["p :- not q", "q :- p"]).rules
+    unsorted = lp_operator(NormalLogicProgram(("q", "p"), rules))
+    assert unsorted.table == lp_operator(NormalLogicProgram(("p", "q"), rules)).table
+    assert unsorted.apply("{}") == "{p}"
+
+
+def test_positional_tables_need_the_programs_powerset():
+    program = parse_program("p :- not q.")
+    with pytest.raises(InputError, match="powerset lattice"):
+        lp_operator(program, powerset_lattice(["a", "b"]))
+    with pytest.raises(InputError, match="powerset lattice"):
+        lp_operator(program, powerset_lattice(["p", "q"], "superset"))
+    with pytest.raises(InputError, match="powerset lattice"):
+        fitting_approximator(program, build_interval_framework(powerset_lattice(["p", "q", "r"])))
+    space = powerset_lattice(["p", "q"])
+    assert lp_operator(program, space).domain is space
 
 
 def test_program_json_round_trip():

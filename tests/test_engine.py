@@ -29,7 +29,13 @@ from genaft import (
     ultimate_approximator,
     well_founded,
 )
-from genaft.errors import InvalidRefinementError, PreconditionError, ReliabilityError
+from genaft.errors import (
+    InputError,
+    InvalidRefinementError,
+    MonotonicityError,
+    PreconditionError,
+    ReliabilityError,
+)
 from genaft.encoders import (
     ael_operator,
     fitting_approximator,
@@ -61,12 +67,18 @@ def _interval_setup(program):
 def test_constant_operator_ultimate_is_exact(fig_lattice):
     for space in (build_interval_framework, build_flower_framework):
         fw = space(fig_lattice)
-        op = ExactOperator(fig_lattice, lambda x: "a")
+        op = ExactOperator(fig_lattice, [fig_lattice.index("a")] * len(fig_lattice))
         ua = ultimate_approximator(fw, op)
         for x in fw.enumerate_approximants():
             assert ua.apply(x) == fw.exact_approximant("a")
         assert supported_fixpoints(ua) == ["a"]
         assert stable_fixpoints(ua) == ["a"]
+
+
+def test_exact_operator_rejects_bad_tables(fig_lattice):
+    for table in ([0, 1, 2], [0, 1, 2, 4], [0, -1, 2, 3], [0, 1, 2, "3"]):
+        with pytest.raises(InputError, match="needs a table of 4 indices below 4"):
+            ExactOperator(fig_lattice, table)
 
 
 def test_agent_interval_ultimate_kk_wf_are_least(agent):
@@ -99,7 +111,7 @@ def test_fitting_approximates_the_consequence_operator():
 
 def test_corrupted_map_fails_with_witness(fig_lattice):
     fw = build_interval_framework(fig_lattice)
-    op = ExactOperator(fig_lattice, lambda x: x)
+    op = ExactOperator(fig_lattice, list(range(len(fig_lattice))))
 
     def broken(x):
         return fw.exact_approximant("top")
@@ -356,6 +368,15 @@ def test_bad_strategy_raises(agent):
 
     with pytest.raises(InvalidRefinementError):
         run_wf_induction(fa, rogue)
+
+
+def test_stalling_strategy_hits_the_stated_bound():
+    program = parse_program(["p :- not q"])
+    _, fw, fit, _ = _interval_setup(program)
+    bound = 2 * len(fw.exact)
+    message = rf"within {bound} steps \(the bound 2\*\|exact\| is {bound}\)"
+    with pytest.raises(MonotonicityError, match=message):
+        run_wf_induction(fit, lambda step, x, apps, grounds: x)
 
 
 def test_every_induction_step_is_a_refinement(agent):

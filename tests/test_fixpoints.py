@@ -11,7 +11,6 @@ from genaft import (
     MonotoneOperator,
     is_postfixpoint,
     is_prefixpoint,
-    is_terminal,
     lfp,
     powerset_lattice,
     run_monotone_induction,
@@ -76,7 +75,7 @@ def test_lfp_below_every_prefixpoint(seed, op_seed):
         return
     op_rng = random.Random(op_seed)
     table = _random_monotone_table(p, op_rng)
-    op = MonotoneOperator(p, table)
+    op = MonotoneOperator(p, table.__getitem__)
     least = lfp(op)
     for x in p.elements:
         if p.leq(table[x], x):
@@ -97,7 +96,7 @@ def _random_monotone_table(p, rng):
         table[x] = rng.choice(candidates) if candidates else x
     # candidates can be empty only if images are unbounded; retry never
     # needed because the full poset always has the image itself
-    if verify_monotone(MonotoneOperator(p, table), p.elements) is not None:
+    if verify_monotone(MonotoneOperator(p, table.__getitem__), p.elements) is not None:
         # extremely sparse posets may defeat the construction; fall back
         table = {x: x for x in p.elements}
     return table
@@ -108,7 +107,7 @@ def test_iteration_bounded_by_longest_chain():
         [f"c{i}" for i in range(6)], [(f"c{i}", f"c{i+1}") for i in range(5)]
     )
     steps = {f"c{i}": f"c{min(i + 1, 5)}" for i in range(6)}
-    trace = run_monotone_induction(MonotoneOperator(chain, steps))
+    trace = run_monotone_induction(MonotoneOperator(chain, steps.__getitem__))
     assert len(trace) <= chain.longest_chain_length()
     assert trace.limit == "c5"
 
@@ -135,8 +134,8 @@ def test_stalled_strategy_is_rejected(fig):
     op = MonotoneOperator(fig, lambda x: "a")
     with pytest.raises(InvalidRefinementError):
         run_monotone_induction(op, lambda x, fx: x)
-    assert not is_terminal(op, "bot")
-    assert is_terminal(op, "a")
+    assert not is_prefixpoint(op, "bot")
+    assert is_prefixpoint(op, "a")
 
 
 def test_strategy_leaving_sandwich_is_rejected(fig):
@@ -157,7 +156,7 @@ def test_trace_invariants_of_runner(fig_lattice):
 
 def test_verify_monotone_finds_witness(fig):
     drop = {"bot": "a", "a": "bot", "b": "b"}
-    bad = MonotoneOperator(fig, drop)
+    bad = MonotoneOperator(fig, drop.__getitem__)
     witness = verify_monotone(bad, fig.elements)
     assert witness is not None
     x, y = witness

@@ -17,7 +17,6 @@ from genaft import (
     check_glb_property,
     check_preamble,
     check_weak_ilp,
-    lub_approximants,
     powerset_lattice,
     report_dumps,
     report_ok,
@@ -101,7 +100,7 @@ def test_lub_of_nested_flowers(fig):
     fw = build_flower_framework(fig)
     x = fw.approximant_from_members({"bot", "a", "b"})
     y = fw.approximant_from_members({"bot", "a"})
-    lub = lub_approximants(fw, [x, y])
+    lub = fw.lub_p([x, y])
     assert fw.members(lub) == {"bot", "a"}
 
 
@@ -110,7 +109,7 @@ def test_lub_with_shared_aub_joins_albs(fig):
     # both flowers have the AUB {a}; their lub joins the ALBs
     x = fw.approximant_from_members({"bot", "a"})
     y = fw.approximant_from_members({"a"})
-    lub = lub_approximants(fw, [x, y])
+    lub = fw.lub_p([x, y])
     assert lub.aub == ("a",)
     assert lub.alb == fig.lub(["bot", "a"])
 
