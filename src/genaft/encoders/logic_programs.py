@@ -160,6 +160,12 @@ def lp_operator(
     else:
         _check_powerset(program, space)
     _, rules = _compiled(program)
+    return _tp(rules, space)
+
+
+def _tp(rules, space: FinitePoset) -> ExactOperator:
+    """The immediate-consequence table of compiled `rules` on their
+    powerset lattice `space`."""
     return ExactOperator(space, [_consequence(rules, imask) for imask in range(len(space))])
 
 
@@ -175,7 +181,8 @@ def fitting_approximator(
     positive body inside the lower bound and its negative body missing
     from the upper bound; the upper bound is symmetric.  Less precise
     than the ultimate approximator, which makes the pair a good test of
-    the approximator-precision transfer results.
+    the approximator-precision transfer results.  On an exact pair it
+    is the immediate-consequence operator, which it approximates.
     """
     if fw is None:
         fw = build_interval_framework(lp_exact_space(program, atom_cap=atom_cap))
@@ -194,7 +201,7 @@ def fitting_approximator(
                 new_high |= head
         return Approximant(fw, exact.elements[new_low], exact.elements[new_high])
 
-    return Approximator(fw, apply, name="fitting")
+    return Approximator(fw, apply, _tp(rules, exact), name="fitting")
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,26 @@ class ExactOperator:
 
 @dataclass
 class Approximator:
-    """A precision-monotone self-map on approximants.
+    """A precision-monotone self-map on approximants that approximates
+    the exact operator `exact`.
 
+    Precondition: `mapping` approximates `exact`, i.e. the image under
+    `exact` of every member of an approximant is a member of the
+    approximant's image (`approximation_violation(a, a.exact)` checks
+    it).  Supported
+    fixpoints are read off `exact`'s fixed points on that premise.
     Applications are memoised; frameworks and approximants are immutable
     so the cache is sound.
     """
 
     space: ApproximationFramework
     mapping: Callable[[Approximant], Approximant]
+    exact: ExactOperator
     name: str = "approximator"
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        _table_on(self.space, self.exact)
 
     def apply(self, x: Approximant) -> Approximant:
         hit = self._cache.get(x)
@@ -116,7 +126,7 @@ def _table_on(fw: ApproximationFramework, op: ExactOperator) -> list[int]:
 
 def ultimate_approximator(fw: ApproximationFramework, op: ExactOperator) -> Approximator:
     """The most precise approximator of `op` on `fw`."""
-    return Approximator(fw, fw.ultimate_map(_table_on(fw, op)), name=f"ultimate({op.domain!r})")
+    return Approximator(fw, fw.ultimate_map(op.table), op, name=f"ultimate({op.domain!r})")
 
 
 def approximation_violation(
@@ -242,13 +252,21 @@ def well_founded(a: Approximator) -> Approximant:
 
 
 def supported_fixpoints(a: Approximator) -> list[str]:
-    """Exact elements fixed by the approximator, sorted."""
+    """Exact elements fixed by the approximator, sorted.
+
+    Precondition: `a` approximates `a.exact`.  Then a(y) = y on the
+    exact approximant of y puts `a.exact`'s image of y among y's members,
+    which are y alone, so only the table's fixed points are candidates;
+    each is confirmed by one application.
+    """
     fw = a.space
     out = []
-    for y in fw.exact.elements:
-        e = fw.exact_approximant(y)
-        if a.apply(e) == e:
-            out.append(y)
+    for i, j in enumerate(a.exact.table):
+        if i == j:
+            y = fw.exact.elements[i]
+            e = fw.exact_approximant(y)
+            if a.apply(e) == e:
+                out.append(y)
     return sorted(out)
 
 

@@ -84,7 +84,6 @@ class FlowerFramework(ApproximationFramework):
 
     def __init__(self, exact: FinitePoset, *, enumerable: bool):
         super().__init__(exact)
-        self._bot = exact.least()
         self._enumerable = enumerable
         self._down_cache: dict[tuple[str, ...], int] = {}
         self._top_aub = tuple(sorted(exact.max_set(exact.elements)))

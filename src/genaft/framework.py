@@ -106,6 +106,7 @@ class ApproximationFramework(ABC):
 
     def __init__(self, exact: FinitePoset):
         self.exact = exact
+        self._bot = exact.least()
 
     # -- the combined order over L and U ----------------------------------
 
@@ -143,7 +144,7 @@ class ApproximationFramework(ABC):
     def lub_U(self, us: Iterable): ...
 
     def L_least(self):
-        return self.exact.least()
+        return self._bot
 
     @abstractmethod
     def U_least(self): ...

@@ -101,22 +101,24 @@ def _as_flower(coarse: IntervalFramework, fine: FlowerFramework, x1: Approximant
 
 def induce_fine(a1: Approximator, w: SpacePrecisionWitness) -> Approximator:
     """Transport a coarse approximator to the fine space by collapsing
-    first; precision-monotone because both maps are."""
+    first; precision-monotone because both maps are.  Collapse only adds
+    members and embed keeps them, so it still approximates `a1.exact`."""
 
     def apply(x2: Approximant) -> Approximant:
         return w.embed(a1.apply(w.collapse(x2)))
 
-    return Approximator(w.fine, apply, name=f"fine({a1.name})")
+    return Approximator(w.fine, apply, a1.exact, name=f"fine({a1.name})")
 
 
 def induce_coarse(a2: Approximator, w: SpacePrecisionWitness) -> Approximator:
     """Transport a fine approximator to the coarse space by embedding
-    the argument and collapsing the result."""
+    the argument and collapsing the result; it still approximates
+    `a2.exact`."""
 
     def apply(x1: Approximant) -> Approximant:
         return w.collapse(a2.apply(w.embed(x1)))
 
-    return Approximator(w.coarse, apply, name=f"coarse({a2.name})")
+    return Approximator(w.coarse, apply, a2.exact, name=f"coarse({a2.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ class IntervalFramework(ApproximationFramework):
 
     def __init__(self, exact: FinitePoset):
         super().__init__(exact)
-        self._bot = exact.least()
         self._top = exact.greatest()
 
     # -- combined order: one carrier, the exact order ----------------------

@@ -1,0 +1,155 @@
+"""Supported and stable fixpoints against their definitions, and the
+iteration cap's margin on the corpus.
+
+The oracle here applies the approximator to the exact approximant of
+every exact element, with no use of the exact operator's table, so it
+checks the engine's scan over the table's fixed points from outside.
+"""
+
+import random
+
+import pytest
+
+from genaft import (
+    Approximator,
+    ExactOperator,
+    build_flower_framework,
+    build_interval_framework,
+    kripke_kleene,
+    stable_fixpoints,
+    stable_revision,
+    supported_fixpoints,
+    ultimate_approximator,
+    well_founded,
+)
+from genaft import engine
+from genaft.encoders import fitting_approximator, lp_exact_space, lp_operator
+from genaft.errors import PreconditionError
+from genaft.hierarchy import induce_coarse, induce_fine, interval_flower_witness
+from corpus import (
+    grammar_programs,
+    random_bounded_complete_cpo,
+    random_poset,
+    random_program,
+)
+
+
+def _by_definition(a: Approximator) -> tuple[list[str], list[str]]:
+    """Supported: exact approximants the approximator fixes.  Stable:
+    those of them that stable revision fixes."""
+    fw = a.space
+    supported, stable = [], []
+    for y in fw.exact.elements:
+        e = fw.exact_approximant(y)
+        if a.apply(e) == e:
+            supported.append(y)
+            if stable_revision(a, e) == e:
+                stable.append(y)
+    return sorted(supported), sorted(stable)
+
+
+def _assert_definitional(a: Approximator) -> None:
+    assert (supported_fixpoints(a), stable_fixpoints(a)) == _by_definition(a), a.name
+
+
+def _cpos(rng: random.Random):
+    drawn = (random_poset(rng) for _ in range(300))
+    yield from (p for p in drawn if p.classify().is_bounded_complete)
+    for _ in range(300):
+        yield random_bounded_complete_cpo(rng)
+
+
+def _table_with_fixed_points(n: int, rng: random.Random) -> list[int]:
+    table = [rng.randrange(n) for _ in range(n)]
+    for i in rng.sample(range(n), rng.randint(0, n)):
+        table[i] = i
+    return table
+
+
+def test_random_tables_on_cpos_match_the_definition():
+    rng = random.Random(404)
+    lattices = 0
+    for poset in _cpos(rng):
+        op = ExactOperator(poset, _table_with_fixed_points(len(poset), rng))
+        spaces = [build_flower_framework(poset)]
+        if poset.classify().is_complete_lattice:
+            lattices += 1
+            spaces.append(build_interval_framework(poset))
+        for fw in spaces:
+            _assert_definitional(ultimate_approximator(fw, op))
+            # The least precise approximator of any operator: it fixes
+            # no exact approximant but on a one-element space.
+            least = fw.least_approximant()
+            _assert_definitional(Approximator(fw, lambda x, least=least: least, op))
+    assert lattices >= 50
+
+
+def test_random_programs_match_the_definition():
+    rng = random.Random(405)
+    for size in range(1, 6):
+        atoms = tuple("abcde"[:size])
+        for _ in range(30):
+            program = random_program(atoms, rng)
+            op = lp_operator(program)
+            ifw = build_interval_framework(op.domain)
+            _assert_definitional(fitting_approximator(program, ifw))
+            _assert_definitional(ultimate_approximator(build_flower_framework(op.domain), op))
+
+
+def test_induced_approximators_match_the_definition():
+    rng = random.Random(406)
+    for size in range(1, 4):
+        for _ in range(20):
+            program = random_program(tuple("abc"[:size]), rng)
+            op = lp_operator(program)
+            wit = interval_flower_witness(op.domain)
+            fine = induce_fine(fitting_approximator(program, wit.coarse), wit)
+            coarse = induce_coarse(ultimate_approximator(wit.fine, op), wit)
+            assert fine.exact.table == coarse.exact.table == op.table
+            _assert_definitional(fine)
+            _assert_definitional(coarse)
+
+
+def test_supported_applies_only_at_the_tables_fixed_points():
+    rng = random.Random(407)
+    for poset in _cpos(rng):
+        op = ExactOperator(poset, _table_with_fixed_points(len(poset), rng))
+        a = ultimate_approximator(build_flower_framework(poset), op)
+        seen = []
+        apply = a.apply
+        a.apply = lambda x: seen.append(x) or apply(x)
+        supported_fixpoints(a)
+        fixed = [y for i, y in enumerate(poset.elements) if op.table[i] == i]
+        assert seen == [a.space.exact_approximant(y) for y in fixed]
+
+
+def test_approximator_rejects_an_operator_on_another_space(fig, fig_lattice):
+    fw = build_interval_framework(fig_lattice)
+    op = ExactOperator(fig, list(range(len(fig))))
+    with pytest.raises(PreconditionError, match="different exact spaces"):
+        Approximator(fw, lambda x: x, op)
+
+
+def test_corpus_finishes_within_half_the_stated_cap(monkeypatch):
+    """The stated cap is 2·|exact|; every corpus program's KK and WF
+    finish under |exact|."""
+    monkeypatch.setattr(engine, "_step_cap", lambda fw: len(fw.exact))
+    frameworks = {}
+    for program in grammar_programs():
+        if program.atoms not in frameworks:
+            space = lp_exact_space(program)
+            frameworks[program.atoms] = (
+                space,
+                build_interval_framework(space),
+                build_flower_framework(space),
+            )
+        space, ifw, ffw = frameworks[program.atoms]
+        op = lp_operator(program, space)
+        approximators = (
+            fitting_approximator(program, ifw),
+            ultimate_approximator(ifw, op),
+            ultimate_approximator(ffw, op),
+        )
+        for a in approximators:
+            kripke_kleene(a)
+            well_founded(a)

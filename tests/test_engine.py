@@ -116,7 +116,7 @@ def test_corrupted_map_fails_with_witness(fig_lattice):
     def broken(x):
         return fw.exact_approximant("top")
 
-    bad = Approximator(fw, broken)
+    bad = Approximator(fw, broken, op)
     witness = approximation_violation(bad, op)
     assert witness is not None
     x, y = witness

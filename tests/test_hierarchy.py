@@ -168,7 +168,7 @@ def test_warm_start_premise_detects_violations(diamond_witness):
 
     from genaft import Approximator
 
-    blurred = Approximator(wit.fine, blur)
+    blurred = Approximator(wit.fine, blur, op)
     report = check_warm_start(wit, fit, blurred)
     assert any(not r.ok for r in report)
 
