@@ -13,7 +13,6 @@ from .engine import (
     ExactOperator,
     SemanticsResult,
     application_refinements,
-    approximates_operator,
     approximation_violation,
     compute_semantics,
     grounding_refinements,
@@ -46,14 +45,7 @@ from .errors import (
     ReliabilityError,
     SizeCapError,
 )
-from .fixpoints import (
-    InductionTrace,
-    MonotoneOperator,
-    is_postfixpoint,
-    is_prefixpoint,
-    lfp,
-    run_monotone_induction,
-)
+from .fixpoints import MonotoneOperator, lfp
 from .flowers import (
     Flower,
     FlowerFramework,
@@ -76,7 +68,6 @@ from .framework import (
     check_glb_property,
     check_preamble,
     check_weak_ilp,
-    report_dumps,
     report_ok,
     report_to_json,
 )

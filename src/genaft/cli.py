@@ -14,6 +14,7 @@ mathematical preconditions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -59,7 +60,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="genaft",
         description="Fixpoint semantics of non-monotone operators over finite orders",

@@ -4,16 +4,12 @@ from .autoepistemic import (
     AelTheory,
     ael_operator,
     belief_state_space,
-    eval_objective,
     interpretation_ids,
     parse_formula,
 )
 from .dialectical import (
     Wadf,
-    assignment_id,
-    assignment_of,
     parse_acceptance,
-    uses_only_glb,
     wadf_exact_space,
     wadf_operator,
 )
@@ -35,10 +31,7 @@ __all__ = [
     "Rule",
     "Wadf",
     "ael_operator",
-    "assignment_id",
-    "assignment_of",
     "belief_state_space",
-    "eval_objective",
     "fitting_approximator",
     "interpretation_ids",
     "lp_exact_space",
@@ -47,7 +40,6 @@ __all__ = [
     "parse_acceptance",
     "parse_formula",
     "parse_program",
-    "uses_only_glb",
     "wadf_exact_space",
     "wadf_operator",
 ]

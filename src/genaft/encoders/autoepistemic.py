@@ -16,7 +16,6 @@ possible-world construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..engine import ExactOperator
@@ -88,11 +87,6 @@ class AelTheory:
 
     @classmethod
     def from_json(cls, data) -> "AelTheory":
-        if isinstance(data, (str, bytes)):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"invalid JSON: {exc}") from exc
         try:
             atoms = tuple(sorted(data["atoms"]))
             sentences = tuple(parse_formula(s) for s in data["sentences"])
@@ -112,22 +106,9 @@ class AelTheory:
         return unique
 
 
-def eval_objective(f: tuple, imask: int, atom_index: dict[str, int]) -> bool:
-    op = f[0]
-    if op == "atom":
-        return bool(imask >> atom_index[f[1]] & 1)
-    if op == "not":
-        return not eval_objective(f[1], imask, atom_index)
-    if op == "and":
-        return all(eval_objective(g, imask, atom_index) for g in f[1])
-    if op == "or":
-        return any(eval_objective(g, imask, atom_index) for g in f[1])
-    if op == "iff":
-        return eval_objective(f[1], imask, atom_index) == eval_objective(f[2], imask, atom_index)
-    raise InputError(f"K inside an objective formula: {f!r}")
-
-
 def _eval_modal(f: tuple, imask: int, atom_index: dict[str, int], kvalue: dict[tuple, bool]) -> bool:
+    """The truth of `f` in interpretation `imask`, reading each modal
+    atom K(g) from `kvalue`; an objective formula needs no `kvalue`."""
     op = f[0]
     if op == "K":
         return kvalue[f[1]]
@@ -160,14 +141,11 @@ def interpretation_ids(atoms: tuple[str, ...]) -> list[str]:
 
 
 def ael_operator(
-    theory: AelTheory,
-    *,
-    max_atoms: int = MAX_AEL_ATOMS,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    theory: AelTheory, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> ExactOperator:
     """The belief-state revision operator of the theory."""
-    if len(theory.atoms) > max_atoms:
-        raise SizeCapError(f"{len(theory.atoms)} atoms exceed the cap of {max_atoms}")
+    if len(theory.atoms) > MAX_AEL_ATOMS:
+        raise SizeCapError(f"{len(theory.atoms)} atoms exceed the cap of {MAX_AEL_ATOMS}")
     atoms = theory.atoms
     atom_index = {a: i for i, a in enumerate(atoms)}
     n_interp = 1 << len(atoms)
@@ -181,12 +159,12 @@ def ael_operator(
     for ident in interp_ids:
         index_of += [i | 1 << rank[ident] for i in index_of]
 
-    modal = theory.modal_subformulas()
+    # K's arguments are objective: _scan rejects a K inside a K.
     modal_masks = []
-    for g in modal:
+    for g in theory.modal_subformulas():
         gmask = 0
         for imask in range(n_interp):
-            if eval_objective(g, imask, atom_index):
+            if _eval_modal(g, imask, atom_index, {}):
                 gmask |= 1 << imask
         modal_masks.append((g, gmask))
 

@@ -12,19 +12,12 @@ acceptance orders routinely have several maximal values.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
 from ..engine import ExactOperator
 from ..errors import EvaluationError, InputError, PreconditionError
-from ..posets import (
-    DEFAULT_MAX_ELEMENTS,
-    FinitePoset,
-    product_components,
-    product_poset,
-    tuple_id,
-)
+from ..posets import DEFAULT_MAX_ELEMENTS, FinitePoset, product_poset
 
 
 def parse_acceptance(node, values: set[str], arguments: set[str]) -> tuple:
@@ -89,17 +82,6 @@ def _parents_of(expr: tuple) -> set[str]:
     return out
 
 
-def uses_only_glb(expr: tuple) -> bool:
-    """True when the expression is built from glb/parent/const alone,
-    which makes the induced operator monotone."""
-    op = expr[0]
-    if op in ("const", "parent"):
-        return True
-    if op == "glb":
-        return all(uses_only_glb(sub) for sub in expr[1])
-    return False
-
-
 @dataclass(frozen=True)
 class Wadf:
     arguments: tuple[str, ...]
@@ -115,11 +97,6 @@ class Wadf:
 
     @classmethod
     def from_json(cls, data) -> "Wadf":
-        if isinstance(data, (str, bytes)):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"invalid JSON: {exc}") from exc
         try:
             arguments = tuple(data["arguments"])
             values = FinitePoset.from_json(data["values"])
@@ -179,11 +156,3 @@ def wadf_operator(
             index = index * len(values) + values.index(evaluate(a, w.acceptance[a], assignment))
         table.append(index)
     return ExactOperator(domain, table)
-
-
-def assignment_id(w: Wadf, assignment: Mapping[str, str]) -> str:
-    return tuple_id([assignment[a] for a in w.arguments])
-
-
-def assignment_of(w: Wadf, ident: str) -> dict[str, str]:
-    return dict(zip(w.arguments, product_components(ident)))

@@ -10,7 +10,6 @@ pipeline is tested against, so it must stay independent of it.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -22,7 +21,7 @@ from ..intervals import IntervalFramework, build_interval_framework
 from ..posets import FinitePoset, powerset_ids, powerset_lattice, set_id, subset_masks
 
 ATOM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-DEFAULT_ATOM_CAP = 12
+MAX_LP_ATOMS = 12
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,6 @@ class NormalLogicProgram:
 
     @classmethod
     def from_json(cls, data) -> "NormalLogicProgram":
-        if isinstance(data, (str, bytes)):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"invalid JSON: {exc}") from exc
         try:
             atoms = tuple(sorted(data["atoms"]))
             rules = tuple(
@@ -125,12 +119,14 @@ def _consequence(rules, imask: int) -> int:
     return out
 
 
-def lp_exact_space(
-    program: NormalLogicProgram, *, atom_cap: int = DEFAULT_ATOM_CAP
-) -> FinitePoset:
-    if len(program.atoms) > atom_cap:
-        raise SizeCapError(f"{len(program.atoms)} atoms exceed the cap of {atom_cap}")
+def lp_exact_space(program: NormalLogicProgram) -> FinitePoset:
+    _check_atom_cap(program)
     return powerset_lattice(program.atoms, "subset")
+
+
+def _check_atom_cap(program: NormalLogicProgram) -> None:
+    if len(program.atoms) > MAX_LP_ATOMS:
+        raise SizeCapError(f"{len(program.atoms)} atoms exceed the cap of {MAX_LP_ATOMS}")
 
 
 def _check_powerset(program: NormalLogicProgram, space: FinitePoset) -> None:
@@ -144,19 +140,14 @@ def _check_powerset(program: NormalLogicProgram, space: FinitePoset) -> None:
         )
 
 
-def lp_operator(
-    program: NormalLogicProgram,
-    space: FinitePoset | None = None,
-    *,
-    atom_cap: int = DEFAULT_ATOM_CAP,
-) -> ExactOperator:
+def lp_operator(program: NormalLogicProgram, space: FinitePoset | None = None) -> ExactOperator:
     """The immediate-consequence operator on the powerset of atoms.
 
     `space` lets program corpora over one atom set share the lattice; it
     must be that set's powerset lattice under subset order.
     """
     if space is None:
-        space = lp_exact_space(program, atom_cap=atom_cap)
+        space = lp_exact_space(program)
     else:
         _check_powerset(program, space)
     _, rules = _compiled(program)
@@ -170,10 +161,7 @@ def _tp(rules, space: FinitePoset) -> ExactOperator:
 
 
 def fitting_approximator(
-    program: NormalLogicProgram,
-    fw: IntervalFramework | None = None,
-    *,
-    atom_cap: int = DEFAULT_ATOM_CAP,
+    program: NormalLogicProgram, fw: IntervalFramework | None = None
 ) -> Approximator:
     """The four-valued immediate-consequence approximator on intervals.
 
@@ -185,7 +173,7 @@ def fitting_approximator(
     is the immediate-consequence operator, which it approximates.
     """
     if fw is None:
-        fw = build_interval_framework(lp_exact_space(program, atom_cap=atom_cap))
+        fw = build_interval_framework(lp_exact_space(program))
     else:
         _check_powerset(program, fw.exact)
     _, rules = _compiled(program)
@@ -218,11 +206,10 @@ class LpOracle:
     supported: tuple[frozenset[str], ...]
 
 
-def lp_oracle(program: NormalLogicProgram, *, atom_cap: int = DEFAULT_ATOM_CAP) -> LpOracle:
+def lp_oracle(program: NormalLogicProgram) -> LpOracle:
     """Answer sets by reduct enumeration, well-founded by the alternating
     fixpoint, supported models by direct closure checking."""
-    if len(program.atoms) > atom_cap:
-        raise SizeCapError(f"{len(program.atoms)} atoms exceed the cap of {atom_cap}")
+    _check_atom_cap(program)
     atoms, rules = _compiled(program)
     n = len(atoms)
 

@@ -21,7 +21,6 @@ non-monotone "approximator" or a non-reliable input announces itself.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -34,7 +33,7 @@ from .errors import (
     ReliabilityError,
 )
 from .fixpoints import MonotoneOperator, lfp
-from .framework import Approximant, ApproximationFramework, Caps, DEFAULT_CAPS
+from .framework import DEFAULT_CAPS, Approximant, ApproximationFramework, Caps, _approximant_pool
 from .posets import FinitePoset, _bits
 
 
@@ -65,9 +64,6 @@ class ExactOperator:
                 if not up[fi] >> table[j] & 1:
                     return (self.domain.elements[i], self.domain.elements[j])
         return None
-
-    def is_monotone(self) -> bool:
-        return self.monotonicity_violation() is None
 
 
 @dataclass
@@ -139,24 +135,13 @@ def approximation_violation(
     rng = rng or random.Random(0)
     fw = a.space
     table = _table_on(fw, op)
-    pool = fw.enumerate_approximants(caps.max_approximants)
-    if pool is None:
-        pool = [fw.sample_approximant(rng) for _ in range(caps.samples)]
+    pool, _ = _approximant_pool(fw, caps, rng)
     for x in pool:
         image = fw.members_mask(a.apply(x))
         for i in _bits(fw.members_mask(x)):
             if not image >> table[i] & 1:
                 return (x, fw.exact.elements[i])
     return None
-
-
-def approximates_operator(
-    a: Approximator,
-    op: ExactOperator,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> bool:
-    return approximation_violation(a, op, caps, rng) is None
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +291,6 @@ class SemanticsResult:
             out["stable"] = self.stable
         return out
 
-    def dumps(self, fw: ApproximationFramework) -> str:
-        return json.dumps(self.to_json(fw), sort_keys=True, indent=2)
-
 
 def compute_semantics(
     a: Approximator,
@@ -406,7 +388,6 @@ def run_wf_induction(
     strategy: Callable | None = None,
     *,
     start: Approximant | None = None,
-    max_steps: int | None = None,
 ) -> list[Approximant]:
     """Drive a well-founded induction to its terminal limit.
 
@@ -420,7 +401,7 @@ def run_wf_induction(
     fw = a.space
     x = fw.least_approximant() if start is None else start
     trace = [x]
-    cap = max_steps if max_steps is not None else _step_cap(fw)
+    cap = _step_cap(fw)
     for step in range(cap):
         apps = application_refinements(a, x)
         grounds = grounding_refinements(a, x)
@@ -441,7 +422,7 @@ def run_wf_induction(
         trace.append(x)
     raise MonotonicityError(
         f"well-founded induction not terminal within {cap} steps"
-        f" (the bound 2*|exact| is {_step_cap(fw)})"
+        f" (the bound 2*|exact| is {cap})"
     )
 
 

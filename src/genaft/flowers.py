@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError, RecomposeUndefinedError
-from .framework import Approximant, ApproximationFramework, Caps, CheckResult, DEFAULT_CAPS
+from .framework import (
+    DEFAULT_CAPS, MAX_APPROXIMANTS, Approximant, ApproximationFramework, Caps, CheckResult,
+)
 from . import framework as _fx
 from .posets import FinitePoset, set_id
 
@@ -202,17 +204,16 @@ class FlowerFramework(ApproximationFramework):
         f = Flower(self.exact, frozenset(members))
         return Approximant(self, f.alb, f.aub)
 
-    def enumerate_approximants(self, cap: int | None = None) -> list[Approximant] | None:
+    def enumerate_approximants(self) -> list[Approximant] | None:
         """All flowers, found by subset filtering rather than through
         recompose so that checks exercise recompose independently."""
-        cap = DEFAULT_CAPS.max_approximants if cap is None else cap
         if not self._enumerable:
             return None
         if self._all_approximants is None:
             self._all_approximants = [
                 Approximant(self, f.alb, f.aub) for f in enumerate_flowers(self.exact)
             ]
-        if len(self._all_approximants) > cap:
+        if len(self._all_approximants) > MAX_APPROXIMANTS:
             return None
         return list(self._all_approximants)
 
@@ -235,16 +236,12 @@ class FlowerFramework(ApproximationFramework):
         return apply
 
 
-def build_flower_framework(
-    exact: FinitePoset,
-    enumerate_space: bool | None = None,
-) -> FlowerFramework:
+def build_flower_framework(exact: FinitePoset) -> FlowerFramework:
     """Flowers over `exact`; requires a bounded-complete cpo.
 
-    `enumerate_space` materialises the antichain space for exhaustive
-    checks; by default it is enabled only for posets of at most
-    FLOWER_ENUMERATION_LIMIT elements, larger spaces operate purely on
-    (ALB, AUB) pairs.
+    The antichain space is materialised for exhaustive checks only for
+    posets of at most FLOWER_ENUMERATION_LIMIT elements; larger spaces
+    operate purely on (ALB, AUB) pairs.
     """
     cls = exact.classify()
     if not cls.is_bounded_complete:
@@ -253,9 +250,7 @@ def build_flower_framework(
             f"flower framework needs a bounded-complete cpo; "
             f"the subset {set_id(subset)} has no greatest lower bound"
         )
-    if enumerate_space is None:
-        enumerate_space = len(exact) <= FLOWER_ENUMERATION_LIMIT
-    return FlowerFramework(exact, enumerable=enumerate_space)
+    return FlowerFramework(exact, enumerable=len(exact) <= FLOWER_ENUMERATION_LIMIT)
 
 
 def enumerate_flowers(exact: FinitePoset) -> list[Flower]:
@@ -287,8 +282,6 @@ def composition_leq(fw: FlowerFramework, b1, b2) -> bool:
 def _as_bound(b):
     if isinstance(b, str):
         return "L", b
-    if isinstance(b, Flower):
-        return "U", b.aub
     return "U", tuple(sorted(b))
 
 

@@ -17,7 +17,6 @@ counterexample; nothing raises.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -81,19 +80,21 @@ def report_to_json(results: Iterable[CheckResult]) -> list[dict]:
     return out
 
 
-def report_dumps(results: Iterable[CheckResult]) -> str:
-    return json.dumps(report_to_json(results), sort_keys=True, indent=2)
+# Enumeration budgets of the exhaustive checkers.
+MAX_APPROXIMANTS = 20000  # enumerate approximant spaces up to this size
+MAX_SUBSET_POOL = 12      # enumerate subsets of pools up to this size
+MAX_CHAINS = 100_000      # enumerate chains up to this many
+MAX_PAIRS = 250_000       # full product scans up to this many tuples
+
+# to_json lists an approximant's members when it has at most this many.
+MEMBERS_SHOWN = 64
 
 
 @dataclass(frozen=True)
 class Caps:
-    """Enumeration budgets for the exhaustive checkers."""
+    """The sampling budget of the checkers: probes per sampled quantifier."""
 
-    max_approximants: int = 20000
-    max_subset_pool: int = 12        # enumerate subsets of pools up to this size
-    max_chains: int = 100_000        # enumerate chains up to this many
-    max_pairs: int = 250_000         # full product scans up to this many tuples
-    samples: int = 150               # probes per sampled quantifier
+    samples: int = 150
 
 
 DEFAULT_CAPS = Caps()
@@ -253,10 +254,10 @@ class ApproximationFramework(ABC):
         return self.exact.elements[mask.bit_length() - 1]
 
     @abstractmethod
-    def enumerate_approximants(self, cap: int | None = None) -> list[Approximant] | None:
+    def enumerate_approximants(self) -> list[Approximant] | None:
         """All approximants, built without recompose so that checks
-        exercise recompose independently; None over cap or when the
-        space is too large to materialise."""
+        exercise recompose independently; None over MAX_APPROXIMANTS or
+        when the space is too large to materialise."""
 
     def sample_approximant(self, rng: random.Random) -> Approximant:
         for _ in range(64):
@@ -270,13 +271,13 @@ class ApproximationFramework(ABC):
         """The approximant with exactly these members, when one exists."""
         raise NotImplementedError
 
-    def to_json(self, x: Approximant, *, expand_below: int = 64) -> dict:
+    def to_json(self, x: Approximant) -> dict:
         mask = self.members_mask(x)
         data: dict = {
             "alb": x.alb,
             "aub": list(x.aub) if isinstance(x.aub, tuple) else x.aub,
         }
-        if mask.bit_count() <= expand_below:
+        if mask.bit_count() <= MEMBERS_SHOWN:
             data["members"] = sorted(self.members(x))
         return data
 
@@ -293,7 +294,8 @@ def _aub_pool(fw, caps: Caps, rng) -> tuple[list, bool]:
 
 
 def _approximant_pool(fw, caps: Caps, rng) -> tuple[list, bool]:
-    full = fw.enumerate_approximants(caps.max_approximants)
+    """All approximants and True, or `caps.samples` probes and False."""
+    full = fw.enumerate_approximants()
     if full is not None:
         return full, True
     return [fw.sample_approximant(rng) for _ in range(caps.samples)], False
@@ -301,7 +303,7 @@ def _approximant_pool(fw, caps: Caps, rng) -> tuple[list, bool]:
 
 def _subsets(pool: list, caps: Caps, rng, *, nonempty: bool):
     """(subset, exhaustive) pairs: all subsets of small pools, else probes."""
-    if len(pool) <= caps.max_subset_pool:
+    if len(pool) <= MAX_SUBSET_POOL:
         start = 1 if nonempty else 0
         for bits in range(start, 1 << len(pool)):
             yield [pool[i] for i in _bits(bits)], True
@@ -316,7 +318,7 @@ def _subsets(pool: list, caps: Caps, rng, *, nonempty: bool):
 
 def _chains(leq, pool: list, caps: Caps, rng):
     """(chain, exhaustive) pairs; chains grown upward so each set appears once."""
-    if len(pool) <= caps.max_subset_pool:
+    if len(pool) <= MAX_SUBSET_POOL:
         total = 0
         stack: list[list] = [[x] for x in pool]
         emitted: list[tuple[list, bool]] = [([], True)]
@@ -324,13 +326,13 @@ def _chains(leq, pool: list, caps: Caps, rng):
             chain = stack.pop()
             emitted.append((chain, True))
             total += 1
-            if total > caps.max_chains:
+            if total > MAX_CHAINS:
                 break
             last = chain[-1]
             for y in pool:
                 if y != last and leq(last, y):
                     stack.append(chain + [y])
-        if total <= caps.max_chains:
+        if total <= MAX_CHAINS:
             yield from emitted
             return
     for _ in range(caps.samples):
@@ -377,7 +379,7 @@ def check_composition_poset(
     def w(**kw):
         return {k: _show(v) for k, v in kw.items()}
 
-    exhaustive2 = u_exhaustive and len(albs) * len(aubs) <= caps.max_pairs
+    exhaustive2 = u_exhaustive and len(albs) * len(aubs) <= MAX_PAIRS
     if exhaustive2:
         lu_pairs = [(l, u) for l in albs for u in aubs]
     else:
@@ -403,7 +405,7 @@ def check_composition_poset(
             break
     results.append(_result("composition.2_recompose_tightens_bounds", exhaustive2, cx))
 
-    exhaustive3 = u_exhaustive and len(albs) ** 2 * len(aubs) <= caps.max_pairs
+    exhaustive3 = u_exhaustive and len(albs) ** 2 * len(aubs) <= MAX_PAIRS
     if exhaustive3:
         triples = (
             (l1, l2, u) for l1 in albs for l2 in albs for u in aubs
@@ -422,7 +424,7 @@ def check_composition_poset(
             break
     results.append(_result("composition.3_monotone_in_alb", exhaustive3, cx))
 
-    exhaustive4 = u_exhaustive and len(aubs) ** 2 * len(albs) <= caps.max_pairs
+    exhaustive4 = u_exhaustive and len(aubs) ** 2 * len(albs) <= MAX_PAIRS
     if exhaustive4:
         triples = (
             (l, u1, u2) for u1 in aubs for u2 in aubs for l in albs
@@ -569,7 +571,7 @@ def check_glb_property(
                 for u in (fw.sample_aub(rng) for _ in range(caps.samples))
                 if fw.cross_leq(l, u)
             ]
-        if len(pool) > caps.max_subset_pool:
+        if len(pool) > MAX_SUBSET_POOL:
             note = "large pools covered by the dominating full set plus probes"
         for subset, _ in _subsets(pool, caps, rng, nonempty=False):
             glb = fw.glb_U(subset)
@@ -593,7 +595,7 @@ def check_preamble(
     albs = list(fw.albs())
     aubs, u_exhaustive = _aub_pool(fw, caps, rng)
     bounds = [("L", l) for l in albs] + [("U", u) for u in aubs]
-    exhaustive2 = u_exhaustive and len(bounds) ** 2 <= caps.max_pairs
+    exhaustive2 = u_exhaustive and len(bounds) ** 2 <= MAX_PAIRS
 
     cx = None
     for s, b in bounds:
@@ -615,7 +617,7 @@ def check_preamble(
             break
     results.append(_result("preamble.order_antisymmetric", exhaustive2, cx))
 
-    exhaustive3 = u_exhaustive and len(bounds) ** 3 <= caps.max_pairs
+    exhaustive3 = u_exhaustive and len(bounds) ** 3 <= MAX_PAIRS
     if exhaustive3:
         triples = itertools.product(bounds, repeat=3)
     else:
@@ -663,7 +665,7 @@ def check_preamble(
 
     # U must be a complete lattice: bottom, top, and correct binary
     # meets/joins suffice in the finite case (arbitrary glbs/lubs fold).
-    lattice_exhaustive = u_exhaustive and len(aubs) ** 3 <= caps.max_pairs
+    lattice_exhaustive = u_exhaustive and len(aubs) ** 3 <= MAX_PAIRS
     if lattice_exhaustive:
         upairs = itertools.combinations_with_replacement(aubs, 2)
     else:
@@ -708,7 +710,7 @@ def check_approximates_relation(
     rng = rng or random.Random(0)
     results = []
     xs, exhaustive = _approximant_pool(fw, caps, rng)
-    pair_exhaustive = exhaustive and len(xs) ** 2 <= caps.max_pairs
+    pair_exhaustive = exhaustive and len(xs) ** 2 <= MAX_PAIRS
     if pair_exhaustive:
         pair_iter = itertools.permutations(xs, 2)
     else:

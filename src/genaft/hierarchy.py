@@ -42,6 +42,8 @@ from .framework import (
     Caps,
     CheckResult,
     DEFAULT_CAPS,
+    MAX_PAIRS,
+    _approximant_pool,
     _result,
     _show,
 )
@@ -125,18 +127,6 @@ def induce_coarse(a2: Approximator, w: SpacePrecisionWitness) -> Approximator:
 # verification
 
 
-def _pools(w: SpacePrecisionWitness, caps: Caps, rng: random.Random):
-    coarse_pool = w.coarse.enumerate_approximants(caps.max_approximants)
-    c_exhaustive = coarse_pool is not None
-    if coarse_pool is None:
-        coarse_pool = [w.coarse.sample_approximant(rng) for _ in range(caps.samples)]
-    fine_pool = w.fine.enumerate_approximants(caps.max_approximants)
-    f_exhaustive = fine_pool is not None
-    if fine_pool is None:
-        fine_pool = [w.fine.sample_approximant(rng) for _ in range(caps.samples)]
-    return coarse_pool, c_exhaustive, fine_pool, f_exhaustive
-
-
 def check_space_precision(
     w: SpacePrecisionWitness,
     caps: Caps = DEFAULT_CAPS,
@@ -144,7 +134,8 @@ def check_space_precision(
 ) -> list[CheckResult]:
     """The definition of "more precise space", clause by clause."""
     rng = rng or random.Random(0)
-    coarse_pool, c_exh, fine_pool, f_exh = _pools(w, caps, rng)
+    coarse_pool, c_exh = _approximant_pool(w.coarse, caps, rng)
+    fine_pool, f_exh = _approximant_pool(w.fine, caps, rng)
     results = []
 
     cx = None
@@ -165,7 +156,7 @@ def check_space_precision(
             break
     results.append(_result("space_precision.exactness_preserved", c_exh, cx))
 
-    pair_exh = f_exh and len(fine_pool) ** 2 <= caps.max_pairs
+    pair_exh = f_exh and len(fine_pool) ** 2 <= MAX_PAIRS
     if pair_exh:
         pairs = [(x, y) for x in fine_pool for y in fine_pool]
     else:
@@ -180,7 +171,7 @@ def check_space_precision(
             break
     results.append(_result("space_precision.collapse_monotone", pair_exh, cx))
 
-    cross_exh = c_exh and f_exh and len(coarse_pool) * len(fine_pool) <= caps.max_pairs
+    cross_exh = c_exh and f_exh and len(coarse_pool) * len(fine_pool) <= MAX_PAIRS
     if cross_exh:
         cross = [(x1, x2) for x1 in coarse_pool for x2 in fine_pool]
     else:
@@ -209,7 +200,7 @@ def check_fixpoint_preservation(
     fixpoints, stable fixpoints, and both least fixpoints."""
     rng = rng or random.Random(0)
     a2 = induce_fine(a1, w)
-    coarse_pool, c_exh, _, _ = _pools(w, caps, rng)
+    coarse_pool, c_exh = _approximant_pool(w.coarse, caps, rng)
     results = []
 
     cx = None
@@ -296,7 +287,7 @@ def check_ultimate_composition(
     rng = rng or random.Random(0)
     coarse_ultimate = ultimate_approximator(w.coarse, op)
     collapsed = induce_coarse(ultimate_approximator(w.fine, op), w)
-    coarse_pool, c_exh, _, _ = _pools(w, caps, rng)
+    coarse_pool, c_exh = _approximant_pool(w.coarse, caps, rng)
     cx = None
     for x1 in coarse_pool:
         if coarse_ultimate.apply(x1) != collapsed.apply(x1):
@@ -324,7 +315,7 @@ def check_warm_start(
     as precise as a2; the premise is verified on the probed pool."""
     rng = rng or random.Random(0)
     a1_fine = induce_fine(a1, w)
-    _, _, fine_pool, f_exh = _pools(w, caps, rng)
+    fine_pool, f_exh = _approximant_pool(w.fine, caps, rng)
     results = []
 
     cx = None
@@ -344,7 +335,7 @@ def check_warm_start(
         cx = {"warm_start": _show(embedded), "reached": _show(kripke_kleene(a2, start=embedded))}
     results.append(_result("warm_start.kk_resumes", True, cx))
 
-    coarse_pool, c_exh, _, _ = _pools(w, caps, rng)
+    coarse_pool, c_exh = _approximant_pool(w.coarse, caps, rng)
     cx = None
     for x1 in coarse_pool:
         if not (is_reliable(a1, x1) and is_prudent(a1, x1)):

@@ -13,7 +13,7 @@ import random
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError, RecomposeUndefinedError
-from .framework import DEFAULT_CAPS, Approximant, ApproximationFramework
+from .framework import MAX_APPROXIMANTS, Approximant, ApproximationFramework
 from .posets import FinitePoset
 
 
@@ -85,20 +85,21 @@ class IntervalFramework(ApproximationFramework):
             return None
         return Approximant(self, low, high)
 
-    def enumerate_approximants(self, cap: int | None = None) -> list[Approximant] | None:
+    def enumerate_approximants(self) -> list[Approximant] | None:
         """All consistent pairs, built directly rather than through
         recompose so that checks exercise recompose independently."""
-        cap = DEFAULT_CAPS.max_approximants if cap is None else cap
         out = []
         for l in self.exact.elements:
             for u in self.exact.set_of(self.exact.up_mask(l)):
                 out.append(Approximant(self, l, u))
-                if len(out) > cap:
+                if len(out) > MAX_APPROXIMANTS:
                     return None
         return out
 
     def approximant_from_members(self, members: Iterable[str]) -> Approximant:
         ms = list(members)
+        if not ms:
+            raise PreconditionError("an interval is non-empty")
         low, high = self.exact.glb(ms), self.exact.lub(ms)
         x = Approximant(self, low, high)
         if self.members(x) != frozenset(ms):

@@ -19,7 +19,6 @@ on throughout and documented here once:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -144,16 +143,11 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, data, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> "FinitePoset":
-        """Parse {"elements": [...], "hasse": [[x, y], ...]}.
+        """Build from decoded JSON {"elements": [...], "hasse": [[x, y], ...]}.
 
         The pairs mean "x is covered by y"; any generating relation is
         accepted, the closure is computed.
         """
-        if isinstance(data, (str, bytes)):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "elements" not in data:
             raise InputError('poset JSON needs an "elements" list')
         elements = data["elements"]
@@ -185,9 +179,6 @@ class FinitePoset:
 
     def leq(self, x: str, y: str) -> bool:
         return bool(self._up[self.index(x)] >> self.index(y) & 1)
-
-    def lt(self, x: str, y: str) -> bool:
-        return x != y and self.leq(x, y)
 
     def mask_of(self, s: Iterable[str]) -> int:
         m = 0
@@ -238,10 +229,6 @@ class FinitePoset:
 
     # -- subset shape ----------------------------------------------------
 
-    def min_set(self, s: Iterable[str]) -> frozenset[str]:
-        smask = self.mask_of(s)
-        return self.set_of(self._min_mask(smask))
-
     def max_set(self, s: Iterable[str]) -> frozenset[str]:
         smask = self.mask_of(s)
         return self.set_of(self._max_mask(smask))
@@ -260,13 +247,6 @@ class FinitePoset:
                 out |= 1 << i
         return out
 
-    def is_chain(self, s: Iterable[str]) -> bool:
-        idx = [self.index(x) for x in s]
-        for a, b in itertools.combinations(idx, 2):
-            if not (self._up[a] >> b & 1 or self._up[b] >> a & 1):
-                return False
-        return True
-
     def is_antichain(self, s: Iterable[str]) -> bool:
         idx = [self.index(x) for x in s]
         for a, b in itertools.combinations(idx, 2):
@@ -281,22 +261,6 @@ class FinitePoset:
                 if (self._up[a] & self._down[b]) & ~smask:
                     return False
         return True
-
-    def lower_closure(self, s: Iterable[str]) -> frozenset[str]:
-        m = 0
-        for x in s:
-            m |= self._down[self.index(x)]
-        return self.set_of(m)
-
-    def upper_closure(self, s: Iterable[str]) -> frozenset[str]:
-        m = 0
-        for x in s:
-            m |= self._up[self.index(x)]
-        return self.set_of(m)
-
-    def interval(self, x: str, y: str) -> frozenset[str]:
-        """All elements z with x <= z <= y."""
-        return self.set_of(self.up_mask(x) & self.down_mask(y))
 
     # -- classification --------------------------------------------------
 
@@ -351,17 +315,6 @@ class FinitePoset:
                 if not between:
                     out.append((x, self.elements[j]))
         return out
-
-    def longest_chain_length(self) -> int:
-        """Number of elements on a longest chain."""
-        n = len(self.elements)
-        order = sorted(range(n), key=lambda i: bin(self._down[i]).count("1"))
-        height = [1] * n
-        for i in order:
-            below = self._down[i] & ~(1 << i)
-            for j in _bits(below):
-                height[i] = max(height[i], height[j] + 1)
-        return max(height, default=0)
 
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements)"
@@ -500,10 +453,3 @@ def _pointwise(
             m &= lifted_k[c]
         out.append(m)
     return out
-
-
-def product_components(ident: str) -> tuple[str, ...]:
-    """Invert tuple_id for identifiers produced by product_poset."""
-    if not (ident.startswith("(") and ident.endswith(")")):
-        raise InputError(f"not a product identifier: {ident!r}")
-    return tuple(ident[1:-1].split("|"))

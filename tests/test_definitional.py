@@ -1,9 +1,12 @@
-"""Supported and stable fixpoints against their definitions, and the
-iteration cap's margin on the corpus.
+"""The four semantics against their definitions, and the iteration
+cap's margin on the corpus.
 
-The oracle here applies the approximator to the exact approximant of
-every exact element, with no use of the exact operator's table, so it
-checks the engine's scan over the table's fixed points from outside.
+The supported/stable oracle applies the approximator to the exact
+approximant of every exact element, with no use of the exact operator's
+table, so it checks the engine's scan over the table's fixed points from
+outside.  The KK/WF oracle enumerates every approximant and takes the
+precision-least fixpoint of the approximator and of stable revision,
+with none of the engine's iterations.
 """
 
 import random
@@ -15,6 +18,7 @@ from genaft import (
     ExactOperator,
     build_flower_framework,
     build_interval_framework,
+    is_reliable,
     kripke_kleene,
     stable_fixpoints,
     stable_revision,
@@ -23,10 +27,19 @@ from genaft import (
     well_founded,
 )
 from genaft import engine
-from genaft.encoders import fitting_approximator, lp_exact_space, lp_operator
+from genaft.encoders import (
+    AelTheory,
+    Wadf,
+    ael_operator,
+    fitting_approximator,
+    lp_exact_space,
+    lp_operator,
+    wadf_operator,
+)
 from genaft.errors import PreconditionError
 from genaft.hierarchy import induce_coarse, induce_fine, interval_flower_witness
 from corpus import (
+    VEE,
     grammar_programs,
     random_bounded_complete_cpo,
     random_poset,
@@ -153,3 +166,92 @@ def test_corpus_finishes_within_half_the_stated_cap(monkeypatch):
         for a in approximators:
             kripke_kleene(a)
             well_founded(a)
+
+
+# -- Kripke-Kleene and well-founded by enumeration ------------------------------
+
+
+def _least(fw, xs: list) -> object:
+    """The precision-least element of `xs`, which must exist."""
+    least = [x for x in xs if all(fw.leq_p(x, y) for y in xs)]
+    assert len(least) == 1, [str(x) for x in xs]
+    return least[0]
+
+
+def _assert_kk_wf_by_enumeration(a: Approximator) -> None:
+    """KK is the precision-least approximant `a` fixes; WF is the
+    precision-least reliable approximant stable revision fixes."""
+    fw = a.space
+    xs = fw.enumerate_approximants()
+    fixed = [x for x in xs if a.apply(x) == x]
+    revision_fixed = [x for x in xs if is_reliable(a, x) and stable_revision(a, x) == x]
+    assert kripke_kleene(a) == _least(fw, fixed), a.name
+    assert well_founded(a) == _least(fw, revision_fixed), a.name
+
+
+def test_kk_wf_of_random_tables_on_cpos_match_enumeration():
+    rng = random.Random(408)
+    lattices = 0
+    for poset in _cpos(rng):
+        op = ExactOperator(poset, [rng.randrange(len(poset)) for _ in poset.elements])
+        _assert_kk_wf_by_enumeration(ultimate_approximator(build_flower_framework(poset), op))
+        if poset.classify().is_complete_lattice:
+            lattices += 1
+            _assert_kk_wf_by_enumeration(ultimate_approximator(build_interval_framework(poset), op))
+    assert lattices >= 50
+
+
+def test_kk_wf_of_fitting_match_enumeration():
+    rng = random.Random(409)
+    for size in range(1, 4):
+        for _ in range(30):
+            program = random_program(tuple("abc"[:size]), rng)
+            _assert_kk_wf_by_enumeration(fitting_approximator(program))
+
+
+def _random_formula(rng: random.Random, depth: int, modal: bool) -> list:
+    """A formula over the atom p; K wraps objective formulas only."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return ["atom", "p"]
+    if modal and r < 0.5:
+        return ["K", _random_formula(rng, depth - 1, False)]
+    if r < 0.7:
+        return ["not", _random_formula(rng, depth - 1, modal)]
+    op = rng.choice(["and", "or", "iff"])
+    return [op, _random_formula(rng, depth - 1, modal), _random_formula(rng, depth - 1, modal)]
+
+
+def test_kk_wf_of_one_atom_theories_match_enumeration():
+    rng = random.Random(410)
+    for _ in range(40):
+        sentences = [_random_formula(rng, 3, True) for _ in range(rng.randint(1, 2))]
+        op = ael_operator(AelTheory.from_json({"atoms": ["p"], "sentences": sentences}))
+        _assert_kk_wf_by_enumeration(ultimate_approximator(build_flower_framework(op.domain), op))
+        _assert_kk_wf_by_enumeration(ultimate_approximator(build_interval_framework(op.domain), op))
+
+
+def _random_acceptance(rng: random.Random, depth: int = 0) -> list:
+    """Constants, parents, glbs and tables over the vee; no lub, which a
+    and b lack."""
+    r = rng.random()
+    if r < 0.2:
+        return ["const", rng.choice(VEE["elements"])]
+    if r < 0.45:
+        return ["parent", rng.choice("xy")]
+    if r < 0.65 and depth == 0:
+        return ["glb", _random_acceptance(rng, 1), _random_acceptance(rng, 1)]
+    rows = [[[u, v], rng.choice(VEE["elements"])] for u in VEE["elements"] for v in VEE["elements"]]
+    return ["table", ["x", "y"], rows]
+
+
+def test_kk_wf_of_two_argument_wadfs_match_enumeration():
+    rng = random.Random(411)
+    for _ in range(60):
+        wadf = Wadf.from_json({
+            "arguments": ["x", "y"],
+            "values": VEE,
+            "acceptance": {"x": _random_acceptance(rng), "y": _random_acceptance(rng)},
+        })
+        op = wadf_operator(wadf)
+        _assert_kk_wf_by_enumeration(ultimate_approximator(build_flower_framework(op.domain), op))

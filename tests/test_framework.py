@@ -18,7 +18,6 @@ from genaft import (
     check_preamble,
     check_weak_ilp,
     powerset_lattice,
-    report_dumps,
     report_ok,
     report_to_json,
 )
@@ -123,7 +122,7 @@ def test_report_serialisation(fig):
     report = check_framework(build_flower_framework(fig))
     data = report_to_json(report)
     assert all(set(d) <= {"axiom", "status", "counterexample", "note"} for d in data)
-    parsed = json.loads(report_dumps(report))
+    parsed = json.loads(json.dumps(data, sort_keys=True, indent=2))
     assert parsed == sorted(data, key=lambda d: d["axiom"]) or parsed == data
 
 

@@ -49,6 +49,13 @@ def test_inconsistent_pair_rejected(fig_lattice):
         fw.recompose("top", "bot")
 
 
+def test_empty_member_set_is_not_an_interval():
+    fw = build_interval_framework(powerset_lattice(["p", "q"]))
+    with pytest.raises(PreconditionError, match="non-empty"):
+        fw.approximant_from_members([])
+    assert fw.approximant_from_members(["{p}"]) == fw.exact_approximant("{p}")
+
+
 def test_precision_equals_member_containment():
     diamond = powerset_lattice(["p", "q"])
     fw = build_interval_framework(diamond)
