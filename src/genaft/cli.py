@@ -168,10 +168,12 @@ def _approximator(data: dict, kind: str, space: str, which: str, fw, op) -> Appr
 def cmd_check(args) -> int:
     data = _load(args.input)
     kind = _detect_kind(data)
+    # The checkers' budgets are stated up to the default cap; none lifts it.
+    max_elements = min(args.max_elements, DEFAULT_MAX_ELEMENTS)
     if kind == "poset":
-        exact = FinitePoset.from_json(data, max_elements=args.max_elements)
+        exact = FinitePoset.from_json(data, max_elements=max_elements)
     else:
-        exact = _operator(data, kind, args.max_elements).domain
+        exact = _operator(data, kind, max_elements).domain
     cls = exact.classify()
     rng = random.Random(args.seed)
     reports = {}

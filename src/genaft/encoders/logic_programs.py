@@ -133,8 +133,8 @@ def _check_powerset(program: NormalLogicProgram, space: FinitePoset) -> None:
     """Reject a `space` that is not the powerset lattice of the program's
     atoms under subset order: tables and approximants read element index
     i as the set of atoms with mask i."""
-    atoms = sorted(program.atoms)
-    if space.elements != powerset_ids(atoms) or space._down != subset_masks(len(atoms)):
+    atoms = tuple(sorted(program.atoms))
+    if space.elements != powerset_ids(atoms) or tuple(space._down) != subset_masks(len(atoms)):
         raise InputError(
             f"the space is not the powerset lattice of the program's atoms {set_id(atoms)}"
         )

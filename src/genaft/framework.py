@@ -17,6 +17,7 @@ counterexample; nothing raises.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -224,27 +225,15 @@ class ApproximationFramework(ABC):
     def least_approximant(self) -> Approximant:
         return self.recompose(self.L_least(), self.U_greatest())
 
-    def is_maximal(self, x: Approximant) -> bool:
-        """Precision-maximality.
+    def is_exact(self, x: Approximant) -> bool:
+        """Maximal, or below exactly one maximal approximant.
 
         Every approximated element yields an exact approximant above x,
         so x is maximal exactly when it approximates a single element.
         """
-        return self.members_mask(x).bit_count() == 1
-
-    def maximal_above(self, x: Approximant) -> list[Approximant]:
-        out = []
-        for y in self.exact.elements:
-            e = self.exact_approximant(y)
-            if self.leq_p(x, e):
-                out.append(e)
-        return out
-
-    def is_exact(self, x: Approximant) -> bool:
-        """Maximal, or below exactly one maximal approximant."""
-        if self.is_maximal(x):
+        if self.members_mask(x).bit_count() == 1:
             return True
-        return len(self.maximal_above(x)) == 1
+        return sum(self.leq_p(x, self.exact_approximant(y)) for y in self.exact.elements) == 1
 
     def exact_value(self, x: Approximant) -> str | None:
         """The unique approximated element of an exact approximant."""
@@ -260,11 +249,16 @@ class ApproximationFramework(ABC):
         when the space is too large to materialise."""
 
     def sample_approximant(self, rng: random.Random) -> Approximant:
+        """A sampled AUB recomposed with a compatible ALB, drawn from the
+        members of the AUB's recomposition with the least ALB."""
+        bot = self.L_least()
         for _ in range(64):
             u = self.sample_aub(rng)
-            compatible = [l for l in self.albs() if self.cross_leq(l, u)]
-            if compatible:
-                return self.recompose(rng.choice(compatible), u)
+            if self.cross_leq(bot, u):
+                below = list(_bits(self.members_mask(self.recompose(bot, u))))
+                l = self.exact.elements[rng.choice(below)]
+                if self.cross_leq(l, u):
+                    return self.recompose(l, u)
         return self.least_approximant()
 
     def approximant_from_members(self, members: Iterable[str]) -> Approximant:
@@ -287,62 +281,75 @@ class ApproximationFramework(ABC):
 
 
 def _aub_pool(fw, caps: Caps, rng) -> tuple[list, bool]:
+    """All of U and True, or `caps.samples` probes and False."""
     full = fw.enumerate_aubs()
-    if full is not None:
-        return full, True
-    return [fw.sample_aub(rng) for _ in range(caps.samples)], False
+    return _probe(full, len(full or ()), fw.sample_aub, caps, rng, complete=full is not None)
 
 
 def _approximant_pool(fw, caps: Caps, rng) -> tuple[list, bool]:
     """All approximants and True, or `caps.samples` probes and False."""
     full = fw.enumerate_approximants()
-    if full is not None:
-        return full, True
-    return [fw.sample_approximant(rng) for _ in range(caps.samples)], False
+    return _probe(full, len(full or ()), fw.sample_approximant, caps, rng,
+                  complete=full is not None)
 
 
-def _subsets(pool: list, caps: Caps, rng, *, nonempty: bool):
-    """(subset, exhaustive) pairs: all subsets of small pools, else probes."""
-    if len(pool) <= MAX_SUBSET_POOL:
-        start = 1 if nonempty else 0
-        for bits in range(start, 1 << len(pool)):
-            yield [pool[i] for i in _bits(bits)], True
-    else:
-        yield pool, False
-        for x in pool:
-            yield [x], False
-        for _ in range(caps.samples):
-            k = rng.randint(1 if nonempty else 0, min(len(pool), 8))
-            yield rng.sample(pool, k), False
+def _probe(every: Iterable, count: int, draw: Callable, caps: Caps, rng: random.Random, *,
+           complete: bool = True, limit: int = MAX_PAIRS) -> tuple[Iterable, bool]:
+    """The instances one quantifier examines, and whether they are all.
+
+    `every` holds the quantifier's `count` instances in its own
+    exhaustive order (an instance that scans the exact space counts once
+    per element), `complete` says whether the pools it ranges over are
+    complete, and `draw` makes one seeded probe.  The result is every
+    instance when the pools are complete and `count` is at most `limit`;
+    otherwise it is exactly `caps.samples` draws.
+    """
+    if complete and count <= limit:
+        return every, True
+    return [draw(rng) for _ in range(caps.samples)], False
 
 
-def _chains(leq, pool: list, caps: Caps, rng):
-    """(chain, exhaustive) pairs; chains grown upward so each set appears once."""
-    if len(pool) <= MAX_SUBSET_POOL:
-        total = 0
-        stack: list[list] = [[x] for x in pool]
-        emitted: list[tuple[list, bool]] = [([], True)]
-        while stack:
-            chain = stack.pop()
-            emitted.append((chain, True))
-            total += 1
-            if total > MAX_CHAINS:
-                break
-            last = chain[-1]
-            for y in pool:
-                if y != last and leq(last, y):
-                    stack.append(chain + [y])
-        if total <= MAX_CHAINS:
-            yield from emitted
-            return
-    for _ in range(caps.samples):
+def _draw(*pools: Sequence) -> Callable[[random.Random], tuple]:
+    """A probe drawing one member of each pool."""
+    return lambda rng: tuple(rng.choice(pool) for pool in pools)
+
+
+def _subsets(pool: list, caps: Caps, rng, *, nonempty: bool) -> tuple[Iterable, bool]:
+    """All subsets of a pool of at most MAX_SUBSET_POOL members, else probes."""
+    start = 1 if nonempty else 0
+    every = ([pool[i] for i in _bits(bits)] for bits in range(start, 1 << len(pool)))
+
+    def draw(rng):
+        return rng.sample(pool, rng.randint(start, min(len(pool), 8)))
+
+    return _probe(every, 1 << len(pool), draw, caps, rng, limit=1 << MAX_SUBSET_POOL)
+
+
+def _chains(fw, caps: Caps, rng) -> tuple[Iterable, bool]:
+    """Chains of L, grown upward so each set appears once: all of them
+    when L is within MAX_SUBSET_POOL and holds at most MAX_CHAINS
+    non-empty chains, else probes.  L is the exact poset, so a probe
+    climbs through up-sets."""
+    pool, exact = list(fw.albs()), fw.exact
+    chains: list[list] = [[]]
+    stack = [[x] for x in pool] if len(pool) <= MAX_SUBSET_POOL else []
+    while stack and len(chains) <= MAX_CHAINS + 1:
+        chain = stack.pop()
+        chains.append(chain)
+        stack.extend(chain + [y] for y in pool if y != chain[-1] and fw.alb_leq(chain[-1], y))
+
+    def draw(rng):
         chain = [rng.choice(pool)]
         for _ in range(6):
-            ups = [y for y in pool if y != chain[-1] and leq(chain[-1], y)]
+            i = exact.index(chain[-1])
+            ups = list(_bits(exact.up_mask(chain[-1]) & ~(1 << i)))
             if not ups:
                 break
-            chain.append(rng.choice(ups))
-        yield chain, False
+            chain.append(exact.elements[rng.choice(ups)])
+        return chain
+
+    return _probe(chains, len(chains) - 1, draw, caps, rng,
+                  complete=len(pool) <= MAX_SUBSET_POOL, limit=MAX_CHAINS)
 
 
 def _result(axiom: str, exhaustive: bool, counterexample: dict | None, note: str = "") -> CheckResult:
@@ -373,17 +380,15 @@ def check_composition_poset(
     """The five composition-poset requirements, one result per bullet."""
     rng = rng or random.Random(0)
     albs = list(fw.albs())
-    aubs, u_exhaustive = _aub_pool(fw, caps, rng)
+    aubs, u_complete = _aub_pool(fw, caps, rng)
     results = []
 
     def w(**kw):
         return {k: _show(v) for k, v in kw.items()}
 
-    exhaustive2 = u_exhaustive and len(albs) * len(aubs) <= MAX_PAIRS
-    if exhaustive2:
-        lu_pairs = [(l, u) for l in albs for u in aubs]
-    else:
-        lu_pairs = [(rng.choice(albs), rng.choice(aubs)) for _ in range(caps.samples)]
+    lu_pairs, exhaustive = _probe(itertools.product(albs, aubs), len(albs) * len(aubs),
+                                  _draw(albs, aubs), caps, rng, complete=u_complete)
+    lu_pairs = list(lu_pairs)  # bullets 1 and 2 range over the same pairs
 
     cx = None
     for l, u in lu_pairs:
@@ -393,7 +398,7 @@ def check_composition_poset(
             except RecomposeUndefinedError:
                 cx = w(alb=l, aub=u)
                 break
-    results.append(_result("composition.1_defined_when_compatible", exhaustive2, cx))
+    results.append(_result("composition.1_defined_when_compatible", exhaustive, cx))
 
     cx = None
     for l, u in lu_pairs:
@@ -403,18 +408,10 @@ def check_composition_poset(
         if not (fw.alb_leq(l, x.alb) and fw.aub_leq(x.aub, u)):
             cx = w(alb=l, aub=u, got_alb=x.alb, got_aub=x.aub)
             break
-    results.append(_result("composition.2_recompose_tightens_bounds", exhaustive2, cx))
+    results.append(_result("composition.2_recompose_tightens_bounds", exhaustive, cx))
 
-    exhaustive3 = u_exhaustive and len(albs) ** 2 * len(aubs) <= MAX_PAIRS
-    if exhaustive3:
-        triples = (
-            (l1, l2, u) for l1 in albs for l2 in albs for u in aubs
-        )
-    else:
-        triples = (
-            (rng.choice(albs), rng.choice(albs), rng.choice(aubs))
-            for _ in range(caps.samples * 4)
-        )
+    triples, exhaustive = _probe(itertools.product(albs, albs, aubs), len(albs) ** 2 * len(aubs),
+                                 _draw(albs, albs, aubs), caps, rng, complete=u_complete)
     cx = None
     for l1, l2, u in triples:
         if not (fw.alb_leq(l1, l2) and fw.cross_leq(l1, u) and fw.cross_leq(l2, u)):
@@ -422,18 +419,11 @@ def check_composition_poset(
         if not fw.leq_p(fw.recompose(l1, u), fw.recompose(l2, u)):
             cx = w(alb1=l1, alb2=l2, aub=u)
             break
-    results.append(_result("composition.3_monotone_in_alb", exhaustive3, cx))
+    results.append(_result("composition.3_monotone_in_alb", exhaustive, cx))
 
-    exhaustive4 = u_exhaustive and len(aubs) ** 2 * len(albs) <= MAX_PAIRS
-    if exhaustive4:
-        triples = (
-            (l, u1, u2) for u1 in aubs for u2 in aubs for l in albs
-        )
-    else:
-        triples = (
-            (rng.choice(albs), rng.choice(aubs), rng.choice(aubs))
-            for _ in range(caps.samples * 4)
-        )
+    triples, exhaustive = _probe(((l, u1, u2) for u1, u2, l in itertools.product(aubs, aubs, albs)),
+                                 len(aubs) ** 2 * len(albs), _draw(albs, aubs, aubs), caps, rng,
+                                 complete=u_complete)
     cx = None
     for l, u1, u2 in triples:
         if not (fw.aub_leq(u1, u2) and fw.cross_leq(l, u1)):
@@ -441,7 +431,7 @@ def check_composition_poset(
         if not fw.leq_p(fw.recompose(l, u2), fw.recompose(l, u1)):
             cx = w(alb=l, aub1=u1, aub2=u2)
             break
-    results.append(_result("composition.4_antitone_in_aub", exhaustive4, cx))
+    results.append(_result("composition.4_antitone_in_aub", exhaustive, cx))
 
     xs, x_exhaustive = _approximant_pool(fw, caps, rng)
     cx = None
@@ -460,21 +450,21 @@ def check_chain_ilp(
 ) -> CheckResult:
     """Chains of L bounded by some u have their lub below that u."""
     rng = rng or random.Random(0)
-    albs = list(fw.albs())
-    aubs, exhaustive = _aub_pool(fw, caps, rng)
-    for chain, chain_exhaustive in _chains(fw.alb_leq, albs, caps, rng):
-        exhaustive = exhaustive and chain_exhaustive
-        bounded_by = [u for u in aubs if all(fw.cross_leq(l, u) for l in chain)]
-        if not bounded_by:
+    aubs, u_complete = _aub_pool(fw, caps, rng)
+    chains, c_complete = _chains(fw, caps, rng)
+    instances, exhaustive = _probe(itertools.product(chains, aubs), len(chains) * len(aubs),
+                                   _draw(chains, aubs), caps, rng,
+                                   complete=u_complete and c_complete)
+    for chain, u in instances:
+        if not all(fw.cross_leq(l, u) for l in chain):
             continue
         lub = fw.lub_L(chain) if chain else fw.L_least()
-        for u in bounded_by:
-            if lub is None or not fw.cross_leq(lub, u):
-                return CheckResult(
-                    "chain_interlattice_lub",
-                    "fail",
-                    {"chain": [_show(c) for c in chain], "aub": _show(u), "lub": _show(lub)},
-                )
+        if lub is None or not fw.cross_leq(lub, u):
+            return CheckResult(
+                "chain_interlattice_lub",
+                "fail",
+                {"chain": [_show(c) for c in chain], "aub": _show(u), "lub": _show(lub)},
+            )
     return _result("chain_interlattice_lub", exhaustive, None)
 
 
@@ -485,18 +475,20 @@ def check_weak_ilp(
 ) -> CheckResult:
     """New ALB knowledge compatible with the AUB joins with the old ALB."""
     rng = rng or random.Random(0)
-    xs, exhaustive = _approximant_pool(fw, caps, rng)
-    for x in xs:
-        for l in fw.albs():
-            if not fw.cross_leq(l, x.aub):
-                continue
-            lub = fw.lub_L([x.alb, l])
-            if lub is None or not fw.cross_leq(lub, x.aub):
-                return CheckResult(
-                    "weak_interlattice_lub",
-                    "fail",
-                    {"approximant": _show(x), "alb": _show(l), "lub": _show(lub)},
-                )
+    xs, x_complete = _approximant_pool(fw, caps, rng)
+    albs = list(fw.albs())
+    instances, exhaustive = _probe(itertools.product(xs, albs), len(xs) * len(albs),
+                                   _draw(xs, albs), caps, rng, complete=x_complete)
+    for x, l in instances:
+        if not fw.cross_leq(l, x.aub):
+            continue
+        lub = fw.lub_L([x.alb, l])
+        if lub is None or not fw.cross_leq(lub, x.aub):
+            return CheckResult(
+                "weak_interlattice_lub",
+                "fail",
+                {"approximant": _show(x), "alb": _show(l), "lub": _show(lub)},
+            )
     return _result("weak_interlattice_lub", exhaustive, None)
 
 
@@ -510,38 +502,51 @@ def check_abstract_ilp(
     Quantified over non-empty sets: the literal empty case degenerates
     to the least approximant and carries no content.  Each shared-AUB
     group is recovered from L alone, since an approximant is its ALB
-    once the AUB is fixed.
+    once the AUB is fixed.  A probe draws an AUB and a few ALBs besides
+    the least one, which recomposes with every AUB.
     """
     rng = rng or random.Random(0)
-    aubs, exhaustive = _aub_pool(fw, caps, rng)
-    for u in aubs:
-        group = []
-        for l in fw.albs():
-            if fw.cross_leq(l, u):
-                x = fw.recompose(l, u)
-                if x.aub == u:
-                    group.append(x)
-        for subset, sub_exhaustive in _subsets(group, caps, rng, nonempty=True):
-            if not subset:
-                continue
-            exhaustive = exhaustive and sub_exhaustive
-            lub = fw.lub_p(subset)
-            expected_alb = fw.lub_L([x.alb for x in subset])
-            if (
-                lub is None
-                or lub.aub != u
-                or expected_alb is None
-                or lub.alb != expected_alb
-            ):
-                return CheckResult(
-                    "abstract_interlattice_lub",
-                    "fail",
-                    {
-                        "aub": _show(u),
-                        "albs": [_show(x.alb) for x in subset],
-                        "lub": _show(lub),
-                    },
-                )
+    albs = list(fw.albs())
+    aubs, u_complete = _aub_pool(fw, caps, rng)
+
+    def group(u, ls):
+        xs = (fw.recompose(l, u) for l in ls if fw.cross_leq(l, u))
+        return [x for x in xs if x.aub == u]
+
+    def every():
+        for u in aubs:
+            subsets, sub_exhaustive = _subsets(group(u, albs), caps, rng, nonempty=True)
+            for subset in subsets:
+                yield u, subset, sub_exhaustive
+
+    def draw(rng):
+        u = rng.choice(aubs)
+        ls = rng.sample(albs, rng.randint(1, min(len(albs), 7)))
+        return u, group(u, [fw.L_least(), *ls]), False
+
+    instances, exhaustive = _probe(every(), len(aubs) * len(albs), draw, caps, rng,
+                                   complete=u_complete)
+    for u, subset, sub_exhaustive in instances:
+        if not subset:
+            continue
+        exhaustive = exhaustive and sub_exhaustive
+        lub = fw.lub_p(subset)
+        expected_alb = fw.lub_L([x.alb for x in subset])
+        if (
+            lub is None
+            or lub.aub != u
+            or expected_alb is None
+            or lub.alb != expected_alb
+        ):
+            return CheckResult(
+                "abstract_interlattice_lub",
+                "fail",
+                {
+                    "aub": _show(u),
+                    "albs": [_show(x.alb) for x in subset],
+                    "lub": _show(lub),
+                },
+            )
     return _result("abstract_interlattice_lub", exhaustive, None)
 
 
@@ -552,28 +557,30 @@ def check_glb_property(
 ) -> CheckResult:
     """An ALB below every member of an AUB set is below the set's glb.
 
-    For each ALB the compatible AUBs form one pool; every qualifying set
-    is a subset of it.  Small pools are enumerated in full.  Large pools
-    are covered by checking the whole pool plus seeded random subsets:
-    the whole pool dominates every subset because glbs in the verified
-    complete lattice U are antitone in the set.
+    For each ALB the compatible AUBs of the pool form one set; every
+    qualifying set is a subset of it.  Small sets are enumerated in
+    full.  A set larger than MAX_SUBSET_POOL is checked alone: it
+    dominates each of its subsets, because glbs in the verified complete
+    lattice U are antitone in the set.
     """
     rng = rng or random.Random(0)
-    full_aubs = fw.enumerate_aubs()
-    exhaustive = full_aubs is not None
+    albs = list(fw.albs())
+    aubs, u_complete = _aub_pool(fw, caps, rng)
+
+    def compatible(l):
+        return l, [u for u in aubs if fw.cross_leq(l, u)]
+
+    instances, exhaustive = _probe(map(compatible, albs), len(albs) * len(aubs),
+                                   lambda rng: compatible(rng.choice(albs)), caps, rng,
+                                   complete=u_complete)
     note = ""
-    for l in fw.albs():
-        if full_aubs is not None:
-            pool = [u for u in full_aubs if fw.cross_leq(l, u)]
-        else:
-            pool = [
-                u
-                for u in (fw.sample_aub(rng) for _ in range(caps.samples))
-                if fw.cross_leq(l, u)
-            ]
+    for l, pool in instances:
         if len(pool) > MAX_SUBSET_POOL:
-            note = "large pools covered by the dominating full set plus probes"
-        for subset, _ in _subsets(pool, caps, rng, nonempty=False):
+            note = "large pools covered by the dominating full set"
+            subsets = [pool]
+        else:
+            subsets, _ = _subsets(pool, caps, rng, nonempty=False)
+        for subset in subsets:
             glb = fw.glb_U(subset)
             if not fw.cross_leq(l, glb):
                 return CheckResult(
@@ -593,21 +600,18 @@ def check_preamble(
     rng = rng or random.Random(0)
     results = []
     albs = list(fw.albs())
-    aubs, u_exhaustive = _aub_pool(fw, caps, rng)
+    aubs, u_complete = _aub_pool(fw, caps, rng)
     bounds = [("L", l) for l in albs] + [("U", u) for u in aubs]
-    exhaustive2 = u_exhaustive and len(bounds) ** 2 <= MAX_PAIRS
 
     cx = None
     for s, b in bounds:
         if not fw.bound_leq(s, b, s, b):
             cx = {"bound": f"{s}:{_show(b)}"}
             break
-    results.append(_result("preamble.order_reflexive", u_exhaustive, cx))
+    results.append(_result("preamble.order_reflexive", u_complete, cx))
 
-    if exhaustive2:
-        pairs = itertools.combinations(bounds, 2)
-    else:
-        pairs = ((rng.choice(bounds), rng.choice(bounds)) for _ in range(caps.samples * 4))
+    pairs, exhaustive = _probe(itertools.combinations(bounds, 2), math.comb(len(bounds), 2),
+                               _draw(bounds, bounds), caps, rng, complete=u_complete)
     cx = None
     for (s1, b1), (s2, b2) in pairs:
         if fw.same_bound(s1, b1, s2, b2):
@@ -615,16 +619,10 @@ def check_preamble(
         if fw.bound_leq(s1, b1, s2, b2) and fw.bound_leq(s2, b2, s1, b1):
             cx = {"bound1": f"{s1}:{_show(b1)}", "bound2": f"{s2}:{_show(b2)}"}
             break
-    results.append(_result("preamble.order_antisymmetric", exhaustive2, cx))
+    results.append(_result("preamble.order_antisymmetric", exhaustive, cx))
 
-    exhaustive3 = u_exhaustive and len(bounds) ** 3 <= MAX_PAIRS
-    if exhaustive3:
-        triples = itertools.product(bounds, repeat=3)
-    else:
-        triples = (
-            (rng.choice(bounds), rng.choice(bounds), rng.choice(bounds))
-            for _ in range(caps.samples * 6)
-        )
+    triples, exhaustive = _probe(itertools.product(bounds, repeat=3), len(bounds) ** 3,
+                                 _draw(bounds, bounds, bounds), caps, rng, complete=u_complete)
     cx = None
     for (s1, b1), (s2, b2), (s3, b3) in triples:
         if (
@@ -638,7 +636,7 @@ def check_preamble(
                 "bound3": f"{s3}:{_show(b3)}",
             }
             break
-    results.append(_result("preamble.order_transitive", exhaustive3, cx))
+    results.append(_result("preamble.order_transitive", exhaustive, cx))
 
     bot = fw.L_least()
     cx = None
@@ -649,7 +647,7 @@ def check_preamble(
             if not fw.bound_leq("L", bot, s, b):
                 cx = {"bound": f"{s}:{_show(b)}"}
                 break
-    results.append(_result("preamble.least_in_L", u_exhaustive, cx))
+    results.append(_result("preamble.least_in_L", u_complete, cx))
 
     top = fw.U_greatest()
     cx = None
@@ -657,7 +655,7 @@ def check_preamble(
         if not fw.bound_leq(s, b, "U", top):
             cx = {"bound": f"{s}:{_show(b)}"}
             break
-    results.append(_result("preamble.greatest_in_U", u_exhaustive, cx))
+    results.append(_result("preamble.greatest_in_U", u_complete, cx))
 
     cls = fw.exact.classify()
     cx = None if cls.is_bounded_complete else {"exact_space": "not bounded-complete"}
@@ -665,31 +663,31 @@ def check_preamble(
 
     # U must be a complete lattice: bottom, top, and correct binary
     # meets/joins suffice in the finite case (arbitrary glbs/lubs fold).
-    lattice_exhaustive = u_exhaustive and len(aubs) ** 3 <= MAX_PAIRS
-    if lattice_exhaustive:
-        upairs = itertools.combinations_with_replacement(aubs, 2)
-    else:
-        upairs = ((rng.choice(aubs), rng.choice(aubs)) for _ in range(caps.samples))
+    # An instance is a pair of AUBs with one witness v that must see the
+    # pair's meet and join as its greatest lower and least upper bound.
+    triples, lattice_exhaustive = _probe(
+        ((u1, u2, v) for u1, u2 in itertools.combinations_with_replacement(aubs, 2) for v in aubs),
+        math.comb(len(aubs) + 1, 2) * len(aubs), _draw(aubs, aubs, aubs), caps, rng,
+        complete=u_complete)
     cx = None
-    for u1, u2 in upairs:
-        meet, join = fw.glb_U([u1, u2]), fw.lub_U([u1, u2])
-        if not (
-            fw.aub_leq(meet, u1)
-            and fw.aub_leq(meet, u2)
-            and fw.aub_leq(u1, join)
-            and fw.aub_leq(u2, join)
-        ):
-            cx = {"aub1": _show(u1), "aub2": _show(u2)}
+    pair = None
+    for u1, u2, v in triples:
+        if (u1, u2) != pair:
+            pair = (u1, u2)
+            meet, join = fw.glb_U(pair), fw.lub_U(pair)
+            if not (
+                fw.aub_leq(meet, u1)
+                and fw.aub_leq(meet, u2)
+                and fw.aub_leq(u1, join)
+                and fw.aub_leq(u2, join)
+            ):
+                cx = {"aub1": _show(u1), "aub2": _show(u2)}
+                break
+        if fw.aub_leq(v, u1) and fw.aub_leq(v, u2) and not fw.aub_leq(v, meet):
+            cx = {"aub1": _show(u1), "aub2": _show(u2), "below_both": _show(v)}
             break
-        witnesses = aubs if lattice_exhaustive else [rng.choice(aubs) for _ in range(16)]
-        for v in witnesses:
-            if fw.aub_leq(v, u1) and fw.aub_leq(v, u2) and not fw.aub_leq(v, meet):
-                cx = {"aub1": _show(u1), "aub2": _show(u2), "below_both": _show(v)}
-                break
-            if fw.aub_leq(u1, v) and fw.aub_leq(u2, v) and not fw.aub_leq(join, v):
-                cx = {"aub1": _show(u1), "aub2": _show(u2), "above_both": _show(v)}
-                break
-        if cx:
+        if fw.aub_leq(u1, v) and fw.aub_leq(u2, v) and not fw.aub_leq(join, v):
+            cx = {"aub1": _show(u1), "aub2": _show(u2), "above_both": _show(v)}
             break
     if cx is None:
         bot_u, top_u = fw.U_least(), fw.U_greatest()
@@ -709,23 +707,22 @@ def check_approximates_relation(
     """The four compatibility requirements on the approximates-relation."""
     rng = rng or random.Random(0)
     results = []
-    xs, exhaustive = _approximant_pool(fw, caps, rng)
-    pair_exhaustive = exhaustive and len(xs) ** 2 <= MAX_PAIRS
-    if pair_exhaustive:
-        pair_iter = itertools.permutations(xs, 2)
-    else:
-        pair_iter = ((rng.choice(xs), rng.choice(xs)) for _ in range(caps.samples * 4))
-
+    xs, x_complete = _approximant_pool(fw, caps, rng)
+    pairs, exhaustive = _probe(itertools.permutations(xs, 2), len(xs) * (len(xs) - 1),
+                               _draw(xs, xs), caps, rng, complete=x_complete)
     cx = None
-    for x, y in pair_iter:
+    for x, y in pairs:
         if fw.leq_p(x, y) and fw.members_mask(y) & ~fw.members_mask(x):
             cx = {"less_precise": _show(x), "more_precise": _show(y)}
             break
-    results.append(_result("approximates.1_antitone_in_precision", pair_exhaustive, cx))
+    results.append(_result("approximates.1_antitone_in_precision", exhaustive, cx))
 
+    albs = list(fw.albs())
+    ls, exhaustive = _probe(albs, len(albs) * len(fw.exact), lambda rng: rng.choice(albs),
+                            caps, rng)
     top = fw.U_greatest()
     cx = None
-    for l in fw.albs():
+    for l in ls:
         mask = fw.members_mask(fw.recompose(l, top))
         closed = 0
         for i in _bits(mask):
@@ -733,12 +730,14 @@ def check_approximates_relation(
         if closed != mask:
             cx = {"alb": _show(l)}
             break
-    results.append(_result("approximates.2_full_aub_upclosed", True, cx))
+    results.append(_result("approximates.2_full_aub_upclosed", exhaustive, cx))
 
     bot = fw.L_least()
-    aubs, aub_exhaustive = _aub_pool(fw, caps, rng)
+    aubs, u_complete = _aub_pool(fw, caps, rng)
+    us, exhaustive = _probe(aubs, len(aubs) * len(fw.exact), lambda rng: rng.choice(aubs),
+                            caps, rng, complete=u_complete)
     cx = None
-    for u in aubs:
+    for u in us:
         if not fw.cross_leq(bot, u):
             continue
         mask = fw.members_mask(fw.recompose(bot, u))
@@ -748,8 +747,10 @@ def check_approximates_relation(
         if closed != mask:
             cx = {"aub": _show(u)}
             break
-    results.append(_result("approximates.3_least_alb_downclosed", aub_exhaustive, cx))
+    results.append(_result("approximates.3_least_alb_downclosed", exhaustive, cx))
 
+    xs, exhaustive = _probe(xs, len(xs) * len(fw.exact), lambda rng: rng.choice(xs),
+                            caps, rng, complete=x_complete)
     cx = None
     for x in xs:
         if fw.is_exact(x) != (fw.members_mask(x).bit_count() == 1):

@@ -18,6 +18,7 @@ concrete instances, by enumeration where the spaces allow it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -42,8 +43,9 @@ from .framework import (
     Caps,
     CheckResult,
     DEFAULT_CAPS,
-    MAX_PAIRS,
     _approximant_pool,
+    _draw,
+    _probe,
     _result,
     _show,
 )
@@ -149,36 +151,27 @@ def check_space_precision(
             break
     results.append(_result("space_precision.subspace_embedding", c_exh, cx))
 
+    xs, exhaustive = _probe(coarse_pool, len(coarse_pool) * len(w.coarse.exact),
+                            lambda rng: rng.choice(coarse_pool), caps, rng, complete=c_exh)
     cx = None
-    for x1 in coarse_pool:
+    for x1 in xs:
         if w.coarse.is_exact(x1) and not w.fine.is_exact(w.embed(x1)):
             cx = {"coarse": _show(x1)}
             break
-    results.append(_result("space_precision.exactness_preserved", c_exh, cx))
+    results.append(_result("space_precision.exactness_preserved", exhaustive, cx))
 
-    pair_exh = f_exh and len(fine_pool) ** 2 <= MAX_PAIRS
-    if pair_exh:
-        pairs = [(x, y) for x in fine_pool for y in fine_pool]
-    else:
-        pairs = [
-            (rng.choice(fine_pool), rng.choice(fine_pool))
-            for _ in range(caps.samples * 4)
-        ]
+    pairs, exhaustive = _probe(itertools.product(fine_pool, fine_pool), len(fine_pool) ** 2,
+                               _draw(fine_pool, fine_pool), caps, rng, complete=f_exh)
     cx = None
     for x2, y2 in pairs:
         if w.fine.leq_p(x2, y2) and not w.coarse.leq_p(w.collapse(x2), w.collapse(y2)):
             cx = {"fine1": _show(x2), "fine2": _show(y2)}
             break
-    results.append(_result("space_precision.collapse_monotone", pair_exh, cx))
+    results.append(_result("space_precision.collapse_monotone", exhaustive, cx))
 
-    cross_exh = c_exh and f_exh and len(coarse_pool) * len(fine_pool) <= MAX_PAIRS
-    if cross_exh:
-        cross = [(x1, x2) for x1 in coarse_pool for x2 in fine_pool]
-    else:
-        cross = [
-            (rng.choice(coarse_pool), rng.choice(fine_pool))
-            for _ in range(caps.samples * 4)
-        ]
+    cross, exhaustive = _probe(itertools.product(coarse_pool, fine_pool),
+                               len(coarse_pool) * len(fine_pool), _draw(coarse_pool, fine_pool),
+                               caps, rng, complete=c_exh and f_exh)
     cx = None
     for x1, x2 in cross:
         lhs = w.fine.leq_p(w.embed(x1), x2)
@@ -186,7 +179,7 @@ def check_space_precision(
         if lhs != rhs:
             cx = {"coarse": _show(x1), "fine": _show(x2)}
             break
-    results.append(_result("space_precision.comparison_factors_through_collapse", cross_exh, cx))
+    results.append(_result("space_precision.comparison_factors_through_collapse", exhaustive, cx))
     return results
 
 

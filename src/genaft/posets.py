@@ -18,6 +18,7 @@ on throughout and documented here once:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -338,23 +339,25 @@ def tuple_id(parts: Sequence[str]) -> str:
     return "(" + "|".join(parts) + ")"
 
 
-def powerset_ids(atoms: Sequence[str]) -> tuple[str, ...]:
+@functools.lru_cache(maxsize=32)
+def powerset_ids(atoms: tuple[str, ...]) -> tuple[str, ...]:
     """The set_id of every subset of the sorted distinct `atoms`; index i
-    holds the subset of the atoms at the set bits of i."""
+    holds the subset of the atoms at the set bits of i.  Cached and shared."""
     inner = [""]
     for a in atoms:
         inner += [f"{s},{a}" if s else a for s in inner]
     return tuple("{" + s + "}" for s in inner)
 
 
-def subset_masks(n: int) -> list[int]:
+@functools.lru_cache(maxsize=32)
+def subset_masks(n: int) -> tuple[int, ...]:
     """Per subset of n atoms, indexed as in powerset_ids, the mask of its
     subsets: doubling over atom h, each subset of the first h atoms
-    gains a copy with atom h, whose index is 1 << h higher."""
+    gains a copy with atom h, whose index is 1 << h higher.  Cached and shared."""
     below = [1]
     for h in range(n):
         below += [d | d << (1 << h) for d in below]
-    return below
+    return tuple(below)
 
 
 def powerset_lattice(
@@ -386,7 +389,7 @@ def powerset_lattice(
     if order == "superset":
         above, below = below, above
     complete = PosetClassification(True, True, True, True)
-    return FinitePoset._from_masks(powerset_ids(atom_list), above, below, complete)
+    return FinitePoset._from_masks(powerset_ids(tuple(atom_list)), above, below, complete)
 
 
 def product_poset(

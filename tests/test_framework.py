@@ -6,6 +6,7 @@ import random
 import pytest
 
 from genaft import (
+    Caps,
     FinitePoset,
     build_flower_framework,
     build_interval_framework,
@@ -160,3 +161,38 @@ def test_sampled_status_on_large_spaces():
     rng = random.Random(0)
     result = check_chain_ilp(fw, rng=rng)
     assert result.ok and result.status == "sampled"
+
+
+def _counting(fw, name):
+    """Replace the method `name` of `fw` by a wrapper counting its calls."""
+    calls = [0]
+    method = getattr(fw, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return method(*args)
+
+    setattr(fw, name, counted)
+    return calls
+
+
+def test_sampled_quantifiers_draw_at_most_caps_samples():
+    k = 20
+    caps = Caps(samples=k)
+    lattice = powerset_lattice([f"a{i}" for i in range(8)])  # 256 elements
+
+    flowers = build_flower_framework(lattice)
+    aubs_drawn = _counting(flowers, "sample_aub")
+    assert check_glb_property(flowers, caps, random.Random(0)).status == "sampled"
+    assert aubs_drawn[0] <= k
+
+    intervals = build_interval_framework(lattice)
+    joins = _counting(intervals, "lub_L")
+    assert check_weak_ilp(intervals, caps, random.Random(0)).status == "sampled"
+    assert joins[0] <= k
+
+    exactness_tests = _counting(intervals, "is_exact")
+    report = {r.axiom: r.status for r in check_approximates_relation(intervals, caps, random.Random(0))}
+    assert report["approximates.1_antitone_in_precision"] == "sampled"
+    assert report["approximates.4_exact_iff_unique"] == "sampled"
+    assert exactness_tests[0] <= k
