@@ -168,7 +168,7 @@ def _approximator(data: dict, kind: str, space: str, which: str, fw, op) -> Appr
 def cmd_check(args) -> int:
     data = _load(args.input)
     kind = _detect_kind(data)
-    # The checkers' budgets are stated up to the default cap; none lifts it.
+    # check's stated budgets reach only the default cap: --max-elements cannot raise it.
     max_elements = min(args.max_elements, DEFAULT_MAX_ELEMENTS)
     if kind == "poset":
         exact = FinitePoset.from_json(data, max_elements=max_elements)

@@ -107,8 +107,8 @@ class FinitePoset:
     def _from_masks(
         cls,
         elements: tuple[str, ...],
-        up: list[int],
-        down: list[int],
+        up: Sequence[int],
+        down: Sequence[int],
         classification: PosetClassification,
     ) -> "FinitePoset":
         """Internal fast path for constructions that know their order:
@@ -121,8 +121,8 @@ class FinitePoset:
     def _set_order(
         self,
         elements: tuple[str, ...],
-        up: list[int],
-        down: list[int],
+        up: Sequence[int],
+        down: Sequence[int],
         classification: PosetClassification | None,
     ) -> None:
         """Store the closed order and index its principal sets.
