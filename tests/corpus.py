@@ -19,6 +19,10 @@ from genaft.flowers import FlowerFramework
 # -- worked instances --------------------------------------------------------
 
 VEE = {"elements": ["bot", "a", "b"], "hasse": [["bot", "a"], ["bot", "b"]]}
+CLAW = {
+    "elements": ["bot", "a", "b", "c"],
+    "hasse": [["bot", "a"], ["bot", "b"], ["bot", "c"]],
+}
 VEE_TOP = {
     "elements": ["bot", "a", "b", "top"],
     "hasse": [["bot", "a"], ["bot", "b"], ["a", "top"], ["b", "top"]],
@@ -29,6 +33,11 @@ def vee_poset() -> FinitePoset:
     """Least element below two incomparable points: bounded-complete,
     not a complete lattice."""
     return FinitePoset.from_json(VEE)
+
+
+def claw_poset() -> FinitePoset:
+    """Least element below three incomparable points."""
+    return FinitePoset.from_json(CLAW)
 
 
 def vee_lattice() -> FinitePoset:
@@ -181,6 +190,39 @@ class NoSideCondition(FlowerFramework):
         mask1 = self.exact.down_mask(b1) if side1 == "L" else self.aub_mask(b1)
         mask2 = self.exact.down_mask(b2) if side2 == "L" else self.aub_mask(b2)
         return mask1 & ~mask2 == 0
+
+
+class NonTransitiveOrder(FlowerFramework):
+    """Mutant: the AUB {bot} is below {a} and {a} below {a,b}, but {bot}
+    is not below {a,b}; the combined order loses transitivity."""
+
+    def bound_leq(self, side1, b1, side2, b2):
+        if (side1, b1, side2, b2) == ("U", ("bot",), "U", ("a", "b")):
+            return False
+        return super().bound_leq(side1, b1, side2, b2)
+
+
+class WrongPairMeet(FlowerFramework):
+    """Mutant: the meet of the AUBs {a} and {a,b} is {bot}, a lower
+    bound of both but not the greatest one."""
+
+    def glb_U(self, us):
+        us = list(us)
+        if sorted(us) == [("a",), ("a", "b")]:
+            return ("bot",)
+        return super().glb_U(us)
+
+
+class WrongTripleMeet(FlowerFramework):
+    """Mutant: on the claw, the glb of the AUBs {a,b}, {a,c} and {a,b,c}
+    is {b} rather than {a}; every pair and every other set keeps its
+    glb."""
+
+    def glb_U(self, us):
+        us = list(us)
+        if sorted(us) == [("a", "b"), ("a", "b", "c"), ("a", "c")]:
+            return ("b",)
+        return super().glb_U(us)
 
 
 # -- random order structures ---------------------------------------------------

@@ -2,9 +2,9 @@
 
 Each case runs `genaft solve`, `genaft compare` or `genaft check` with
 `--format json` on a worked file or a committed seeded input and compares
-stdout with the stored golden file.  The axiom reports of the two mutant
-frameworks on the vee poset are frozen the same way, so their exhaustive
-order and counterexamples cannot move.  A refactor must keep these bytes;
+stdout with the stored golden file.  The axiom reports of the mutant
+frameworks, on the vee poset or the claw, are frozen the same way, so
+their exhaustive order and counterexamples cannot move.  A refactor must keep these bytes;
 a deliberate output change rewrites them with `python tests/test_golden.py`.
 """
 
@@ -17,7 +17,15 @@ import pytest
 
 from genaft import check_framework, report_to_json
 from genaft.cli import main
-from corpus import NoSideCondition, SwappedRecompose, vee_poset
+from corpus import (
+    NonTransitiveOrder,
+    NoSideCondition,
+    SwappedRecompose,
+    WrongPairMeet,
+    WrongTripleMeet,
+    claw_poset,
+    vee_poset,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -60,7 +68,13 @@ INPUTS = {
 
 CASES = [(name, config) for name, (_, configs) in INPUTS.items() for config in configs]
 
-MUTANTS = {"swapped_recompose": SwappedRecompose, "no_side_condition": NoSideCondition}
+MUTANTS = {
+    "swapped_recompose": (SwappedRecompose, vee_poset),
+    "no_side_condition": (NoSideCondition, vee_poset),
+    "non_transitive_order": (NonTransitiveOrder, vee_poset),
+    "wrong_pair_meet": (WrongPairMeet, vee_poset),
+    "wrong_triple_meet": (WrongTripleMeet, claw_poset),
+}
 
 
 def _run(name: str, config: str) -> str:
@@ -77,7 +91,8 @@ def _golden(name: str, config: str) -> pathlib.Path:
 
 
 def _mutant_report(name: str) -> str:
-    report = check_framework(MUTANTS[name](vee_poset(), enumerable=True))
+    cls, poset = MUTANTS[name]
+    report = check_framework(cls(poset(), enumerable=True))
     return json.dumps(report_to_json(report), sort_keys=True, indent=2) + "\n"
 
 
