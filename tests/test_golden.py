@@ -51,6 +51,7 @@ LP = ["solve-interval-ultimate", "solve-interval-fitting", "solve-flower-ultimat
 LATTICE = ["solve-interval-ultimate", "solve-flower-ultimate", "compare-interval-flower"]
 CPO = ["solve-flower-ultimate", "compare-flower-flower"]
 CHECK = ["check"]
+SOLVE = ["solve-interval-ultimate", "solve-interval-fitting", "solve-flower-ultimate"]
 
 INPUTS = {
     "vee_poset": (DATA / "vee_poset.json", CHECK),
@@ -61,6 +62,7 @@ INPUTS = {
     "lp6": (GOLDEN / "inputs" / "lp6.json", LP + CHECK),
     "lp8": (GOLDEN / "inputs" / "lp8.json", LP),
     "lp10": (GOLDEN / "inputs" / "lp10.json", LP),
+    "lp12": (GOLDEN / "inputs" / "lp12.json", SOLVE),
     "lp_unsorted": (GOLDEN / "inputs" / "lp_unsorted.json", LP),
     "ael3": (GOLDEN / "inputs" / "ael3.json", LATTICE + CHECK),
     "wadf3": (GOLDEN / "inputs" / "wadf3.json", CPO + CHECK),
