@@ -25,11 +25,12 @@ from .encoders import (
     Wadf,
     ael_operator,
     fitting_approximator,
+    lp_exact_space,
     lp_operator,
     wadf_operator,
 )
 from .engine import Approximator, ExactOperator, compute_semantics, ultimate_approximator
-from .errors import GenaftError, InputError, PreconditionError
+from .errors import GenaftError, InputError, PreconditionError, SizeCapError
 from .flowers import build_flower_framework
 from .framework import check_framework, report_ok, report_to_json
 from .hierarchy import interval_flower_witness
@@ -138,7 +139,11 @@ def _detect_kind(data: dict) -> str:
 
 def _operator(data: dict, kind: str, max_elements: int) -> ExactOperator:
     if kind == "lp":
-        return lp_operator(NormalLogicProgram.from_json(data))
+        program = NormalLogicProgram.from_json(data)
+        space = lp_exact_space(program)  # the atom cap comes first, as for AEL theories
+        if len(space) > max_elements:
+            raise SizeCapError(f"powerset would have {len(space)} elements, cap is {max_elements}")
+        return lp_operator(program, space)
     if kind == "ael":
         return ael_operator(AelTheory.from_json(data), max_elements=max_elements)
     if kind == "wadf":

@@ -87,7 +87,10 @@ class FlowerFramework(ApproximationFramework):
     def __init__(self, exact: FinitePoset, *, enumerable: bool):
         super().__init__(exact)
         self._enumerable = enumerable
+        # The two halves of the antichain <-> down-set bijection, filled on
+        # demand: an antichain's lower closure, and a mask's maximal elements.
         self._down_cache: dict[tuple[str, ...], int] = {}
+        self._antichains: dict[int, tuple[str, ...]] = {}
         self._top_aub = tuple(sorted(exact.max_set(exact.elements)))
         self._all_approximants: list[Approximant] | None = None
         self._all_aubs: list[tuple[str, ...]] | None = None
@@ -105,7 +108,15 @@ class FlowerFramework(ApproximationFramework):
         return cached
 
     def aub_of_mask(self, mask: int) -> tuple[str, ...]:
-        return tuple(sorted(self.exact.set_of(self.exact._max_mask(mask))))
+        """The antichain of the maximal elements of `mask`, computed once
+        per mask.  A new antichain is also filed under its lower closure,
+        which `aub_mask` records, so each down-set meets its antichain once."""
+        u = self._antichains.get(mask)
+        if u is None:
+            u = tuple(sorted(self.exact.set_of(self.exact._max_mask(mask))))
+            self._antichains[mask] = u
+            self._antichains.setdefault(self.aub_mask(u), u)
+        return u
 
     # -- combined order -----------------------------------------------------
 

@@ -199,6 +199,16 @@ def test_solve_over_the_atom_cap_exits_two(capsys, tmp_path):
     assert err == "input error: 13 atoms exceed the cap of 12\n"
 
 
+def test_logic_programs_obey_max_elements(capsys, tmp_path):
+    path = tmp_path / "lp3.json"
+    path.write_text(json.dumps({"atoms": ["a", "b", "c"], "rules": []}))
+    for command in ("check", "solve"):
+        code, _, err = run(capsys, command, str(path), "--max-elements", "4")
+        assert code == 2
+        assert err == "input error: powerset would have 8 elements, cap is 4\n"
+    assert run(capsys, "solve", str(path), "--max-elements", "8")[0] == 0
+
+
 def test_check_unknown_hasse_element_exits_two(capsys, tmp_path):
     path = tmp_path / "ghost.json"
     path.write_text(json.dumps({"elements": ["x"], "hasse": [["x", "ghost"]]}))

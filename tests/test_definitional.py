@@ -4,7 +4,8 @@ cap's margin on the corpus.
 The supported/stable oracle applies the approximator to the exact
 approximant of every exact element, with no use of the exact operator's
 table, so it checks the engine's scan over the table's fixed points from
-outside.  The KK/WF oracle enumerates every approximant and takes the
+outside; it covers tables, logic programs, auto-epistemic theories and
+wADFs.  The KK/WF oracle enumerates every approximant and takes the
 precision-least fixpoint of the approximator and of stable revision,
 with none of the engine's iterations.
 """
@@ -255,3 +256,20 @@ def test_kk_wf_of_two_argument_wadfs_match_enumeration():
         })
         op = wadf_operator(wadf)
         _assert_kk_wf_by_enumeration(ultimate_approximator(build_flower_framework(op.domain), op))
+
+
+def test_supported_and_stable_of_theories_and_wadfs_match_the_definition(theory, wadf):
+    rng = random.Random(412)
+    ops = [ael_operator(theory), wadf_operator(wadf)]
+    for _ in range(40):
+        sentences = [_random_formula(rng, 3, True) for _ in range(rng.randint(1, 2))]
+        ops.append(ael_operator(AelTheory.from_json({"atoms": ["p"], "sentences": sentences})))
+        ops.append(wadf_operator(Wadf.from_json({
+            "arguments": ["x", "y"],
+            "values": VEE,
+            "acceptance": {"x": _random_acceptance(rng), "y": _random_acceptance(rng)},
+        })))
+    for op in ops:
+        _assert_definitional(ultimate_approximator(build_flower_framework(op.domain), op))
+        if op.domain.classify().is_complete_lattice:
+            _assert_definitional(ultimate_approximator(build_interval_framework(op.domain), op))

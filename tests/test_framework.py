@@ -6,6 +6,7 @@ import random
 import pytest
 
 from genaft import (
+    Approximant,
     Caps,
     FinitePoset,
     build_flower_framework,
@@ -23,7 +24,7 @@ from genaft import (
     report_to_json,
 )
 from genaft.flowers import FlowerFramework
-from corpus import random_bounded_complete_cpo
+from corpus import random_bounded_complete_cpo, vee_poset
 
 
 def test_interval_two_chain_composition_poset():
@@ -196,3 +197,35 @@ def test_sampled_quantifiers_draw_at_most_caps_samples():
     assert report["approximates.1_antitone_in_precision"] == "sampled"
     assert report["approximates.4_exact_iff_unique"] == "sampled"
     assert exactness_tests[0] <= k
+
+
+def test_exhaustive_preamble_compares_each_pair_of_bounds_once():
+    fw = build_flower_framework(vee_poset())
+    n = len(fw.albs()) + len(fw.enumerate_aubs())
+    comparisons = _counting(fw, "bound_leq")
+    report = check_preamble(fw)
+    assert all(r.status == "pass" for r in report)
+    assert comparisons[0] <= 2 * n * n
+
+
+def test_flower_antichains_are_computed_once_per_mask(monkeypatch):
+    fw = build_flower_framework(vee_poset())
+    fw.enumerate_approximants()  # flowers made by subset filtering find their own max sets
+    masks = []
+    max_mask = FinitePoset._max_mask
+
+    def counted(poset, mask):
+        masks.append(mask)
+        return max_mask(poset, mask)
+
+    monkeypatch.setattr(FinitePoset, "_max_mask", counted)
+    assert report_ok(check_framework(fw))
+    assert masks and len(masks) == len(set(masks))
+
+
+def test_is_exact_stops_at_the_second_exact_approximant():
+    chain = FinitePoset([str(i) for i in range(6)], [(str(i), str(i + 1)) for i in range(5)])
+    fw = build_interval_framework(chain)
+    tests = _counting(fw, "leq_p")
+    assert not fw.is_exact(Approximant(fw, "2", "3"))
+    assert tests[0] == 2
