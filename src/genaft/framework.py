@@ -412,9 +412,10 @@ def check_composition_poset(
 ) -> list[CheckResult]:
     """The five composition-poset requirements, one result per bullet.
 
-    An exhaustive bullet reads the combined order from bitset rows and
-    recomposes each compatible pair once; a sampled one asks the
-    framework about each probe.
+    When bullet 3 or 4 is exhaustive, the exhaustive bullets read the
+    combined order from bitset rows and recompose each compatible pair
+    once; otherwise each instance or probe asks the framework.  Either
+    way a failure reports the first violation in the bullet's own order.
     """
     rng = rng or random.Random(0)
     albs = list(fw.albs())
@@ -433,7 +434,10 @@ def check_composition_poset(
     aub_triples, aub_exhaustive = _probe(
         ((l, u1, u2) for u1, u2, l in itertools.product(aubs, aubs, albs)),
         len(aubs) ** 2 * len(albs), _draw(albs, aubs, aubs), caps, rng, complete=u_complete)
-    if pairs_exhaustive or alb_exhaustive or aub_exhaustive:
+    # The rows cost one comparison per pair of bounds, as much as a
+    # quadratic bullet itself: they pay off only for the cubic ones.
+    rowed = alb_exhaustive or aub_exhaustive
+    if rowed:
         rows, cols = _order_rows(fw, [("L", l) for l in albs] + [("U", u) for u in aubs])
         nl, lows = len(albs), (1 << len(albs)) - 1  # U bounds follow the nl L bounds
         recomposed: dict = {}
@@ -445,7 +449,7 @@ def check_composition_poset(
             return x
 
     # Bullets 1 and 2 range over the compatible pairs.
-    if pairs_exhaustive:
+    if pairs_exhaustive and rowed:
         compatible = [(l, aubs[k]) for i, l in enumerate(albs) for k in _bits(rows[i] >> nl)]
         recompose = once
     else:
@@ -660,9 +664,10 @@ def check_preamble(
 ) -> list[CheckResult]:
     """Well-formedness of the combined order and the two spaces.
 
-    Exhaustive quantifiers read the order from bitset rows, so each pair
-    of bounds is compared once; sampled ones ask the framework about each
-    probe.  Either way a failure reports the first violation in the
+    When transitivity or the U-lattice check is exhaustive, the
+    exhaustive quantifiers read the order from bitset rows, so each pair
+    of bounds is compared once; otherwise each instance or probe asks the
+    framework.  Either way a failure reports the first violation in the
     quantifier's own order.
     """
     rng = rng or random.Random(0)
@@ -686,7 +691,10 @@ def check_preamble(
         ((u1, u2, v) for u1, u2 in itertools.combinations_with_replacement(aubs, 2) for v in aubs),
         math.comb(len(aubs) + 1, 2) * len(aubs), _draw(aubs, aubs, aubs), caps, rng,
         complete=u_complete)
-    if anti_exhaustive or trans_exhaustive or lattice_exhaustive:
+    # The rows cost one comparison per pair of bounds, as much as
+    # antisymmetry itself: they pay off only for the cubic quantifiers.
+    rowed = trans_exhaustive or lattice_exhaustive
+    if rowed:
         rows, cols = _order_rows(fw, bounds)
 
     def leq(a, b):
@@ -702,7 +710,7 @@ def check_preamble(
             break
     results.append(_result("preamble.order_reflexive", u_complete, cx))
 
-    if anti_exhaustive:
+    if anti_exhaustive and rowed:
         # -(2 << i) keeps the bits above i.
         pairs = ((bounds[i], bounds[j]) for i in range(n)
                  for j in _bits(rows[i] & cols[i] & -(2 << i)))
