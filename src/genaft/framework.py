@@ -799,18 +799,15 @@ def _lattice_violations(fw, aubs: list, ups: list[int], downs: list[int]) -> Ite
 
 def _sampled_lattice_violations(fw, triples: Iterable) -> Iterator[dict]:
     """The U-lattice violations among probed (u1, u2, witness) triples."""
-    pair = None
     for u1, u2, v in triples:
-        if (u1, u2) != pair:
-            pair = (u1, u2)
-            meet, join = fw.glb_U(pair), fw.lub_U(pair)
-            if not (
-                fw.aub_leq(meet, u1)
-                and fw.aub_leq(meet, u2)
-                and fw.aub_leq(u1, join)
-                and fw.aub_leq(u2, join)
-            ):
-                yield {"aub1": _show(u1), "aub2": _show(u2)}
+        meet, join = fw.glb_U((u1, u2)), fw.lub_U((u1, u2))
+        if not (
+            fw.aub_leq(meet, u1)
+            and fw.aub_leq(meet, u2)
+            and fw.aub_leq(u1, join)
+            and fw.aub_leq(u2, join)
+        ):
+            yield {"aub1": _show(u1), "aub2": _show(u2)}
         if fw.aub_leq(v, u1) and fw.aub_leq(v, u2) and not fw.aub_leq(v, meet):
             yield {"aub1": _show(u1), "aub2": _show(u2), "below_both": _show(v)}
         if fw.aub_leq(u1, v) and fw.aub_leq(u2, v) and not fw.aub_leq(join, v):
