@@ -18,7 +18,7 @@ from ..engine import Approximator, ExactOperator
 from ..errors import InputError, SizeCapError
 from ..framework import Approximant
 from ..intervals import IntervalFramework, build_interval_framework
-from ..posets import FinitePoset, powerset_ids, powerset_lattice, set_id, subset_masks
+from ..posets import FinitePoset, _Powerset, powerset_lattice, set_id
 
 ATOM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 MAX_LP_ATOMS = 12
@@ -134,7 +134,7 @@ def _check_powerset(program: NormalLogicProgram, space: FinitePoset) -> None:
     atoms under subset order: tables and approximants read element index
     i as the set of atoms with mask i."""
     atoms = tuple(sorted(program.atoms))
-    if space.elements != powerset_ids(atoms) or tuple(space._down) != subset_masks(len(atoms)):
+    if not (isinstance(space, _Powerset) and space._atoms == atoms and not space._superset):
         raise InputError(
             f"the space is not the powerset lattice of the program's atoms {set_id(atoms)}"
         )
@@ -156,8 +156,26 @@ def lp_operator(program: NormalLogicProgram, space: FinitePoset | None = None) -
 
 def _tp(rules, space: FinitePoset) -> ExactOperator:
     """The immediate-consequence table of compiled `rules` on their
-    powerset lattice `space`."""
-    return ExactOperator(space, [_consequence(rules, imask) for imask in range(len(space))])
+    powerset lattice `space`.
+
+    A rule fires exactly at the interpretations that hold its positive
+    body and miss its negative one: its positive body plus any subset of
+    the atoms in neither body.  Each such cube is walked once, sub-mask
+    by sub-mask, and the rule's head is added there.
+    """
+    table = [0] * len(space)
+    full = len(space) - 1
+    for head, pos, neg in rules:
+        if pos & neg:
+            continue
+        free = full & ~(pos | neg)
+        s = free
+        while True:
+            table[pos | s] |= head
+            if not s:
+                break
+            s = (s - 1) & free
+    return ExactOperator(space, table)
 
 
 def fitting_approximator(

@@ -58,10 +58,11 @@ class ExactOperator:
         return self.domain.elements[self.table[self.domain.index(x)]]
 
     def monotonicity_violation(self) -> tuple[str, str] | None:
-        up, table = self.domain._up, self.table
+        up, table = self.domain._up_of, self.table
         for i, fi in enumerate(table):
-            for j in _bits(up[i]):
-                if not up[fi] >> table[j] & 1:
+            above = up(fi)
+            for j in _bits(up(i)):
+                if not above >> table[j] & 1:
                     return (self.domain.elements[i], self.domain.elements[j])
         return None
 

@@ -91,7 +91,7 @@ class FlowerFramework(ApproximationFramework):
         # demand: an antichain's lower closure, and a mask's maximal elements.
         self._down_cache: dict[tuple[str, ...], int] = {}
         self._antichains: dict[int, tuple[str, ...]] = {}
-        self._top_aub = tuple(sorted(exact.max_set(exact.elements)))
+        self._top_aub = self.aub_of_mask(exact._full)
         self._all_approximants: list[Approximant] | None = None
         self._all_aubs: list[tuple[str, ...]] | None = None
 

@@ -380,6 +380,11 @@ def _order_rows(fw, bounds: list[tuple[str, object]]) -> tuple[list[int], list[i
     return rows, cols
 
 
+def _undefined(l, u) -> dict:
+    """The counterexample entry naming a pair recompose rejects."""
+    return {"undefined": f"({_show(l)}, {_show(u)})"}
+
+
 def _low(mask: int) -> int:
     """The index of the lowest set bit."""
     return (mask & -mask).bit_length() - 1
@@ -415,7 +420,8 @@ def check_composition_poset(
     When bullet 3 or 4 is exhaustive, the exhaustive bullets read the
     combined order from bitset rows and recompose each compatible pair
     once; otherwise each instance or probe asks the framework.  Either
-    way a failure reports the first violation in the bullet's own order.
+    way a failure reports the first violation in the bullet's own order,
+    and an undefined recomposition is reported, never raised.
     """
     rng = rng or random.Random(0)
     albs = list(fw.albs())
@@ -440,70 +446,80 @@ def check_composition_poset(
     if rowed:
         rows, cols = _order_rows(fw, [("L", l) for l in albs] + [("U", u) for u in aubs])
         nl, lows = len(albs), (1 << len(albs)) - 1  # U bounds follow the nl L bounds
-        recomposed: dict = {}
+    recomposed: dict = {}
 
-        def once(l, u):
-            x = recomposed.get((l, u))
-            if x is None:
-                x = recomposed[l, u] = fw.recompose(l, u)
-            return x
+    def attempt(l, u):
+        """fw.recompose(l, u), or None where it is undefined; computed once
+        per pair when the rows are built.  An undefined recomposition is
+        the counterexample of the bullet that reaches it, except in bullet
+        2: bullet 1 ranges over the same pairs."""
+        x = recomposed.get((l, u), False)
+        if x is False:
+            try:
+                x = fw.recompose(l, u)
+            except RecomposeUndefinedError:
+                x = None
+            if rowed:
+                recomposed[l, u] = x
+        return x
 
     # Bullets 1 and 2 range over the compatible pairs.
     if pairs_exhaustive and rowed:
         compatible = [(l, aubs[k]) for i, l in enumerate(albs) for k in _bits(rows[i] >> nl)]
-        recompose = once
     else:
         compatible = [(l, u) for l, u in lu_pairs if fw.cross_leq(l, u)]
-        recompose = fw.recompose
-
-    cx = None
+    cx1 = cx2 = None
     for l, u in compatible:
-        try:
-            recompose(l, u)
-        except RecomposeUndefinedError:
-            cx = w(alb=l, aub=u)
+        x = attempt(l, u)
+        if x is None:
+            cx1 = cx1 or w(alb=l, aub=u)
+        elif cx2 is None and not (fw.alb_leq(l, x.alb) and fw.aub_leq(x.aub, u)):
+            cx2 = w(alb=l, aub=u, got_alb=x.alb, got_aub=x.aub)
+        if cx1 and cx2:
             break
-    results.append(_result("composition.1_defined_when_compatible", pairs_exhaustive, cx))
-
-    cx = None
-    for l, u in compatible:
-        x = recompose(l, u)
-        if not (fw.alb_leq(l, x.alb) and fw.aub_leq(x.aub, u)):
-            cx = w(alb=l, aub=u, got_alb=x.alb, got_aub=x.aub)
-            break
-    results.append(_result("composition.2_recompose_tightens_bounds", pairs_exhaustive, cx))
+    results.append(_result("composition.1_defined_when_compatible", pairs_exhaustive, cx1))
+    results.append(_result("composition.2_recompose_tightens_bounds", pairs_exhaustive, cx2))
 
     # Bullet 3: l1 <= l2, both compatible with u.
     if alb_exhaustive:
         triples = ((albs[i], albs[j], aubs[k]) for i in range(nl) for j in _bits(rows[i] & lows)
                    for k in _bits((rows[i] & rows[j]) >> nl))
-        recompose = once
     else:
         triples = ((l1, l2, u) for l1, l2, u in alb_triples
                    if fw.alb_leq(l1, l2) and fw.cross_leq(l1, u) and fw.cross_leq(l2, u))
-        recompose = fw.recompose
-    cx = next((w(alb1=l1, alb2=l2, aub=u) for l1, l2, u in triples
-               if not fw.leq_p(recompose(l1, u), recompose(l2, u))), None)
+    cx = None
+    for l1, l2, u in triples:
+        x1, x2 = attempt(l1, u), attempt(l2, u)
+        if x1 is None or x2 is None or not fw.leq_p(x1, x2):
+            cx = w(alb1=l1, alb2=l2, aub=u)
+            if x1 is None or x2 is None:
+                cx |= _undefined(l1 if x1 is None else l2, u)
+            break
     results.append(_result("composition.3_monotone_in_alb", alb_exhaustive, cx))
 
     # Bullet 4: u1 <= u2 and l compatible with u1.
     if aub_exhaustive:
         triples = ((albs[i], aubs[p], aubs[q]) for p in range(len(aubs))
                    for q in _bits(rows[nl + p] >> nl) for i in _bits(cols[nl + p] & lows))
-        recompose = once
     else:
         triples = ((l, u1, u2) for l, u1, u2 in aub_triples
                    if fw.aub_leq(u1, u2) and fw.cross_leq(l, u1))
-        recompose = fw.recompose
-    cx = next((w(alb=l, aub1=u1, aub2=u2) for l, u1, u2 in triples
-               if not fw.leq_p(recompose(l, u2), recompose(l, u1))), None)
+    cx = None
+    for l, u1, u2 in triples:
+        x1, x2 = attempt(l, u1), attempt(l, u2)
+        if x1 is None or x2 is None or not fw.leq_p(x2, x1):
+            cx = w(alb=l, aub1=u1, aub2=u2)
+            if x1 is None or x2 is None:
+                cx |= _undefined(l, u1 if x1 is None else u2)
+            break
     results.append(_result("composition.4_antitone_in_aub", aub_exhaustive, cx))
 
     xs, x_exhaustive = _approximant_pool(fw, caps, rng)
     cx = None
     for x in xs:
-        if fw.recompose(x.alb, x.aub) != x:
-            cx = w(approximant=x)
+        again = attempt(x.alb, x.aub)
+        if again != x:
+            cx = w(approximant=x) | (_undefined(x.alb, x.aub) if again is None else {})
             break
     results.append(_result("composition.5_decompose_recompose_identity", x_exhaustive, cx))
     return results
@@ -576,8 +592,16 @@ def check_abstract_ilp(
     aubs, u_complete = _aub_pool(fw, caps, rng)
 
     def group(u, ls):
-        xs = (fw.recompose(l, u) for l in ls if fw.cross_leq(l, u))
-        return [x for x in xs if x.aub == u]
+        xs = []
+        for l in ls:
+            if fw.cross_leq(l, u):
+                try:
+                    x = fw.recompose(l, u)
+                except RecomposeUndefinedError:
+                    continue  # composition.1 reports the pair
+                if x.aub == u:
+                    xs.append(x)
+        return xs
 
     def every():
         for u in aubs:
@@ -838,11 +862,12 @@ def check_approximates_relation(
     top = fw.U_greatest()
     cx = None
     for l in ls:
-        mask = fw.members_mask(fw.recompose(l, top))
-        closed = 0
-        for i in _bits(mask):
-            closed |= fw.exact._up[i]
-        if closed != mask:
+        try:
+            mask = fw.members_mask(fw.recompose(l, top))
+        except RecomposeUndefinedError:
+            cx = {"alb": _show(l)} | _undefined(l, top)
+            break
+        if fw.exact._up_closure(mask) != mask:
             cx = {"alb": _show(l)}
             break
     results.append(_result("approximates.2_full_aub_upclosed", exhaustive, cx))
@@ -855,11 +880,12 @@ def check_approximates_relation(
     for u in us:
         if not fw.cross_leq(bot, u):
             continue
-        mask = fw.members_mask(fw.recompose(bot, u))
-        closed = 0
-        for i in _bits(mask):
-            closed |= fw.exact._down[i]
-        if closed != mask:
+        try:
+            mask = fw.members_mask(fw.recompose(bot, u))
+        except RecomposeUndefinedError:
+            cx = {"aub": _show(u)} | _undefined(bot, u)
+            break
+        if fw.exact._down_closure(mask) != mask:
             cx = {"aub": _show(u)}
             break
     results.append(_result("approximates.3_least_alb_downclosed", exhaustive, cx))

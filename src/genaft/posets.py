@@ -4,7 +4,8 @@ Elements are opaque string identifiers.  The order relation is stored
 reflexively and transitively closed as per-element bitmasks, so every
 operation below reduces to integer bit arithmetic.  Input may supply
 either the full order or just a Hasse (cover) relation; the closure is
-computed either way and antisymmetry is verified.
+computed either way and antisymmetry is verified.  Powerset lattices
+store no per-element masks: their order is arithmetic on indices.
 
 Everything is restricted to finite posets.  Two consequences are relied
 on throughout and documented here once:
@@ -196,6 +197,13 @@ class FinitePoset:
     def down_mask(self, x: str) -> int:
         return self._down[self.index(x)]
 
+    def _up_of(self, i: int) -> int:
+        """The principal up-set of the element with index i."""
+        return self._up[i]
+
+    def _down_of(self, i: int) -> int:
+        return self._down[i]
+
     # -- bounds ----------------------------------------------------------
 
     def lub(self, s: Iterable[str]) -> str | None:
@@ -248,20 +256,32 @@ class FinitePoset:
                 out |= 1 << i
         return out
 
+    def _up_closure(self, smask: int) -> int:
+        """The elements above some element of `smask`."""
+        out = 0
+        for i in _bits(smask):
+            out |= self._up[i]
+        return out
+
+    def _down_closure(self, smask: int) -> int:
+        out = 0
+        for i in _bits(smask):
+            out |= self._down[i]
+        return out
+
     def is_antichain(self, s: Iterable[str]) -> bool:
+        up = self._up_of
         idx = [self.index(x) for x in s]
         for a, b in itertools.combinations(idx, 2):
-            if self._up[a] >> b & 1 or self._up[b] >> a & 1:
+            if up(a) >> b & 1 or up(b) >> a & 1:
                 return False
         return True
 
     def is_convex(self, s: Iterable[str]) -> bool:
+        """Whatever lies between two members is a member: the set is its
+        up-closure intersected with its down-closure."""
         smask = self.mask_of(s)
-        for a in _bits(smask):
-            for b in _bits(smask & self._up[a]):
-                if (self._up[a] & self._down[b]) & ~smask:
-                    return False
-        return True
+        return self._up_closure(smask) & self._down_closure(smask) == smask
 
     # -- classification --------------------------------------------------
 
@@ -350,14 +370,136 @@ def powerset_ids(atoms: tuple[str, ...]) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=32)
-def subset_masks(n: int) -> tuple[int, ...]:
-    """Per subset of n atoms, indexed as in powerset_ids, the mask of its
-    subsets: doubling over atom h, each subset of the first h atoms
-    gains a copy with atom h, whose index is 1 << h higher.  Cached and shared."""
-    below = [1]
-    for h in range(n):
-        below += [d | d << (1 << h) for d in below]
-    return tuple(below)
+def _subset_factors(n: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
+    """Two tables whose product is the mask of the subsets of an index
+    over n atoms, with the shift and masks that split the index:
+    (h, low, top, lo, hi), where the subsets of i are
+    lo[i & low] * hi[i >> h] and top is the index of the full set.
+
+    lo covers the h low atoms and hi the others.  Doubling over atom k,
+    each subset gains a copy with atom k, whose index is 1 << k higher.
+    A low subset's index is below 2**h and a high one's is a multiple of
+    2**h, so the product sums every pair of them without a carry.
+    Cached and shared.
+    """
+    h = n // 2
+    lo, hi = [1], [1]
+    for k in range(h):
+        lo += [d | d << (1 << k) for d in lo]
+    for k in range(h, n):
+        hi += [d | d << (1 << k) for d in hi]
+    return h, (1 << h) - 1, (1 << n) - 1, tuple(lo), tuple(hi)
+
+
+class _Powerset(FinitePoset):
+    """The subsets of sorted atoms under subset order, or under superset
+    order when `superset`; index i is the subset with atom mask i.
+
+    The order is arithmetic on indices, so nothing is stored per element
+    beyond the identifiers.  Column k, kept with atom k's bit, is the
+    mask of the indices whose subset holds atom k.  A bound tests each
+    column against the member mask, and a closure or max-set takes one shift pass per atom over
+    the index space (the subset-sum, or zeta, transform).
+    """
+
+    __slots__ = ("_atoms", "_superset", "_cols", "_factors")
+
+    def __init__(self, atoms: tuple[str, ...], superset: bool):
+        n = len(atoms)
+        self.elements = powerset_ids(atoms)
+        self._index = {x: i for i, x in enumerate(self.elements)}
+        self._full = (1 << (1 << n)) - 1
+        self._classification = PosetClassification(True, True, True, True)
+        self._atoms = atoms
+        self._superset = superset
+        self._factors = _subset_factors(n)
+        holding = self._down_of if superset else self._up_of
+        self._cols = tuple((1 << k, holding(1 << k)) for k in range(n))
+
+    # The subsets of i are one product of the tables; its supersets are
+    # i plus any subset of the other atoms.
+
+    def _up_of(self, i: int) -> int:
+        h, low, top, lo, hi = self._factors
+        if self._superset:
+            return lo[i & low] * hi[i >> h]
+        c = top ^ i
+        return lo[c & low] * hi[c >> h] << i
+
+    def _down_of(self, i: int) -> int:
+        h, low, top, lo, hi = self._factors
+        if not self._superset:
+            return lo[i & low] * hi[i >> h]
+        c = top ^ i
+        return lo[c & low] * hi[c >> h] << i
+
+    def leq(self, x: str, y: str) -> bool:
+        i, j = self.index(x), self.index(y)
+        return (j & ~i if self._superset else i & ~j) == 0
+
+    def up_mask(self, x: str) -> int:
+        return self._up_of(self.index(x))
+
+    def down_mask(self, x: str) -> int:
+        return self._down_of(self.index(x))
+
+    def _union(self, smask: int) -> int:
+        out = 0
+        for bit, col in self._cols:
+            if smask & col:
+                out |= bit
+        return out
+
+    def _intersection(self, smask: int) -> int:
+        out = 0
+        for bit, col in self._cols:
+            if smask & col == smask:
+                out |= bit
+        return out
+
+    def _lub_mask(self, smask: int) -> int:
+        return self._intersection(smask) if self._superset else self._union(smask)
+
+    def _glb_mask(self, smask: int) -> int:
+        return self._union(smask) if self._superset else self._intersection(smask)
+
+    def _sweep(self, smask: int, toward_supersets: bool, strict: bool) -> int:
+        """The indices reached from `smask` by adding atoms (or by
+        removing them), one pass per atom; `strict` leaves out the
+        members reached only from themselves."""
+        reached = 0 if strict else smask
+        for k, (_, col) in enumerate(self._cols):
+            if toward_supersets:
+                reached |= ((smask | reached) & ~col) << (1 << k)
+            else:
+                reached |= ((smask | reached) & col) >> (1 << k)
+        return reached
+
+    def _up_closure(self, smask: int) -> int:
+        return self._sweep(smask, not self._superset, False)
+
+    def _down_closure(self, smask: int) -> int:
+        return self._sweep(smask, self._superset, False)
+
+    def _max_mask(self, smask: int) -> int:
+        return smask & ~self._sweep(smask, self._superset, True)
+
+    def _min_mask(self, smask: int) -> int:
+        return smask & ~self._sweep(smask, not self._superset, True)
+
+    def pair_without_glb(self) -> None:
+        return None
+
+    def cover_pairs(self) -> list[tuple[str, str]]:
+        """One atom more (subset order) or fewer (superset order), in
+        element order."""
+        ids, n, out = self.elements, len(self._atoms), []
+        for i, x in enumerate(ids):
+            if self._superset:
+                out += [(x, ids[i ^ 1 << k]) for k in reversed(range(n)) if i >> k & 1]
+            else:
+                out += [(x, ids[i | 1 << k]) for k in range(n) if not i >> k & 1]
+        return out
 
 
 def powerset_lattice(
@@ -381,15 +523,7 @@ def powerset_lattice(
         raise SizeCapError(
             f"powerset would have {1 << len(atom_list)} elements, cap is {max_elements}"
         )
-    n = len(atom_list)
-    below = subset_masks(n)
-    # The supersets of `bits` are `bits` plus any subset of the other atoms.
-    full = (1 << n) - 1
-    above = [below[full ^ bits] << bits for bits in range(1 << n)]
-    if order == "superset":
-        above, below = below, above
-    complete = PosetClassification(True, True, True, True)
-    return FinitePoset._from_masks(powerset_ids(tuple(atom_list)), above, below, complete)
+    return _Powerset(tuple(atom_list), order == "superset")
 
 
 def product_poset(
@@ -415,8 +549,8 @@ def product_poset(
         for k, c in enumerate(combo):
             at[k][c] |= 1 << i
     full = (1 << total) - 1
-    up = _pointwise(combos, at, [f._up for f in factors], full)
-    down = _pointwise(combos, at, [f._down for f in factors], full)
+    up = _pointwise(combos, at, [list(map(f._up_of, range(len(f)))) for f in factors], full)
+    down = _pointwise(combos, at, [list(map(f._down_of, range(len(f)))) for f in factors], full)
     # Every flag holds of a product exactly when it holds of each factor
     # (an empty factor makes the product empty, with every flag false).
     flags = [f._flags() for f in factors]

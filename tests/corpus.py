@@ -13,6 +13,7 @@ import random
 
 from genaft import FinitePoset
 from genaft.encoders import AelTheory, NormalLogicProgram, Rule, Wadf
+from genaft.errors import RecomposeUndefinedError
 from genaft.flowers import FlowerFramework
 
 
@@ -200,6 +201,16 @@ class NonTransitiveOrder(FlowerFramework):
         if (side1, b1, side2, b2) == ("U", ("bot",), "U", ("a", "b")):
             return False
         return super().bound_leq(side1, b1, side2, b2)
+
+
+class RejectingRecompose(FlowerFramework):
+    """Mutant: on the claw, the ALB a is compatible with the AUB {a,b}
+    in the combined order, but recompose rejects the pair."""
+
+    def recompose(self, l, u):
+        if (l, tuple(u)) == ("a", ("a", "b")):
+            raise RecomposeUndefinedError("a is rejected with the AUB {a,b}")
+        return super().recompose(l, u)
 
 
 class WrongPairMeet(FlowerFramework):

@@ -1,6 +1,7 @@
 """Encoders: logic programs, auto-epistemic theories, wADFs."""
 
 import json
+import random
 
 import pytest
 
@@ -47,6 +48,25 @@ def test_lp_operator_negative_self_loop_is_non_monotone():
 def test_lp_operator_two_negations():
     op = lp_operator(parse_program(["q :- not p", "r :- not q"], atoms=["p", "q", "r"]))
     assert op.apply("{}") == "{q,r}"
+
+
+def test_lp_operator_evaluates_every_rule_at_every_interpretation():
+    """The table read off each rule's firing cube, against the definition
+    on atom sets; bodies may hold an atom and its negation."""
+    rng = random.Random(11)
+    for size in range(7):
+        atoms = tuple("abcdefg"[:size])
+        for _ in range(10):
+            rules = tuple(
+                Rule(head, frozenset(rng.sample(atoms, rng.randint(0, size))),
+                     frozenset(rng.sample(atoms, rng.randint(0, size))))
+                for head in atoms for _ in range(rng.randint(0, 3))
+            )
+            op = lp_operator(NormalLogicProgram(atoms, rules))
+            for i, ident in enumerate(op.domain.elements):
+                true = {a for k, a in enumerate(atoms) if i >> k & 1}
+                fired = {r.head for r in rules if r.pos <= true and not r.neg & true}
+                assert op.apply(ident) == set_id(fired)
 
 
 def test_lp_operator_with_unsorted_atoms():

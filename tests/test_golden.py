@@ -20,6 +20,7 @@ from genaft.cli import main
 from corpus import (
     NonTransitiveOrder,
     NoSideCondition,
+    RejectingRecompose,
     SwappedRecompose,
     WrongPairMeet,
     WrongTripleMeet,
@@ -76,6 +77,7 @@ MUTANTS = {
     "non_transitive_order": (NonTransitiveOrder, vee_poset),
     "wrong_pair_meet": (WrongPairMeet, vee_poset),
     "wrong_triple_meet": (WrongTripleMeet, claw_poset),
+    "rejecting_recompose": (RejectingRecompose, claw_poset),
 }
 
 

@@ -3,11 +3,12 @@
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genaft import FinitePoset, powerset_lattice, product_poset, set_id
+from genaft import ExactOperator, FinitePoset, powerset_lattice, product_poset, set_id
 from genaft.errors import (
     ElementNotFoundError,
     InputError,
@@ -298,6 +299,41 @@ def test_belief_state_lattice():
     assert belief.least() == set_id(interps)  # all interpretations possible
     assert belief.greatest() == "{}"
     assert belief.classify().is_complete_lattice
+
+
+@pytest.mark.parametrize("order", ["subset", "superset"])
+@pytest.mark.parametrize("n", range(6))
+def test_powerset_primitives_match_the_explicit_order(n, order):
+    """Every primitive of the implicit powerset equals that of the same
+    order stored explicitly, on every element and on random subsets."""
+    rng = random.Random(n)
+    p = powerset_lattice([f"a{i}" for i in range(n)], order)
+    q = FinitePoset.from_json(p.to_json())
+    assert q.elements == p.elements and q.cover_pairs() == p.cover_pairs()
+    for x in p.elements:
+        assert p.up_mask(x) == q.up_mask(x) and p.down_mask(x) == q.down_mask(x)
+        assert [p.leq(x, y) for y in p.elements] == [q.leq(x, y) for y in q.elements]
+    masks = [0, p._full] + [rng.getrandbits(len(p)) for _ in range(60)]
+    for m in masks:
+        s = p.set_of(m)
+        assert p.lub(s) == q.lub(s) and p.glb(s) == q.glb(s)
+        assert p._lub_mask(m) == q._lub_mask(m) and p._glb_mask(m) == q._glb_mask(m)
+        assert p._max_mask(m) == q._max_mask(m) and p._min_mask(m) == q._min_mask(m)
+        assert p._up_closure(m) == q._up_closure(m)
+        assert p._down_closure(m) == q._down_closure(m)
+        assert p.is_antichain(s) == q.is_antichain(s)
+        assert p.is_convex(s) == q.is_convex(s)
+    assert p.pair_without_glb() is None and p.classify() == q.classify()
+    for _ in range(20):
+        table = [rng.randrange(len(p)) for _ in p.elements]
+        keep, add = rng.getrandbits(n), rng.getrandbits(n)
+        monotone = [i & keep | add for i in range(len(p))]
+        for t in (table, monotone):
+            assert ExactOperator(p, t).monotonicity_violation() == (
+                ExactOperator(q, t).monotonicity_violation()
+            )
+    two = FinitePoset(["0", "1"], [("0", "1")])
+    assert product_poset([p, two]).to_json() == product_poset([q, two]).to_json()
 
 
 def test_powerset_caps():
