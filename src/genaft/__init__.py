@@ -46,15 +46,7 @@ from .errors import (
     SizeCapError,
 )
 from .fixpoints import MonotoneOperator, lfp
-from .flowers import (
-    Flower,
-    FlowerFramework,
-    build_flower_framework,
-    composition_leq,
-    enumerate_flowers,
-    flower_closure,
-    verify_flower_propositions,
-)
+from .flowers import FlowerFramework, build_flower_framework
 from .framework import (
     Approximant,
     ApproximationFramework,

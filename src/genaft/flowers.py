@@ -19,66 +19,13 @@ set algebra on bitmasks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError, RecomposeUndefinedError
-from .framework import (
-    DEFAULT_CAPS, MAX_APPROXIMANTS, Approximant, ApproximationFramework, Caps, CheckResult,
-)
-from . import framework as _fx
+from .framework import Approximant, ApproximationFramework
 from .posets import FinitePoset, set_id
 
 FLOWER_ENUMERATION_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class Flower:
-    """A validated flower given by its member set."""
-
-    poset: FinitePoset = field(repr=False)
-    members: frozenset[str]
-
-    def __post_init__(self):
-        if not self.members:
-            raise PreconditionError("a flower is non-empty")
-        g = self.poset.glb(self.members)
-        if g is None or g not in self.members:
-            raise PreconditionError(
-                f"{sorted(self.members)} does not contain its greatest lower bound"
-            )
-        if not self.poset.is_convex(self.members):
-            raise PreconditionError(f"{sorted(self.members)} is not convex")
-
-    @property
-    def alb(self) -> str:
-        return self.poset.glb(self.members)
-
-    @property
-    def aub(self) -> tuple[str, ...]:
-        return tuple(sorted(self.poset.max_set(self.members)))
-
-    def __str__(self) -> str:
-        return "⟨" + str(self.alb) + " | {" + ",".join(self.aub) + "}⟩"
-
-
-def flower_closure(exact: FinitePoset, s: Iterable[str]) -> Flower:
-    """The least flower containing `s`.
-
-    Existence relies on bounded-completeness: the members are everything
-    between glb(s) and some maximal element of s.
-    """
-    ms = list(s)
-    if not ms:
-        raise PreconditionError("flower closure of the empty set")
-    g = exact.glb(ms)
-    if g is None:
-        raise PreconditionError(f"{sorted(ms)} has no greatest lower bound")
-    mask = 0
-    for m in exact.max_set(ms):
-        mask |= exact.down_mask(m)
-    mask &= exact.up_mask(g)
-    return Flower(exact, exact.set_of(mask))
 
 
 class FlowerFramework(ApproximationFramework):
@@ -92,7 +39,6 @@ class FlowerFramework(ApproximationFramework):
         self._down_cache: dict[tuple[str, ...], int] = {}
         self._antichains: dict[int, tuple[str, ...]] = {}
         self._top_aub = self.aub_of_mask(exact._full)
-        self._all_approximants: list[Approximant] | None = None
         self._all_aubs: list[tuple[str, ...]] | None = None
 
     # -- antichain plumbing -------------------------------------------------
@@ -165,13 +111,9 @@ class FlowerFramework(ApproximationFramework):
         if not self._enumerable:
             return None
         if self._all_aubs is None:
-            n = len(self.exact)
-            out = []
-            for bits in range(1, 1 << n):
-                subset = self.exact.set_of(bits)
-                if self.exact.is_antichain(subset):
-                    out.append(tuple(sorted(subset)))
-            self._all_aubs = out
+            exact = self.exact
+            self._all_aubs = [tuple(sorted(exact.set_of(m))) for m in range(1, 1 << len(exact))
+                              if exact._max_mask(m) == m]
         return list(self._all_aubs)
 
     def sample_aub(self, rng: random.Random) -> tuple[str, ...]:
@@ -204,47 +146,19 @@ class FlowerFramework(ApproximationFramework):
             mask &= self.members_mask(x)
         if mask == 0:
             return None
-        return self._from_mask(mask)
+        return self.closure(mask)  # an intersection of flowers is a flower
 
-    def _from_mask(self, mask: int) -> Approximant:
-        mins = self.exact._min_mask(mask)
-        alb = self.exact.elements[mins.bit_length() - 1]
-        return Approximant(self, alb, self.aub_of_mask(mask))
+    def closure(self, mask: int) -> Approximant:
+        """The least flower containing `mask`: everything between its glb
+        and one of its maximal elements, which exists by bounded-completeness."""
+        exact = self.exact
+        return Approximant(self, exact.elements[exact._glb_mask(mask)], self.aub_of_mask(mask))
 
-    def approximant_from_members(self, members: Iterable[str]) -> Approximant:
-        f = Flower(self.exact, frozenset(members))
-        return Approximant(self, f.alb, f.aub)
-
-    def enumerate_approximants(self) -> list[Approximant] | None:
-        """All flowers, found by subset filtering rather than through
-        recompose so that checks exercise recompose independently."""
-        if not self._enumerable:
-            return None
-        if self._all_approximants is None:
-            self._all_approximants = [
-                Approximant(self, f.alb, f.aub) for f in enumerate_flowers(self.exact)
-            ]
-        if len(self._all_approximants) > MAX_APPROXIMANTS:
-            return None
-        return list(self._all_approximants)
+    def _approximants(self) -> list[Approximant] | None:
+        return enumerate_flowers(self) if self._enumerable else None
 
     def format_approximant(self, x: Approximant) -> str:
         return "⟨" + str(x.alb) + " | {" + ",".join(x.aub) + "}⟩"
-
-    def ultimate_map(self, table: list[int]) -> Callable[[Approximant], Approximant]:
-        """Most precise approximator: the flower closure of the image.
-
-        The closure is the precision-greatest flower approximating every
-        image point, so no information beyond the image set is lost.
-        """
-        image_mask, exact = self._image_masks(table), self.exact
-
-        def apply(x: Approximant) -> Approximant:
-            image = image_mask(x)
-            glb = exact.elements[exact._glb_mask(image)]
-            return Approximant(self, glb, self.aub_of_mask(image))
-
-        return apply
 
 
 def build_flower_framework(exact: FinitePoset) -> FlowerFramework:
@@ -264,54 +178,15 @@ def build_flower_framework(exact: FinitePoset) -> FlowerFramework:
     return FlowerFramework(exact, enumerable=len(exact) <= FLOWER_ENUMERATION_LIMIT)
 
 
-def enumerate_flowers(exact: FinitePoset) -> list[Flower]:
-    """All flowers, by filtering subsets; meant for small posets."""
-    if len(exact) > 16:
-        raise PreconditionError("flower enumeration is limited to 16 elements")
-    out = []
-    for bits in range(1, 1 << len(exact)):
-        members = exact.set_of(bits)
-        g = exact.glb(members)
-        if g is None or g not in members:
-            continue
-        if exact.is_convex(members):
-            out.append(Flower(exact, members))
-    return out
-
-
-def composition_leq(fw: FlowerFramework, b1, b2) -> bool:
-    """The flower composition order on mixed bounds.
-
-    Strings are ALBs, iterables of strings are AUB antichains; the side
-    condition rejects comparisons from an antichain down to an element.
-    """
-    side1, v1 = _as_bound(b1)
-    side2, v2 = _as_bound(b2)
-    return fw.bound_leq(side1, v1, side2, v2)
-
-
-def _as_bound(b):
-    if isinstance(b, str):
-        return "L", b
-    return "U", tuple(sorted(b))
-
-
-def verify_flower_propositions(
-    exact: FinitePoset,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> list[CheckResult]:
-    """The four structural properties of the flower decomposition spaces.
-
-    These are the flower instances of the chain/weak/abstract interlattice
-    lub properties and of the interlattice glb property; counterexamples
-    are reported, nothing raises.
-    """
-    rng = rng or random.Random(0)
-    fw = build_flower_framework(exact)
-    return [
-        _fx.check_chain_ilp(fw, caps, rng),
-        _fx.check_weak_ilp(fw, caps, rng),
-        _fx.check_abstract_ilp(fw, caps, rng),
-        _fx.check_glb_property(fw, caps, rng),
-    ]
+def enumerate_flowers(fw: FlowerFramework) -> list[Approximant]:
+    """Every flower of `fw` in the order of its member mask: the
+    closures of the non-empty masks that are the members of their own
+    closure.  The test reads the order directly, so that checks exercise
+    members_mask independently."""
+    exact = fw.exact
+    if len(exact) > FLOWER_ENUMERATION_LIMIT:
+        raise PreconditionError(
+            f"flower enumeration is limited to {FLOWER_ENUMERATION_LIMIT} elements"
+        )
+    return [fw.closure(m) for m in range(1, 1 << len(exact))
+            if exact._up_of(exact._glb_mask(m)) & exact._down_closure(m) == m]

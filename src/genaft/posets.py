@@ -242,13 +242,6 @@ class FinitePoset:
         smask = self.mask_of(s)
         return self.set_of(self._max_mask(smask))
 
-    def _min_mask(self, smask: int) -> int:
-        out = 0
-        for i in _bits(smask):
-            if self._down[i] & smask == 1 << i:
-                out |= 1 << i
-        return out
-
     def _max_mask(self, smask: int) -> int:
         out = 0
         for i in _bits(smask):
@@ -268,20 +261,6 @@ class FinitePoset:
         for i in _bits(smask):
             out |= self._down[i]
         return out
-
-    def is_antichain(self, s: Iterable[str]) -> bool:
-        up = self._up_of
-        idx = [self.index(x) for x in s]
-        for a, b in itertools.combinations(idx, 2):
-            if up(a) >> b & 1 or up(b) >> a & 1:
-                return False
-        return True
-
-    def is_convex(self, s: Iterable[str]) -> bool:
-        """Whatever lies between two members is a member: the set is its
-        up-closure intersected with its down-closure."""
-        smask = self.mask_of(s)
-        return self._up_closure(smask) & self._down_closure(smask) == smask
 
     # -- classification --------------------------------------------------
 
@@ -483,9 +462,6 @@ class _Powerset(FinitePoset):
 
     def _max_mask(self, smask: int) -> int:
         return smask & ~self._sweep(smask, self._superset, True)
-
-    def _min_mask(self, smask: int) -> int:
-        return smask & ~self._sweep(smask, not self._superset, True)
 
     def pair_without_glb(self) -> None:
         return None

@@ -11,7 +11,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from genaft import FinitePoset
+from genaft import (
+    FinitePoset,
+    check_abstract_ilp,
+    check_chain_ilp,
+    check_glb_property,
+    check_weak_ilp,
+)
 from genaft.encoders import AelTheory, NormalLogicProgram, Rule, Wadf
 from genaft.errors import RecomposeUndefinedError
 from genaft.flowers import FlowerFramework
@@ -234,6 +240,17 @@ class WrongTripleMeet(FlowerFramework):
         if sorted(us) == [("a", "b"), ("a", "b", "c"), ("a", "c")]:
             return ("b",)
         return super().glb_U(us)
+
+
+def flower_propositions(fw: FlowerFramework, rng: random.Random) -> list:
+    """The chain, weak and abstract interlattice lub properties and the
+    interlattice glb property on `fw`, in that order, drawing from `rng`."""
+    return [
+        check_chain_ilp(fw, rng=rng),
+        check_weak_ilp(fw, rng=rng),
+        check_abstract_ilp(fw, rng=rng),
+        check_glb_property(fw, rng=rng),
+    ]
 
 
 # -- random order structures ---------------------------------------------------

@@ -17,8 +17,6 @@ from genaft import (
     check_composition_poset,
     check_framework,
     check_ultimate_composition,
-    composition_leq,
-    enumerate_flowers,
     interval_flower_witness,
     is_terminal_wf,
     kripke_kleene,
@@ -30,7 +28,6 @@ from genaft import (
     stable_fixpoints,
     supported_fixpoints,
     ultimate_approximator,
-    verify_flower_propositions,
     verify_transfer_theorems,
     well_founded,
 )
@@ -42,12 +39,14 @@ from genaft.encoders import (
     wadf_operator,
 )
 from genaft.errors import PreconditionError
+from genaft.flowers import enumerate_flowers
 
 import conftest
 from corpus import (
     NoSideCondition,
     SwappedRecompose,
     agent_theory,
+    flower_propositions,
     grammar_programs,
     random_bounded_complete_cpo,
     random_program,
@@ -124,7 +123,8 @@ def test_criterion_3_review_wadf():
 def test_criterion_4_vee_flower_inventory():
     with criterion(4, "three-element cpo: flowers, spaces, composition", 1):
         fig = vee_poset()
-        flowers = {f.members for f in enumerate_flowers(fig)}
+        fw = build_flower_framework(fig)
+        flowers = {fw.members(x) for x in enumerate_flowers(fw)}
         assert flowers == {
             frozenset({"bot"}),
             frozenset({"a"}),
@@ -133,14 +133,13 @@ def test_criterion_4_vee_flower_inventory():
             frozenset({"bot", "b"}),
             frozenset({"bot", "a", "b"}),
         }
-        fw = build_flower_framework(fig)
         assert list(fw.albs()) == ["bot", "a", "b"]
         assert set(fw.enumerate_aubs()) == {("bot",), ("a",), ("b",), ("a", "b")}
         x = fw.recompose("a", ("a", "b"))
         assert fw.members(x) == {"a"}
-        assert composition_leq(fw, "bot", "a")
-        assert composition_leq(fw, "a", ("a",))
-        assert composition_leq(fw, ("a",), ("a", "b"))
+        assert fw.bound_leq("L", "bot", "L", "a")
+        assert fw.bound_leq("L", "a", "U", ("a",))
+        assert fw.bound_leq("U", ("a",), "U", ("a", "b"))
 
 
 def test_criterion_5_axiom_suite():
@@ -165,7 +164,7 @@ def test_criterion_5_axiom_suite():
             poset = random_bounded_complete_cpo(rng, max_elements=7)
             fw = build_flower_framework(poset)
             results = check_composition_poset(fw, rng=rng)
-            results += verify_flower_propositions(poset, rng=rng)
+            results += flower_propositions(fw, rng)
             assert report_ok(results), [r for r in results if not r.ok]
             for r in results:
                 if r.axiom in core:

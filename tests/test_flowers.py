@@ -4,23 +4,20 @@ import random
 
 import pytest
 
-from genaft import (
-    FinitePoset,
-    build_flower_framework,
-    check_framework,
-    composition_leq,
-    enumerate_flowers,
-    flower_closure,
-    report_ok,
-    verify_flower_propositions,
-)
+from genaft import FinitePoset, build_flower_framework, check_framework, report_ok
 from genaft.errors import PreconditionError, RecomposeUndefinedError
-from genaft.flowers import Flower
-from corpus import NoSideCondition, SwappedRecompose, random_bounded_complete_cpo
+from genaft.flowers import enumerate_flowers
+from corpus import (
+    NoSideCondition,
+    SwappedRecompose,
+    flower_propositions,
+    random_bounded_complete_cpo,
+)
 
 
 def test_vee_flower_inventory(fig):
-    flowers = {f.members for f in enumerate_flowers(fig)}
+    fw = build_flower_framework(fig)
+    flowers = {fw.members(x) for x in enumerate_flowers(fw)}
     assert flowers == {
         frozenset({"bot"}),
         frozenset({"a"}),
@@ -38,18 +35,43 @@ def test_vee_decomposition_spaces(fig):
 
 
 def test_flower_validation(fig):
+    fw = build_flower_framework(fig)
     with pytest.raises(PreconditionError):
-        Flower(fig, frozenset())
+        fw.approximant_from_members(frozenset())
     with pytest.raises(PreconditionError):
-        Flower(fig, frozenset({"a", "b"}))  # glb bot is missing
-    f = Flower(fig, frozenset({"bot", "a", "b"}))
+        fw.approximant_from_members(frozenset({"a", "b"}))  # glb bot is missing
+    f = fw.approximant_from_members(frozenset({"bot", "a", "b"}))
     assert f.alb == "bot" and f.aub == ("a", "b")
 
 
 def test_convexity_enforced():
     chain = FinitePoset(["0", "1", "2"], [("0", "1"), ("1", "2")])
     with pytest.raises(PreconditionError, match="convex"):
-        Flower(chain, frozenset({"0", "2"}))
+        build_flower_framework(chain).approximant_from_members(frozenset({"0", "2"}))
+
+
+def _brute_flowers(p):
+    """(glb, sorted max-set) of every non-empty convex subset containing
+    its glb, by definition, in the order of the subset's mask."""
+    out = []
+    for bits in range(1, 1 << len(p)):
+        s = [x for i, x in enumerate(p.elements) if bits >> i & 1]
+        lower = [g for g in p.elements if all(p.leq(g, x) for x in s)]
+        glb = [g for g in lower if all(p.leq(h, g) for h in lower)]
+        if not glb or glb[0] not in s:
+            continue
+        if any(p.leq(x, y) and p.leq(y, z) and y not in s for x in s for z in s for y in p.elements):
+            continue
+        top = [x for x in s if not any(x != y and p.leq(x, y) for y in s)]
+        out.append((glb[0], tuple(sorted(top))))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_flower_enumeration_matches_the_definition(seed):
+    poset = random_bounded_complete_cpo(random.Random(seed), max_elements=7)
+    fw = build_flower_framework(poset)
+    assert [(x.alb, x.aub) for x in enumerate_flowers(fw)] == _brute_flowers(poset)
 
 
 def test_recompose_can_shrink_aub(fig):
@@ -67,24 +89,25 @@ def test_recompose_requires_compatibility(fig):
 
 def test_composition_chain(fig):
     fw = build_flower_framework(fig)
-    assert composition_leq(fw, "bot", "a")
-    assert composition_leq(fw, "a", ("a",))
-    assert composition_leq(fw, ("a",), ("a", "b"))
-    assert not composition_leq(fw, ("a", "b"), ("a",))
-    assert not composition_leq(fw, ("bot",), "bot")  # side condition
+    assert fw.bound_leq("L", "bot", "L", "a")
+    assert fw.bound_leq("L", "a", "U", ("a",))
+    assert fw.bound_leq("U", ("a",), "U", ("a", "b"))
+    assert not fw.bound_leq("U", ("a", "b"), "U", ("a",))
+    assert not fw.bound_leq("U", ("bot",), "L", "bot")  # side condition
 
 
 def test_flower_closure_is_least(fig):
-    closure = flower_closure(fig, ["a", "b"])
-    assert closure.members == {"bot", "a", "b"}
+    fw = build_flower_framework(fig)
+    closure = fw.members(fw.closure(fig.mask_of(["a", "b"])))
+    assert closure == {"bot", "a", "b"}
     containing = [
-        f.members for f in enumerate_flowers(fig) if {"a", "b"} <= f.members
+        fw.members(x) for x in enumerate_flowers(fw) if {"a", "b"} <= fw.members(x)
     ]
-    assert min(containing, key=len) == closure.members
+    assert min(containing, key=len) == closure
 
-    again = flower_closure(fig, closure.members)
-    assert again.members == closure.members
-    assert flower_closure(fig, ["a"]).members == {"a"}
+    again = fw.members(fw.closure(fig.mask_of(closure)))
+    assert again == closure
+    assert fw.members(fw.closure(fig.mask_of(["a"]))) == {"a"}
 
 
 def test_precision_is_reverse_containment(fig):
@@ -105,7 +128,7 @@ def test_chain_lubs_are_intersections(fig):
             lub = fw.lub_p([x, y])
             assert lub is not None
             assert fw.members(lub) == fw.members(x) & fw.members(y)
-            Flower(fig, fw.members(lub))  # the intersection is a flower
+            fw.approximant_from_members(fw.members(lub))  # the intersection is a flower
 
 
 def test_aub_lattice_bounds(fig):
@@ -132,7 +155,7 @@ def test_recomposition_gains_precision(fig):
 
 
 def test_vee_propositions_pass(fig):
-    assert report_ok(verify_flower_propositions(fig))
+    assert report_ok(flower_propositions(build_flower_framework(fig), random.Random(0)))
 
 
 def test_full_framework_checks_pass_on_vee(fig):
@@ -145,7 +168,7 @@ def test_full_framework_checks_pass_on_vee(fig):
 def test_random_bounded_complete_cpos_satisfy_propositions(seed):
     rng = random.Random(seed)
     poset = random_bounded_complete_cpo(rng, max_elements=7)
-    report = verify_flower_propositions(poset, rng=rng)
+    report = flower_propositions(build_flower_framework(poset), rng)
     assert report_ok(report), [r for r in report if not r.ok]
 
 
@@ -153,11 +176,11 @@ def test_dual_of_weak_lub_property_fails(fig_lattice):
     # over the vee-with-top lattice, a and b sit below the antichain
     # {a,b} but their join is the top, which does not
     fw = build_flower_framework(fig_lattice)
-    assert composition_leq(fw, "a", ("a", "b"))
-    assert composition_leq(fw, "b", ("a", "b"))
+    assert fw.bound_leq("L", "a", "U", ("a", "b"))
+    assert fw.bound_leq("L", "b", "U", ("a", "b"))
     join = fig_lattice.lub(["a", "b"])
     assert join == "top"
-    assert not composition_leq(fw, join, ("a", "b"))
+    assert not fw.bound_leq("L", join, "U", ("a", "b"))
 
 
 def test_mutated_recompose_is_caught(fig):

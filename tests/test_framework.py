@@ -23,6 +23,7 @@ from genaft import (
     report_ok,
     report_to_json,
 )
+from genaft.errors import PreconditionError
 from genaft.flowers import FlowerFramework
 from corpus import random_bounded_complete_cpo, vee_poset
 
@@ -210,7 +211,7 @@ def test_exhaustive_preamble_compares_each_pair_of_bounds_once():
 
 def test_flower_antichains_are_computed_once_per_mask(monkeypatch):
     fw = build_flower_framework(vee_poset())
-    fw.enumerate_approximants()  # flowers made by subset filtering find their own max sets
+    fw.enumerate_approximants()  # each flower's closure finds its own max-set
     masks = []
     max_mask = FinitePoset._max_mask
 
@@ -229,3 +230,42 @@ def test_is_exact_stops_at_the_second_exact_approximant():
     tests = _counting(fw, "leq_p")
     assert not fw.is_exact(Approximant(fw, "2", "3"))
     assert tests[0] == 2
+
+
+def _with_top(poset: FinitePoset) -> FinitePoset:
+    """`poset` with a new element above every other: a complete lattice
+    when `poset` is bounded-complete."""
+    top = [x for x in poset.elements if not any(x != y and poset.leq(x, y) for y in poset.elements)]
+    pairs = poset.cover_pairs() + [(x, "top") for x in top]
+    return FinitePoset([*poset.elements, "top"], pairs)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_closure_is_the_least_approximant_containing_a_set(seed):
+    cpo = random_bounded_complete_cpo(random.Random(seed), max_elements=6)
+    for fw in (build_flower_framework(cpo), build_interval_framework(_with_top(cpo))):
+        xs = fw.enumerate_approximants()
+        for m in range(1, fw.exact._full + 1):
+            x = fw.closure(m)
+            assert x in xs and fw.members_mask(x) & m == m
+            for y in xs:
+                if fw.members_mask(y) & m == m:
+                    assert fw.members_mask(x) & ~fw.members_mask(y) == 0
+                    assert fw.leq_p(y, x)
+
+
+def test_approximant_from_members_rejects_empty_and_foreign_sets(fig, fig_lattice):
+    chain = FinitePoset(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    for fw in (build_flower_framework(fig), build_interval_framework(fig_lattice),
+               build_flower_framework(chain), build_interval_framework(chain)):
+        with pytest.raises(PreconditionError, match="non-empty"):
+            fw.approximant_from_members([])
+    for fw, members in ((build_flower_framework(fig), {"a", "b"}),
+                        (build_interval_framework(fig_lattice), {"bot", "a", "b"}),
+                        (build_flower_framework(chain), {"0", "2"}),
+                        (build_interval_framework(chain), {"0", "2"})):
+        with pytest.raises(PreconditionError, match="convex"):
+            fw.approximant_from_members(members)
+    ifw = build_interval_framework(fig_lattice)
+    x = ifw.approximant_from_members({"bot", "a", "b", "top"})
+    assert (x.alb, x.aub) == ("bot", "top")
