@@ -286,3 +286,10 @@ def random_bounded_complete_cpo(rng: random.Random, max_elements: int = 7) -> Fi
     names = [f"e{i}" for i in range(n)]
     pairs = [(names[rng.randint(0, i - 1)], names[i]) for i in range(1, n)]
     return FinitePoset(names, pairs)
+
+
+def with_top(poset: FinitePoset) -> FinitePoset:
+    """`poset` with a new element "top" above every other: a complete
+    lattice when `poset` is bounded-complete."""
+    pairs = [(x, y) for x in poset.elements for y in poset.elements if poset.leq(x, y)]
+    return FinitePoset([*poset.elements, "top"], pairs + [(x, "top") for x in poset.elements])

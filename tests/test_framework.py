@@ -25,7 +25,7 @@ from genaft import (
 )
 from genaft.errors import PreconditionError
 from genaft.flowers import FlowerFramework
-from corpus import random_bounded_complete_cpo, vee_poset
+from corpus import random_bounded_complete_cpo, vee_poset, with_top
 
 
 def test_interval_two_chain_composition_poset():
@@ -232,18 +232,10 @@ def test_is_exact_stops_at_the_second_exact_approximant():
     assert tests[0] == 2
 
 
-def _with_top(poset: FinitePoset) -> FinitePoset:
-    """`poset` with a new element above every other: a complete lattice
-    when `poset` is bounded-complete."""
-    top = [x for x in poset.elements if not any(x != y and poset.leq(x, y) for y in poset.elements)]
-    pairs = poset.cover_pairs() + [(x, "top") for x in top]
-    return FinitePoset([*poset.elements, "top"], pairs)
-
-
 @pytest.mark.parametrize("seed", range(15))
 def test_closure_is_the_least_approximant_containing_a_set(seed):
     cpo = random_bounded_complete_cpo(random.Random(seed), max_elements=6)
-    for fw in (build_flower_framework(cpo), build_interval_framework(_with_top(cpo))):
+    for fw in (build_flower_framework(cpo), build_interval_framework(with_top(cpo))):
         xs = fw.enumerate_approximants()
         for m in range(1, fw.exact._full + 1):
             x = fw.closure(m)
@@ -252,6 +244,29 @@ def test_closure_is_the_least_approximant_containing_a_set(seed):
                 if fw.members_mask(y) & m == m:
                     assert fw.members_mask(x) & ~fw.members_mask(y) == 0
                     assert fw.leq_p(y, x)
+
+
+def _least_upper_bound(fw, xs, group):
+    """The precision-least approximant above every member of `group`,
+    found by scanning the enumerated space `xs`; None when there is none."""
+    ubs = [z for z in xs if all(fw.leq_p(x, z) for x in group)]
+    least = [z for z in ubs if all(fw.leq_p(z, w) for w in ubs)]
+    return least[0] if least else None
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_lub_p_is_the_least_upper_bound_by_enumeration(seed):
+    rng = random.Random(seed)
+    cpo = random_bounded_complete_cpo(rng, max_elements=7)
+    lattice = with_top(cpo)
+    for fw in (build_interval_framework(lattice), build_flower_framework(lattice),
+               build_flower_framework(cpo)):
+        xs = fw.enumerate_approximants()
+        groups = [[x, y] for x in xs for y in xs]
+        groups += [rng.sample(xs, 3) for _ in range(100) if len(xs) >= 3]
+        for group in groups:
+            assert fw.lub_p(group) == _least_upper_bound(fw, xs, group), group
+        assert fw.lub_p([]) == fw.least_approximant()
 
 
 def test_approximant_from_members_rejects_empty_and_foreign_sets(fig, fig_lattice):

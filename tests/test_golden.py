@@ -40,6 +40,10 @@ CONFIGS = {
         "compare", "--space-a", "interval", "--approximator-a", "ultimate",
         "--space-b", "flower", "--approximator-b", "ultimate",
     ],
+    "compare-flower-interval": [
+        "compare", "--space-a", "flower", "--approximator-a", "ultimate",
+        "--space-b", "interval", "--approximator-b", "ultimate",
+    ],
     "compare-flower-flower": [
         "compare", "--space-a", "flower", "--approximator-a", "ultimate",
         "--space-b", "flower", "--approximator-b", "ultimate",
@@ -49,7 +53,8 @@ CONFIGS = {
 
 LP = ["solve-interval-ultimate", "solve-interval-fitting", "solve-flower-ultimate",
       "compare-fitting-ultimate", "compare-interval-flower"]
-LATTICE = ["solve-interval-ultimate", "solve-flower-ultimate", "compare-interval-flower"]
+LATTICE = ["solve-interval-ultimate", "solve-flower-ultimate", "compare-interval-flower",
+           "compare-flower-interval"]
 CPO = ["solve-flower-ultimate", "compare-flower-flower"]
 CHECK = ["check"]
 SOLVE = ["solve-interval-ultimate", "solve-interval-fitting", "solve-flower-ultimate"]

@@ -24,7 +24,7 @@ from genaft import (
 )
 from genaft.encoders import ael_operator, fitting_approximator, lp_operator
 from genaft.errors import PreconditionError
-from corpus import agent_theory, random_program
+from corpus import agent_theory, random_bounded_complete_cpo, random_program, with_top
 from genaft.encoders import parse_program
 
 
@@ -57,6 +57,19 @@ def test_collapse_values(fig_lattice):
     # collapsing loses the two-headed upper bound
     vee = wit.fine.approximant_from_members({"bot", "a", "b"})
     assert wit.collapse(vee) == wit.coarse.least_approximant()
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_collapse_is_the_most_precise_covering_interval_by_enumeration(seed):
+    wit = interval_flower_witness(with_top(random_bounded_complete_cpo(random.Random(seed), 7)))
+    intervals = wit.coarse.enumerate_approximants()
+    for x in wit.fine.enumerate_approximants():
+        members = wit.fine.members_mask(x)
+        covering = [y for y in intervals if members & ~wit.coarse.members_mask(y) == 0]
+        most = [y for y in covering if all(wit.coarse.leq_p(z, y) for z in covering)]
+        assert [wit.collapse(x)] == most, x
+    for y in intervals:
+        assert wit.fine.members_mask(wit.embed(y)) == wit.coarse.members_mask(y)
 
 
 def test_embedding_members(fig_lattice):
