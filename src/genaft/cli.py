@@ -33,7 +33,6 @@ from .engine import Approximator, ExactOperator, compute_semantics, ultimate_app
 from .errors import GenaftError, InputError, PreconditionError, SizeCapError
 from .flowers import build_flower_framework
 from .framework import check_framework, report_ok, report_to_json
-from .hierarchy import interval_flower_witness
 from .intervals import build_interval_framework
 from .posets import DEFAULT_MAX_ELEMENTS, FinitePoset
 
@@ -273,15 +272,17 @@ def cmd_compare(args) -> int:
     fw_a, res_a = run(args.space_a, args.approximator_a)
     fw_b, res_b = run(args.space_b, args.approximator_b)
 
+    # KK and WF are compared in the finer of the two spaces, which a
+    # result meets as the closure of its members.
+    fine = fw_b if args.space_b == "flower" else fw_a
     verdicts: dict[str, object] = {}
-    if {"kk", "wf"} & set(parts):
-        a_leq_b, b_leq_a = _precision_comparators(op, fw_a, fw_b, args.space_a, args.space_b)
-        for key in ("kk", "wf"):
-            if key in parts:
-                xa, xb = getattr(res_a, key), getattr(res_b, key)
-                below = a_leq_b(xa, xb)
-                verdicts[f"{key}_a_leq_b"] = below
-                verdicts[f"{key}_equal"] = bool(below and b_leq_a(xa, xb))
+    for key in ("kk", "wf"):
+        if key in parts:
+            xa = fine.closure(fw_a.members_mask(getattr(res_a, key)))
+            xb = fine.closure(fw_b.members_mask(getattr(res_b, key)))
+            below = fine.leq_p(xa, xb)
+            verdicts[f"{key}_a_leq_b"] = below
+            verdicts[f"{key}_equal"] = bool(below and fine.leq_p(xb, xa))
     for key in ("supported", "stable"):
         if key in parts:
             sa, sb = set(getattr(res_a, key)), set(getattr(res_b, key))
@@ -306,27 +307,6 @@ def cmd_compare(args) -> int:
         for name in sorted(verdicts):
             print(f"{name}: {str(verdicts[name]).lower()}")
     return EXIT_OK
-
-
-def _precision_comparators(op, fw_a, fw_b, space_a: str, space_b: str):
-    """Two predicates (a_leq_b, b_leq_a) on result pairs, embedding
-    intervals as flowers when the sides live in different spaces."""
-    if space_a == space_b:
-        return (
-            lambda xa, xb: fw_a.leq_p(xa, xb),
-            lambda xa, xb: fw_a.leq_p(xb, xa),
-        )
-    if space_a == "interval":
-        wit = interval_flower_witness(op.domain, coarse=fw_a, fine=fw_b)
-        return (
-            lambda xa, xb: fw_b.leq_p(wit.embed(xa), xb),
-            lambda xa, xb: fw_b.leq_p(xb, wit.embed(xa)),
-        )
-    wit = interval_flower_witness(op.domain, coarse=fw_b, fine=fw_a)
-    return (
-        lambda xa, xb: fw_a.leq_p(xa, wit.embed(xb)),
-        lambda xa, xb: fw_a.leq_p(wit.embed(xb), xa),
-    )
 
 
 if __name__ == "__main__":

@@ -64,15 +64,6 @@ class NormalLogicProgram:
             raise InputError(f"malformed program JSON: {exc}") from exc
         return cls(atoms, rules)
 
-    def to_json(self) -> dict:
-        return {
-            "atoms": list(self.atoms),
-            "rules": [
-                {"head": r.head, "pos": sorted(r.pos), "neg": sorted(r.neg)}
-                for r in self.rules
-            ],
-        }
-
 
 def parse_program(source: Iterable[str] | str, atoms: Iterable[str] | None = None) -> NormalLogicProgram:
     """Tiny rule syntax for tests and docs: "p :- q, not r"."""

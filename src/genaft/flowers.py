@@ -19,7 +19,6 @@ set algebra on bitmasks.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .errors import PreconditionError, RecomposeUndefinedError
 from .framework import Approximant, ApproximationFramework
@@ -78,9 +77,6 @@ class FlowerFramework(ApproximationFramework):
     def same_bound(self, side1, b1, side2, b2) -> bool:
         return side1 == side2 and b1 == b2
 
-    def lub_L(self, ls) -> str | None:
-        return self.exact.lub(ls)
-
     def glb_U(self, us) -> tuple[str, ...]:
         mask = self.exact._full
         for u in us:
@@ -119,7 +115,7 @@ class FlowerFramework(ApproximationFramework):
     def sample_aub(self, rng: random.Random) -> tuple[str, ...]:
         k = rng.randint(1, max(1, len(self.exact) // 2))
         picked = rng.sample(self.exact.elements, min(k, len(self.exact)))
-        return tuple(sorted(self.exact.max_set(picked)))
+        return self.aub_of_mask(self.exact.mask_of(picked))
 
     # -- approximants ---------------------------------------------------------
 
@@ -137,16 +133,6 @@ class FlowerFramework(ApproximationFramework):
     def exact_approximant(self, y: str) -> Approximant:
         self.exact.index(y)
         return Approximant(self, y, (y,))
-
-    def lub_p(self, xs: Sequence[Approximant]) -> Approximant | None:
-        if not xs:
-            return self.least_approximant()
-        mask = self.exact._full
-        for x in xs:
-            mask &= self.members_mask(x)
-        if mask == 0:
-            return None
-        return self.closure(mask)  # an intersection of flowers is a flower
 
     def closure(self, mask: int) -> Approximant:
         """The least flower containing `mask`: everything between its glb

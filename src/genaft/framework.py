@@ -138,9 +138,9 @@ class ApproximationFramework(ABC):
     def albs(self) -> Sequence:
         return self.exact.elements
 
-    @abstractmethod
     def lub_L(self, ls: Iterable) -> object | None:
-        """lub in the bounded-complete cpo L; None when unbounded."""
+        """lub in the bounded-complete cpo L, the exact space; None when unbounded."""
+        return self.exact.lub(ls)
 
     @abstractmethod
     def glb_U(self, us: Iterable):
@@ -184,10 +184,6 @@ class ApproximationFramework(ABC):
 
     @abstractmethod
     def exact_approximant(self, y: str) -> Approximant: ...
-
-    @abstractmethod
-    def lub_p(self, xs: Sequence[Approximant]) -> Approximant | None:
-        """lub in the approximation space, or None when it does not exist."""
 
     @abstractmethod
     def format_approximant(self, x: Approximant) -> str: ...
@@ -235,11 +231,19 @@ class ApproximationFramework(ABC):
     def members(self, x: Approximant) -> frozenset[str]:
         return self.exact.set_of(self.members_mask(x))
 
-    def approximates(self, x: Approximant, y: str) -> bool:
-        return bool(self.members_mask(x) >> self.exact.index(y) & 1)
-
     def least_approximant(self) -> Approximant:
         return self.recompose(self.L_least(), self.U_greatest())
+
+    def lub_p(self, xs: Sequence[Approximant]) -> Approximant | None:
+        """lub in the approximation space: the closure of the members
+        the approximants share, which in both spaces is exactly that
+        set; None when they share none."""
+        if not xs:
+            return self.least_approximant()
+        mask = self.exact._full
+        for x in xs:
+            mask &= self.members_mask(x)
+        return self.closure(mask) if mask else None
 
     def is_exact(self, x: Approximant) -> bool:
         """Maximal, or below exactly one maximal approximant.

@@ -5,8 +5,8 @@ that contains the coarser (up to an explicit embedding), preserves
 exactness, and admits a monotone collapse map back such that precision
 comparisons factor through the collapse.  The collapse sends a fine
 approximant to the most precise coarse approximant covering the same
-exact elements; for flowers against intervals it is the (glb, lub)
-interval hull.
+exact elements, which is the coarse space's closure of those members;
+embedding is the fine space's closure of a coarse approximant's members.
 
 The pay-off is operator transport in both directions.  Collapsed fine
 approximators lose no fixpoints, and approximators induced from coarse
@@ -73,8 +73,8 @@ def interval_flower_witness(
     fine: FlowerFramework | None = None,
 ) -> SpacePrecisionWitness:
     """The canonical witness between intervals and flowers over a
-    complete lattice: collapse is the interval hull, embedding views an
-    interval as the flower of its members.
+    complete lattice: each map sends an approximant to the closure of
+    its members in the other space.
 
     Pass prebuilt frameworks when approximators already live on them;
     approximants are owned by their framework instance.
@@ -86,21 +86,21 @@ def interval_flower_witness(
     return SpacePrecisionWitness(
         coarse=coarse,
         fine=fine,
-        collapse=lambda x2: _hull(coarse, fine, x2),
-        embed=lambda x1: _as_flower(coarse, fine, x1),
+        collapse=_members_closure(fine, coarse, "collapse"),
+        embed=_members_closure(coarse, fine, "embedding"),
     )
 
 
-def _hull(coarse: IntervalFramework, fine: FlowerFramework, x2: Approximant) -> Approximant:
-    if x2.space is not fine:
-        raise PreconditionError("collapse applied to a foreign approximant")
-    return Approximant(coarse, x2.alb, coarse.exact.lub(x2.aub))
+def _members_closure(source: ApproximationFramework, target: ApproximationFramework,
+                     name: str) -> Callable[[Approximant], Approximant]:
+    """The map from a `source` approximant to `target`'s closure of its members."""
 
+    def apply(x: Approximant) -> Approximant:
+        if x.space is not source:
+            raise PreconditionError(f"{name} applied to a foreign approximant")
+        return target.closure(source.members_mask(x))
 
-def _as_flower(coarse: IntervalFramework, fine: FlowerFramework, x1: Approximant) -> Approximant:
-    if x1.space is not coarse:
-        raise PreconditionError("embedding applied to a foreign approximant")
-    return fine.recompose(x1.alb, (x1.aub,))
+    return apply
 
 
 def induce_fine(a1: Approximator, w: SpacePrecisionWitness) -> Approximator:

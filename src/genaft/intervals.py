@@ -10,7 +10,7 @@ exactly the restriction the flower framework lifts.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import PreconditionError, RecomposeUndefinedError
 from .framework import Approximant, ApproximationFramework
@@ -31,9 +31,6 @@ class IntervalFramework(ApproximationFramework):
 
     def same_bound(self, side1, b1, side2, b2) -> bool:
         return b1 == b2
-
-    def lub_L(self, ls) -> str | None:
-        return self.exact.lub(ls)
 
     def glb_U(self, us) -> str:
         g = self.exact.glb(us)
@@ -75,15 +72,6 @@ class IntervalFramework(ApproximationFramework):
     def exact_approximant(self, y: str) -> Approximant:
         self.exact.index(y)
         return Approximant(self, y, y)
-
-    def lub_p(self, xs: Sequence[Approximant]) -> Approximant | None:
-        if not xs:
-            return self.least_approximant()
-        low = self.exact.lub([x.alb for x in xs])
-        high = self.exact.glb([x.aub for x in xs])
-        if low is None or high is None or not self.exact.leq(low, high):
-            return None
-        return Approximant(self, low, high)
 
     def closure(self, mask: int) -> Approximant:
         """[glb, lub] of `mask`, which exist in a complete lattice."""

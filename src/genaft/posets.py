@@ -162,9 +162,6 @@ class FinitePoset:
             raise InputError('"hasse" must be a list of [x, y] pairs')
         return cls(elements, [tuple(p) for p in pairs], max_elements=max_elements)
 
-    def to_json(self) -> dict:
-        return {"elements": list(self.elements), "hasse": [list(p) for p in self.cover_pairs()]}
-
     # -- basic queries ---------------------------------------------------
 
     def __len__(self) -> int:
@@ -238,10 +235,6 @@ class FinitePoset:
 
     # -- subset shape ----------------------------------------------------
 
-    def max_set(self, s: Iterable[str]) -> frozenset[str]:
-        smask = self.mask_of(s)
-        return self.set_of(self._max_mask(smask))
-
     def _max_mask(self, smask: int) -> int:
         out = 0
         for i in _bits(smask):
@@ -302,19 +295,6 @@ class FinitePoset:
                 if da & down[b] not in down_index:
                     return self.elements[a], self.elements[b]
         return None
-
-    # -- misc ------------------------------------------------------------
-
-    def cover_pairs(self) -> list[tuple[str, str]]:
-        """The Hasse diagram of the stored order."""
-        out = []
-        for i, x in enumerate(self.elements):
-            strict = self._up[i] & ~(1 << i)
-            for j in _bits(strict):
-                between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    out.append((x, self.elements[j]))
-        return out
 
     def __repr__(self) -> str:
         return f"FinitePoset({len(self.elements)} elements)"
@@ -465,17 +445,6 @@ class _Powerset(FinitePoset):
 
     def pair_without_glb(self) -> None:
         return None
-
-    def cover_pairs(self) -> list[tuple[str, str]]:
-        """One atom more (subset order) or fewer (superset order), in
-        element order."""
-        ids, n, out = self.elements, len(self._atoms), []
-        for i, x in enumerate(ids):
-            if self._superset:
-                out += [(x, ids[i ^ 1 << k]) for k in reversed(range(n)) if i >> k & 1]
-            else:
-                out += [(x, ids[i | 1 << k]) for k in range(n) if not i >> k & 1]
-        return out
 
 
 def powerset_lattice(

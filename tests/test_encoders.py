@@ -1,6 +1,5 @@
 """Encoders: logic programs, auto-epistemic theories, wADFs."""
 
-import json
 import random
 
 import pytest
@@ -86,12 +85,6 @@ def test_positional_tables_need_the_programs_powerset():
         fitting_approximator(program, build_interval_framework(powerset_lattice(["p", "q", "r"])))
     space = powerset_lattice(["p", "q"])
     assert lp_operator(program, space).domain is space
-
-
-def test_program_json_round_trip():
-    program = parse_program(["p :- q, not r"])
-    again = NormalLogicProgram.from_json(json.loads(json.dumps(program.to_json())))
-    assert again == program
 
 
 def test_program_validation():
@@ -297,16 +290,18 @@ def test_lub_failure_names_the_argument(wadf):
 
 
 def test_table_acceptance_condition(wadf):
+    values = wadf.value_poset
     rows = [
         [[v], "accept" if v == "accept" else "indifferent"]
-        for v in wadf.value_poset.elements
+        for v in values.elements
     ]
     w = Wadf.from_json(
         {
             "arguments": ["significance", "status"],
             "values": {
-                "elements": list(wadf.value_poset.elements),
-                "hasse": [list(p) for p in wadf.value_poset.cover_pairs()],
+                "elements": list(values.elements),
+                "leq": [[x, y] for x in values.elements for y in values.elements
+                        if values.leq(x, y)],
             },
             "acceptance": {
                 "significance": ["const", "accept"],
