@@ -285,8 +285,34 @@ def test_lub_failure_names_the_argument(wadf):
             "status": ("lub", (("parent", "significance"), ("parent", "methodology"))),
         },
     )
-    with pytest.raises(EvaluationError, match="status"):
+    with pytest.raises(EvaluationError) as exc:
         wadf_operator(w)
+    assert str(exc.value) == (
+        "acceptance of 'status' asks for a lub of ['accept', 'borderline'],"
+        " which does not exist in the value poset"
+    )
+
+
+def test_first_missing_lub_is_reported_in_assignment_and_argument_order():
+    """Assignments in product order, arguments in declared order: at the
+    first assignment where some lub is missing, the first argument whose
+    condition asks for it is named, with its distinct operands sorted
+    by identifier (here not the value poset's order)."""
+    w = Wadf.from_json(
+        {
+            "arguments": ["x", "y"],
+            "values": {"elements": ["zero", "b", "a"], "hasse": [["zero", "b"], ["zero", "a"]]},
+            "acceptance": {
+                "x": ["glb", ["lub", ["parent", "y"], ["const", "b"]], ["const", "zero"]],
+                "y": ["lub", ["parent", "y"], ["parent", "y"], ["const", "zero"], ["const", "b"]],
+            },
+        }
+    )
+    with pytest.raises(EvaluationError) as exc:
+        wadf_operator(w)
+    assert str(exc.value) == (
+        "acceptance of 'x' asks for a lub of ['a', 'b'], which does not exist in the value poset"
+    )
 
 
 def test_table_acceptance_condition(wadf):

@@ -58,6 +58,7 @@ LATTICE = ["solve-interval-ultimate", "solve-flower-ultimate", "compare-interval
 CPO = ["solve-flower-ultimate", "compare-flower-flower"]
 CHECK = ["check"]
 SOLVE = ["solve-interval-ultimate", "solve-interval-fitting", "solve-flower-ultimate"]
+SPACES = ["solve-interval-ultimate", "solve-flower-ultimate"]
 
 INPUTS = {
     "vee_poset": (DATA / "vee_poset.json", CHECK),
@@ -68,11 +69,17 @@ INPUTS = {
     "lp6": (GOLDEN / "inputs" / "lp6.json", LP + CHECK),
     "lp8": (GOLDEN / "inputs" / "lp8.json", LP),
     "lp10": (GOLDEN / "inputs" / "lp10.json", LP),
+    "lp9": (GOLDEN / "inputs" / "lp9.json", SOLVE),
     "lp12": (GOLDEN / "inputs" / "lp12.json", SOLVE),
     "lp_unsorted": (GOLDEN / "inputs" / "lp_unsorted.json", LP),
     "ael3": (GOLDEN / "inputs" / "ael3.json", LATTICE + CHECK),
     "wadf3": (GOLDEN / "inputs" / "wadf3.json", CPO + CHECK),
+    "wadf4": (GOLDEN / "inputs" / "wadf4.json", ["solve-flower-ultimate"]),
+    "ael4": (GOLDEN / "inputs" / "ael4.json", SPACES),
 }
+
+# Inputs over the default 4,096-element cap.
+EXTRA_ARGS = {"ael4": ["--max-elements", "65536"]}
 
 CASES = [(name, config) for name, (_, configs) in INPUTS.items() for config in configs]
 
@@ -90,7 +97,7 @@ def _run(name: str, config: str) -> str:
     path, _ = INPUTS[name]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*CONFIGS[config], str(path), "--format", "json"])
+        code = main([*CONFIGS[config], str(path), "--format", "json", *EXTRA_ARGS.get(name, [])])
     assert code == 0, err.getvalue()
     return out.getvalue()
 
