@@ -1,14 +1,17 @@
 """Encoders: logic programs, auto-epistemic theories, wADFs."""
 
+import itertools
 import random
 
 import pytest
 
 from genaft import (
+    FinitePoset,
     build_interval_framework,
     kripke_kleene,
     powerset_lattice,
     set_id,
+    tuple_id,
     ultimate_approximator,
 )
 from genaft.encoders import (
@@ -25,8 +28,9 @@ from genaft.encoders import (
     parse_program,
     wadf_operator,
 )
+from genaft.encoders.logic_programs import _compiled, _consequence, _tp
 from genaft.errors import EvaluationError, InputError, SizeCapError
-from corpus import agent_theory
+from corpus import agent_theory, random_bounded_complete_cpo, with_top
 
 
 # -- logic programs -----------------------------------------------------------
@@ -66,6 +70,25 @@ def test_lp_operator_evaluates_every_rule_at_every_interpretation():
                 true = {a for k, a in enumerate(atoms) if i >> k & 1}
                 fired = {r.head for r in rules if r.pos <= true and not r.neg & true}
                 assert op.apply(ident) == set_id(fired)
+
+
+@pytest.mark.parametrize("size", range(13))
+def test_tp_table_is_the_consequence_at_every_interpretation(size):
+    """The T_P table against `_consequence` at every interpretation, on
+    random programs with repeated heads and bodies that may hold an
+    atom and its negation."""
+    rng = random.Random(size)
+    atoms = tuple(f"a{k:02d}" for k in range(size))
+    space = powerset_lattice(atoms)
+    for _ in range(3 if size < 10 else 1):
+        rules = tuple(
+            Rule(head, frozenset(rng.sample(atoms, rng.randint(0, min(4, size)))),
+                 frozenset(rng.sample(atoms, rng.randint(0, min(3, size)))))
+            for head in atoms for _ in range(rng.randint(0, 3))
+        )
+        _, compiled = _compiled(NormalLogicProgram(atoms, rules))
+        table = _tp(compiled, space).table
+        assert list(table) == [_consequence(compiled, i) for i in range(len(space))]
 
 
 def test_lp_operator_with_unsorted_atoms():
@@ -225,6 +248,53 @@ def test_malformed_formula_rejected():
         parse_formula(["xor", ["atom", "p"], ["atom", "q"]])
 
 
+def _random_sentence(atoms, rng: random.Random, depth: int, modal: bool) -> list:
+    """Every formula node kind; K wraps objective formulas only."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return ["atom", rng.choice(atoms)]
+    if modal and r < 0.45:
+        return ["K", _random_sentence(atoms, rng, depth - 1, False)]
+    if r < 0.6:
+        return ["not", _random_sentence(atoms, rng, depth - 1, modal)]
+    if r < 0.75:
+        return ["iff", *(_random_sentence(atoms, rng, depth - 1, modal) for _ in range(2))]
+    op = rng.choice(["and", "or"])
+    return [op, *(_random_sentence(atoms, rng, depth - 1, modal) for _ in range(rng.randint(1, 3)))]
+
+
+def _holds(f, true: frozenset, state: list) -> bool:
+    """Truth of `f` in the interpretation `true` (its true atoms), with
+    K(g) true iff g holds in every interpretation of `state`."""
+    op, *args = f
+    if op == "atom":
+        return args[0] in true
+    if op == "K":
+        return all(_holds(args[0], other, state) for other in state)
+    if op == "not":
+        return not _holds(args[0], true, state)
+    if op == "iff":
+        return _holds(args[0], true, state) == _holds(args[1], true, state)
+    values = [_holds(g, true, state) for g in args]
+    return all(values) if op == "and" else any(values)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_ael_operator_is_k_evaluated_from_its_definition(seed):
+    """Every belief state of a random 1-3-atom theory, revised by
+    evaluating each sentence's K atoms over the state's interpretations."""
+    rng = random.Random(seed)
+    atoms = ["p", "q", "r"][: 1 + seed % 3]
+    sentences = [_random_sentence(atoms, rng, 3, True) for _ in range(rng.randint(1, 3))]
+    op = ael_operator(AelTheory.from_json({"atoms": atoms, "sentences": sentences}))
+    interps = [frozenset(c) for k in range(len(atoms) + 1) for c in itertools.combinations(atoms, k)]
+    for k in range(len(interps) + 1):
+        for state in itertools.combinations(interps, k):
+            admitted = [i for i in interps if all(_holds(s, i, list(state)) for s in sentences)]
+            expected = set_id(set_id(i) for i in admitted)
+            assert op.apply(set_id(set_id(i) for i in state)) == expected, (seed, state)
+
+
 def test_ael_atom_cap():
     theory = AelTheory.from_json({"atoms": ["a", "b", "c", "d", "e"], "sentences": []})
     with pytest.raises(SizeCapError):
@@ -313,6 +383,67 @@ def test_first_missing_lub_is_reported_in_assignment_and_argument_order():
     assert str(exc.value) == (
         "acceptance of 'x' asks for a lub of ['a', 'b'], which does not exist in the value poset"
     )
+
+
+def _random_condition(args, values, rng: random.Random, depth: int = 0) -> list:
+    """Every acceptance node kind: const, parent, glb, lub, table."""
+    r = rng.random()
+    if r < 0.15 or depth == 2:
+        return ["const", rng.choice(values)] if r < 0.5 else ["parent", rng.choice(args)]
+    if r < 0.3:
+        return ["parent", rng.choice(args)]
+    if r < 0.75:
+        op = "glb" if r < 0.5 else "lub"
+        return [op, *(_random_condition(args, values, rng, depth + 1) for _ in range(rng.randint(1, 3)))]
+    parents = [rng.choice(args) for _ in range(rng.randint(1, 2))]
+    rows = [[list(key), rng.choice(values)] for key in itertools.product(values, repeat=len(parents))]
+    return ["table", parents, rows]
+
+
+def _bound(values: FinitePoset, operands: set, upper: bool) -> str:
+    """The least common upper bound (or greatest lower bound) of
+    `operands`, by scanning the value poset's elements."""
+    def leq(x, y):
+        return values.leq(x, y) if upper else values.leq(y, x)
+    common = [v for v in values.elements if all(leq(o, v) for o in operands)]
+    (best,) = [c for c in common if all(leq(c, d) for d in common)]
+    return best
+
+
+def _condition_value(expr, values: FinitePoset, assignment: dict) -> str:
+    op, *args = expr
+    if op == "const":
+        return args[0]
+    if op == "parent":
+        return assignment[args[0]]
+    if op == "table":
+        parents, rows = args
+        key = [assignment[p] for p in parents]
+        (out,) = [row_out for row_key, row_out in rows if row_key == key]
+        return out
+    operands = {_condition_value(e, values, assignment) for e in args}
+    return _bound(values, operands, upper=op == "lub")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_wadf_operator_evaluates_every_condition_from_its_definition(seed):
+    """Every assignment of a random wADF over a lattice of values, each
+    condition evaluated on identifiers with bounds found by scanning."""
+    rng = random.Random(seed)
+    values = with_top(random_bounded_complete_cpo(rng, max_elements=4))
+    names = list(values.elements)
+    args = [f"a{k}" for k in range(rng.randint(1, 3))]
+    conditions = {a: _random_condition(args, names, rng) for a in args}
+    w = Wadf.from_json({
+        "arguments": args,
+        "values": {"elements": names, "leq": [[x, y] for x in names for y in names if values.leq(x, y)]},
+        "acceptance": conditions,
+    })
+    op = wadf_operator(w)
+    for combo in itertools.product(names, repeat=len(args)):
+        assignment = dict(zip(args, combo))
+        revised = [_condition_value(conditions[a], values, assignment) for a in args]
+        assert op.apply(tuple_id(combo)) == tuple_id(revised), (seed, combo)
 
 
 def test_table_acceptance_condition(wadf):

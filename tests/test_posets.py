@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genaft import ExactOperator, FinitePoset, powerset_lattice, product_poset, set_id
+from genaft import ExactOperator, FinitePoset, powerset_lattice, product_poset, set_id, tuple_id
 from genaft.errors import (
     ElementNotFoundError,
     InputError,
@@ -342,6 +342,36 @@ def test_powerset_caps():
         powerset_lattice(["a", "b", "c"], max_elements=4)
     with pytest.raises(InputError):
         powerset_lattice(["a"], order="sideways")
+
+
+def _random_factor(rng: random.Random) -> FinitePoset:
+    kind = rng.random()
+    if kind < 0.2:
+        return FinitePoset(["only"])
+    if kind < 0.45:
+        atoms = ["p", "q"][: rng.randint(0, 2)]
+        return powerset_lattice(atoms, rng.choice(["subset", "superset"]))
+    return random_poset(rng, max_elements=4)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_product_order_is_the_pointwise_order(seed):
+    """Identifiers, up-sets and down-sets of a product of 1-3 random
+    factors (1-element, powerset and general posets) against the
+    pointwise order built pair by pair from the factors' leq."""
+    rng = random.Random(seed)
+    factors = [_random_factor(rng) for _ in range(rng.randint(1, 3))]
+    prod = product_poset(factors)
+    combos = list(itertools.product(*(f.elements for f in factors)))
+    assert prod.elements == tuple(tuple_id(c) for c in combos)
+    for i, x in enumerate(combos):
+        up = down = 0
+        for j, y in enumerate(combos):
+            if all(f.leq(a, b) for f, a, b in zip(factors, x, y)):
+                up |= 1 << j
+            if all(f.leq(b, a) for f, a, b in zip(factors, x, y)):
+                down |= 1 << j
+        assert prod._up_of(i) == up and prod._down_of(i) == down, (seed, x)
 
 
 def test_product_diamond_shape():
