@@ -159,33 +159,34 @@ def ael_operator(
     for ident in interp_ids:
         index_of += [i | 1 << rank[ident] for i in index_of]
 
-    # K's arguments are objective: _scan rejects a K inside a K.
+    # K's arguments are objective: _scan rejects a K inside a K.  Bit j
+    # of a state's modal bits is the truth of the j-th modal atom there.
+    modal = theory.modal_subformulas()
     modal_masks = []
-    for g in theory.modal_subformulas():
+    for j, g in enumerate(modal):
         gmask = 0
         for imask in range(n_interp):
             if _eval_modal(g, imask, atom_index, {}):
                 gmask |= 1 << imask
-        modal_masks.append((g, gmask))
+        modal_masks.append((1 << j, gmask))
 
-    admitted_cache: dict[tuple[bool, ...], int] = {}
-
-    def admitted(kvals: tuple[bool, ...]) -> int:
-        hit = admitted_cache.get(kvals)
-        if hit is not None:
-            return hit
-        kvalue = {g: v for (g, _), v in zip(modal_masks, kvals)}
-        out = 0
-        for imask in range(n_interp):
-            if all(_eval_modal(s, imask, atom_index, kvalue) for s in theory.sentences):
-                out |= 1 << imask
-        admitted_cache[kvals] = out
-        return out
-
+    # The index of the state admitted under each modal bitmask.
+    admitted: dict[int, int] = {}
     table = [0] * len(index_of)
     for state, index in enumerate(index_of):
         # K(g) holds iff every deemed-possible interpretation satisfies g;
         # the empty (inconsistent) state knows everything vacuously.
-        kvals = tuple(state & ~gmask == 0 for _, gmask in modal_masks)
-        table[index] = index_of[admitted(kvals)]
+        kbits = 0
+        for bit, gmask in modal_masks:
+            if state | gmask == gmask:
+                kbits |= bit
+        hit = admitted.get(kbits)
+        if hit is None:
+            kvalue = {g: bool(kbits >> j & 1) for j, g in enumerate(modal)}
+            out = 0
+            for imask in range(n_interp):
+                if all(_eval_modal(s, imask, atom_index, kvalue) for s in theory.sentences):
+                    out |= 1 << imask
+            hit = admitted[kbits] = index_of[out]
+        table[index] = hit
     return ExactOperator(domain, table)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from ..engine import ExactOperator
@@ -125,34 +126,49 @@ def wadf_operator(
         raise PreconditionError("the acceptance-value poset must be a bounded-complete cpo")
     domain = wadf_exact_space(w, max_elements=max_elements)
     arg_index = {a: i for i, a in enumerate(w.arguments)}
+    values = w.value_poset
 
-    def evaluate(arg: str, expr: tuple, assignment: tuple[str, ...]) -> str:
+    def compiled(arg: str, expr: tuple):
+        """`expr` as a function of an assignment's value-index digits,
+        returning a value index; bounds fold the operands' value bits."""
         op = expr[0]
         if op == "const":
-            return expr[1]
+            i = values.index(expr[1])
+            return lambda digits: i
         if op == "parent":
-            return assignment[arg_index[expr[1]]]
+            return itemgetter(arg_index[expr[1]])
         if op == "table":
-            key = tuple(assignment[arg_index[p]] for p in expr[1])
-            return expr[2][key]
-        values = [evaluate(arg, sub, assignment) for sub in expr[1]]
-        if op == "glb":
-            return w.value_poset.glb(values)
-        out = w.value_poset.lub(values)
-        if out is None:
-            raise EvaluationError(
-                f"acceptance of {arg!r} asks for a lub of {sorted(set(values))},"
-                " which does not exist in the value poset"
-            )
-        return out
+            ks = [arg_index[p] for p in expr[1]]
+            rows = {tuple(map(values.index, key)): values.index(out) for key, out in expr[2].items()}
+            if len(ks) == 1:  # a one-index itemgetter returns the bare digit
+                rows = {key[0]: out for key, out in rows.items()}
+            pick = itemgetter(*ks) if ks else lambda digits: ()
+            return lambda digits: rows[pick(digits)]
+        subs = [compiled(arg, sub) for sub in expr[1]]
+        bound = values._glb_mask if op == "glb" else values._lub_mask
+
+        def combined(digits) -> int:
+            bits = 0
+            for sub in subs:
+                bits |= 1 << sub(digits)
+            i = bound(bits)
+            if i < 0:  # only a lub: glbs of non-empty sets exist in a bounded-complete cpo
+                raise EvaluationError(
+                    f"acceptance of {arg!r} asks for a lub of {sorted(values.set_of(bits))},"
+                    " which does not exist in the value poset"
+                )
+            return i
+
+        return combined
 
     # product_poset lists assignments in itertools.product order, so an
     # assignment's index is its value indices read as mixed-radix digits.
-    values = w.value_poset
+    conditions = [compiled(a, w.acceptance[a]) for a in w.arguments]
+    radix = len(values)
     table = []
-    for assignment in itertools.product(values.elements, repeat=len(w.arguments)):
+    for digits in itertools.product(range(radix), repeat=len(w.arguments)):
         index = 0
-        for a in w.arguments:
-            index = index * len(values) + values.index(evaluate(a, w.acceptance[a], assignment))
+        for condition in conditions:
+            index = index * radix + condition(digits)
         table.append(index)
     return ExactOperator(domain, table)

@@ -11,6 +11,8 @@ pipeline is tested against, so it must stay independent of it.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -151,22 +153,26 @@ def _tp(rules, space: FinitePoset) -> ExactOperator:
 
     A rule fires exactly at the interpretations that hold its positive
     body and miss its negative one: its positive body plus any subset of
-    the atoms in neither body.  Each such cube is walked once, sub-mask
-    by sub-mask, and the rule's head is added there.
+    the atoms in neither body.  The table is packed into one int with a
+    16-bit slot per interpretation, wide enough for any head mask under
+    the atom cap.  A rule's cube starts as its head in the slot of its
+    positive body and doubles once per free atom k, each copy shifted
+    by the 2**k slots that add atom k; the cubes are OR'ed together and
+    the slots unpacked once.
     """
-    table = [0] * len(space)
-    full = len(space) - 1
+    n = len(space)
+    packed = 0
     for head, pos, neg in rules:
         if pos & neg:
             continue
-        free = full & ~(pos | neg)
-        s = free
-        while True:
-            table[pos | s] |= head
-            if not s:
-                break
-            s = (s - 1) & free
-    return ExactOperator(space, table)
+        cube = head << 16 * pos
+        free = (n - 1) & ~(pos | neg)
+        while free:
+            low = free & -free
+            cube |= cube << 16 * low
+            free ^= low
+        packed |= cube
+    return ExactOperator(space, array("H", packed.to_bytes(2 * n, sys.byteorder)).tolist())
 
 
 def fitting_approximator(

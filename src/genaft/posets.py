@@ -329,6 +329,13 @@ def powerset_ids(atoms: tuple[str, ...]) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=32)
+def _powerset_index(atoms: tuple[str, ...]) -> dict[str, int]:
+    """The index of each identifier of `powerset_ids(atoms)`.  Cached and
+    shared, so read-only."""
+    return {x: i for i, x in enumerate(powerset_ids(atoms))}
+
+
+@functools.lru_cache(maxsize=32)
 def _subset_factors(n: int) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
     """Two tables whose product is the mask of the subsets of an index
     over n atoms, with the shift and masks that split the index:
@@ -366,7 +373,7 @@ class _Powerset(FinitePoset):
     def __init__(self, atoms: tuple[str, ...], superset: bool):
         n = len(atoms)
         self.elements = powerset_ids(atoms)
-        self._index = {x: i for i, x in enumerate(self.elements)}
+        self._index = _powerset_index(atoms)
         self._full = (1 << (1 << n)) - 1
         self._classification = PosetClassification(True, True, True, True)
         self._atoms = atoms
@@ -484,18 +491,9 @@ def product_poset(
         total *= len(f)
     if total > max_elements:
         raise SizeCapError(f"product would have {total} elements, cap is {max_elements}")
-    combos = list(itertools.product(*(range(len(f)) for f in factors)))
-    ids = tuple(
-        tuple_id([f.elements[c] for f, c in zip(factors, combo)]) for combo in combos
-    )
-    # at[k][c]: the tuples whose k-th component is c.
-    at = [[0] * len(f) for f in factors]
-    for i, combo in enumerate(combos):
-        for k, c in enumerate(combo):
-            at[k][c] |= 1 << i
-    full = (1 << total) - 1
-    up = _pointwise(combos, at, [list(map(f._up_of, range(len(f)))) for f in factors], full)
-    down = _pointwise(combos, at, [list(map(f._down_of, range(len(f)))) for f in factors], full)
+    ids = tuple(map(tuple_id, itertools.product(*(f.elements for f in factors))))
+    up = _pointwise([list(map(f._up_of, range(len(f)))) for f in factors])
+    down = _pointwise([list(map(f._down_of, range(len(f)))) for f in factors])
     # Every flag holds of a product exactly when it holds of each factor
     # (an empty factor makes the product empty, with every flag false).
     flags = [f._flags() for f in factors]
@@ -508,30 +506,19 @@ def product_poset(
     return FinitePoset._from_masks(ids, up, down, classification)
 
 
-def _pointwise(
-    combos: list[tuple[int, ...]],
-    at: list[list[int]],
-    factor_masks: list[list[int]],
-    full: int,
-) -> list[int]:
-    """Per tuple, the tuples related to it in every component.
+def _pointwise(factor_masks: list[list[int]]) -> list[int]:
+    """Per tuple, in itertools.product order, the mask of the tuples
+    related to it in every component, from each factor's principal
+    masks.
 
-    Each factor element's mask is lifted once to the tuples whose
-    component lies in it; a tuple's mask is the AND of its lifts.
+    A tuple (c, rest) has index c * len(rests) + the index of rest, so
+    its mask is c's mask spread to one bit per block of len(rests) bits,
+    times the mask of rest: the product puts a copy of rest's mask in
+    the block of every c' related to c, and the copies cannot carry.
     """
-    lifted = []
-    for at_k, masks in zip(at, factor_masks):
-        lifted_k = []
-        for m in masks:
-            out = 0
-            for c in _bits(m):
-                out |= at_k[c]
-            lifted_k.append(out)
-        lifted.append(lifted_k)
-    out = []
-    for combo in combos:
-        m = full
-        for lifted_k, c in zip(lifted, combo):
-            m &= lifted_k[c]
-        out.append(m)
+    out = factor_masks[-1]
+    for masks in reversed(factor_masks[:-1]):
+        block = len(out)
+        spread = [sum(1 << c * block for c in _bits(m)) for m in masks]
+        out = [c * r for c in spread for r in out]
     return out

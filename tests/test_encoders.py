@@ -395,7 +395,7 @@ def _random_condition(args, values, rng: random.Random, depth: int = 0) -> list:
     if r < 0.75:
         op = "glb" if r < 0.5 else "lub"
         return [op, *(_random_condition(args, values, rng, depth + 1) for _ in range(rng.randint(1, 3)))]
-    parents = [rng.choice(args) for _ in range(rng.randint(1, 2))]
+    parents = [rng.choice(args) for _ in range(rng.randint(0, 2))]
     rows = [[list(key), rng.choice(values)] for key in itertools.product(values, repeat=len(parents))]
     return ["table", parents, rows]
 
