@@ -172,7 +172,10 @@ def _tp(rules, space: FinitePoset) -> ExactOperator:
             cube |= cube << 16 * low
             free ^= low
         packed |= cube
-    return ExactOperator(space, array("H", packed.to_bytes(2 * n, sys.byteorder)).tolist())
+    slots = array("H", packed.to_bytes(2 * n, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return ExactOperator(space, slots.tolist())
 
 
 def fitting_approximator(

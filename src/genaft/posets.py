@@ -520,5 +520,5 @@ def _pointwise(factor_masks: list[list[int]]) -> list[int]:
     for masks in reversed(factor_masks[:-1]):
         block = len(out)
         spread = [sum(1 << c * block for c in _bits(m)) for m in masks]
-        out = [c * r for c in spread for r in out]
+        out = [s * r for s in spread for r in out]
     return out
