@@ -75,7 +75,7 @@ def test_constant_operator_ultimate_is_exact(fig_lattice):
 
 
 def test_exact_operator_rejects_bad_tables(fig_lattice):
-    for table in ([0, 1, 2], [0, 1, 2, 4], [0, -1, 2, 3], [0, 1, 2, "3"]):
+    for table in ([0, 1, 2], [0, 1, 2, 4], [0, -1, 2, 3], [0, 1, 2, "3"], [0, 1, 2, 3.0]):
         with pytest.raises(InputError, match="needs a table of 4 indices below 4"):
             ExactOperator(fig_lattice, table)
 

@@ -284,3 +284,38 @@ def test_approximant_from_members_rejects_empty_and_foreign_sets(fig, fig_lattic
     ifw = build_interval_framework(fig_lattice)
     x = ifw.approximant_from_members({"bot", "a", "b", "top"})
     assert (x.alb, x.aub) == ("bot", "top")
+
+
+def _extremum(pool, ok, below):
+    """The member of `pool` satisfying `ok` that is below (`below`) every
+    other such member, found by scanning; None when there is none."""
+    fits = [u for u in pool if ok(u)]
+    least = [u for u in fits if all(below(u, v) for v in fits)]
+    return least[0] if least else None
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_upper_space_matches_its_definition(seed):
+    cpo = random_bounded_complete_cpo(random.Random(seed))
+    lattice = with_top(cpo)
+    for fw in (build_flower_framework(cpo), build_flower_framework(lattice),
+               build_interval_framework(lattice)):
+        aubs, leq = fw.enumerate_aubs(), fw.aub_leq
+
+        def geq(u, v):
+            return leq(v, u)
+
+        assert fw.U_least() == _extremum(aubs, lambda u: True, leq)
+        assert fw.U_greatest() == _extremum(aubs, lambda u: True, geq)
+        for l in fw.albs():
+            assert fw.least_aub_above(l) == _extremum(aubs, lambda u: fw.cross_leq(l, u), leq)
+        assert fw.glb_U([]) == fw.U_greatest()
+        assert fw.lub_U([]) == fw.U_least()
+        for u1 in aubs:
+            for u2 in aubs:
+                assert fw.glb_U([u1, u2]) == _extremum(
+                    aubs, lambda v: leq(v, u1) and leq(v, u2), geq)
+                assert fw.lub_U([u1, u2]) == _extremum(
+                    aubs, lambda v: leq(u1, v) and leq(u2, v), leq)
+        for y in fw.exact.elements:
+            assert fw.members(fw.exact_approximant(y)) == {y}
