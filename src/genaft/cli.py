@@ -30,7 +30,7 @@ from .encoders import (
     wadf_operator,
 )
 from .engine import Approximator, ExactOperator, compute_semantics, ultimate_approximator
-from .errors import GenaftError, InputError, PreconditionError, SizeCapError
+from .errors import GenaftError, InputError, PreconditionError
 from .flowers import build_flower_framework
 from .framework import check_framework, report_ok, report_to_json
 from .intervals import build_interval_framework
@@ -139,10 +139,7 @@ def _detect_kind(data: dict) -> str:
 def _operator(data: dict, kind: str, max_elements: int) -> ExactOperator:
     if kind == "lp":
         program = NormalLogicProgram.from_json(data)
-        space = lp_exact_space(program)  # the atom cap comes first, as for AEL theories
-        if len(space) > max_elements:
-            raise SizeCapError(f"powerset would have {len(space)} elements, cap is {max_elements}")
-        return lp_operator(program, space)
+        return lp_operator(program, lp_exact_space(program, max_elements=max_elements))
     if kind == "ael":
         return ael_operator(AelTheory.from_json(data), max_elements=max_elements)
     if kind == "wadf":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable
 
 from .errors import (
@@ -50,8 +51,10 @@ class ExactOperator:
     table: list[int]
 
     def __post_init__(self):
-        n = len(self.domain)
-        if len(self.table) != n or not all(isinstance(j, int) and 0 <= j < n for j in self.table):
+        # Three C-level passes, not a Python test per entry; a bool counts as an int.
+        n, table = len(self.domain), self.table
+        if (len(table) != n or not all(map(isinstance, table, repeat(int)))
+                or table and (min(table) < 0 or max(table) >= n)):
             raise InputError(f"an operator on {n} elements needs a table of {n} indices below {n}")
 
     def apply(self, x: str) -> str:

@@ -13,7 +13,9 @@ elements.  Antichains are kept as identifier-sorted tuples so equality
 and printing are canonical.  The upper space is in bijection with the
 non-empty down-closed subsets (an antichain is the max-set of its lower
 closure), which realises its complete-lattice structure through plain
-set algebra on bitmasks.
+set algebra on bitmasks.  The two directions of that bijection are
+`aub_mask` and `aub_of_mask`; the framework base derives members,
+closures and exact approximants from them.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ class FlowerFramework(ApproximationFramework):
     kind = "flower"
 
     def __init__(self, exact: FinitePoset, *, enumerable: bool):
-        super().__init__(exact)
-        self._enumerable = enumerable
         # The two halves of the antichain <-> down-set bijection, filled on
         # demand: an antichain's lower closure, and a mask's maximal elements.
+        # They are set first: the base class reads the top AUB through them.
         self._down_cache: dict[tuple[str, ...], int] = {}
         self._antichains: dict[int, tuple[str, ...]] = {}
-        self._top_aub = self.aub_of_mask(exact._full)
+        super().__init__(exact)
+        self._enumerable = enumerable
         self._all_aubs: list[tuple[str, ...]] | None = None
 
     # -- antichain plumbing -------------------------------------------------
@@ -74,15 +76,11 @@ class FlowerFramework(ApproximationFramework):
             return self.aub_mask(b1) & ~self.aub_mask(b2) == 0
         return False  # an AUB is never below an ALB: the side condition
 
-    def same_bound(self, side1, b1, side2, b2) -> bool:
-        return side1 == side2 and b1 == b2
-
     def glb_U(self, us) -> tuple[str, ...]:
+        # Every lower closure holds the least element, so the meet is never empty.
         mask = self.exact._full
         for u in us:
             mask &= self.aub_mask(u)
-        if mask == 0:
-            return self.aub_of_mask(self.exact._full)  # glb of nothing: the top
         return self.aub_of_mask(mask)
 
     def lub_U(self, us) -> tuple[str, ...]:
@@ -92,12 +90,6 @@ class FlowerFramework(ApproximationFramework):
         if mask == 0:
             return self.U_least()
         return self.aub_of_mask(mask)
-
-    def U_least(self) -> tuple[str, ...]:
-        return (self._bot,)
-
-    def U_greatest(self) -> tuple[str, ...]:
-        return self._top_aub
 
     def least_aub_above(self, l) -> tuple[str, ...]:
         # The least down-set containing the principal one below l.
@@ -126,19 +118,6 @@ class FlowerFramework(ApproximationFramework):
         mask = self.exact.up_mask(l) & self.aub_mask(u)
         # The glb of the recomposition is l itself; only the AUB may shrink.
         return Approximant(self, l, self.aub_of_mask(mask))
-
-    def members_mask(self, x: Approximant) -> int:
-        return self.exact.up_mask(x.alb) & self.aub_mask(x.aub)
-
-    def exact_approximant(self, y: str) -> Approximant:
-        self.exact.index(y)
-        return Approximant(self, y, (y,))
-
-    def closure(self, mask: int) -> Approximant:
-        """The least flower containing `mask`: everything between its glb
-        and one of its maximal elements, which exists by bounded-completeness."""
-        exact = self.exact
-        return Approximant(self, exact.elements[exact._glb_mask(mask)], self.aub_of_mask(mask))
 
     def _approximants(self) -> list[Approximant] | None:
         return enumerate_flowers(self) if self._enumerable else None

@@ -7,6 +7,11 @@ order over their union, and the recomposition that turns a compatible
 canonical (alb, aub) form and never materialised as member lists unless
 asked, because upper decomposition spaces grow combinatorially.
 
+L is the exact poset in every space.  A space supplies U through the
+map between an AUB and the down-set of exact elements it bounds
+(`aub_mask` and its inverse `aub_of_mask`); members, closures, exact
+approximants and the extremes of U are derived from that map once here.
+
 The checkers in this module verify, by enumeration where feasible and
 by seeded sampling otherwise, the five composition-poset requirements,
 the four interlattice properties, the well-formedness preamble, and the
@@ -113,16 +118,13 @@ class ApproximationFramework(ABC):
         # set in __init__: one added later (or a read of __dict__) leaves the
         # instance off CPython's fast attribute path, which slowed checks by 10 %.
         self._all_approximants: tuple[Approximant, ...] | None | bool = False
+        self._top_aub = self.aub_of_mask(exact._full)
 
     # -- the combined order over L and U ----------------------------------
 
     @abstractmethod
     def bound_leq(self, side1: str, b1, side2: str, b2) -> bool:
         """The order on L u U; sides are "L" or "U"."""
-
-    @abstractmethod
-    def same_bound(self, side1: str, b1, side2: str, b2) -> bool:
-        """Identity of bounds across sides (L and U may share a carrier)."""
 
     def alb_leq(self, l1, l2) -> bool:
         return self.bound_leq("L", l1, "L", l2)
@@ -152,11 +154,21 @@ class ApproximationFramework(ABC):
     def L_least(self):
         return self._bot
 
-    @abstractmethod
-    def U_least(self): ...
+    def U_least(self):
+        return self.least_aub_above(self._bot)
+
+    def U_greatest(self):
+        return self._top_aub
 
     @abstractmethod
-    def U_greatest(self): ...
+    def aub_mask(self, u) -> int:
+        """The mask of the exact elements that the AUB u bounds: its
+        lower closure."""
+
+    @abstractmethod
+    def aub_of_mask(self, mask: int):
+        """The least AUB whose lower closure holds the non-empty `mask`;
+        the inverse of aub_mask on lower closures."""
 
     @abstractmethod
     def least_aub_above(self, l):
@@ -179,19 +191,22 @@ class ApproximationFramework(ABC):
         Raises RecomposeUndefinedError when the pair is incompatible.
         """
 
-    @abstractmethod
-    def members_mask(self, x: Approximant) -> int: ...
+    def members_mask(self, x: Approximant) -> int:
+        return self.exact.up_mask(x.alb) & self.aub_mask(x.aub)
 
-    @abstractmethod
-    def exact_approximant(self, y: str) -> Approximant: ...
+    def exact_approximant(self, y: str) -> Approximant:
+        self.exact.index(y)
+        return Approximant(self, y, self.least_aub_above(y))
 
     @abstractmethod
     def format_approximant(self, x: Approximant) -> str: ...
 
-    @abstractmethod
     def closure(self, mask: int) -> Approximant:
         """The most precise approximant whose members include the
-        non-empty `mask`."""
+        non-empty `mask`: everything between its glb and its least AUB,
+        which exist by bounded-completeness."""
+        exact = self.exact
+        return Approximant(self, exact.elements[exact._glb_mask(mask)], self.aub_of_mask(mask))
 
     def ultimate_map(self, table: list[int]) -> Callable[[Approximant], Approximant]:
         """The most precise approximator of the exact map `table`, which
@@ -773,13 +788,15 @@ def check_preamble(
             break
     results.append(_result("preamble.order_reflexive", u_complete, cx))
 
+    # Equal values are one bound: interval L and U share the exact carrier,
+    # and a flower ALB (an identifier) never equals an AUB (a tuple).
     if anti_exhaustive and rowed:
         # -(2 << i) keeps the bits above i.
         pairs = ((bounds[i], bounds[j]) for i in range(n)
                  for j in _bits(rows[i] & cols[i] & -(2 << i)))
-        twins = (p for p in pairs if not fw.same_bound(*p[0], *p[1]))
+        twins = (p for p in pairs if p[0][1] != p[1][1])
     else:
-        twins = (p for p in pairs if not fw.same_bound(*p[0], *p[1]) and leq(*p) and leq(p[1], p[0]))
+        twins = (p for p in pairs if p[0][1] != p[1][1] and leq(*p) and leq(p[1], p[0]))
     cx = next(({"bound1": show(a), "bound2": show(b)} for a, b in twins), None)
     results.append(_result("preamble.order_antisymmetric", anti_exhaustive, cx))
 

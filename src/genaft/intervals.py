@@ -20,35 +20,23 @@ from .posets import FinitePoset, _bits
 class IntervalFramework(ApproximationFramework):
     kind = "interval"
 
-    def __init__(self, exact: FinitePoset):
-        super().__init__(exact)
-        self._top = exact.greatest()
-
-    # -- combined order: one carrier, the exact order ----------------------
+    # -- L and U: one carrier, the exact lattice ------------------------------
 
     def bound_leq(self, side1, b1, side2, b2) -> bool:
         return self.exact.leq(b1, b2)
 
-    def same_bound(self, side1, b1, side2, b2) -> bool:
-        return b1 == b2
+    def aub_mask(self, u: str) -> int:
+        return self.exact.down_mask(u)
+
+    def aub_of_mask(self, mask: int) -> str:
+        """The lub of `mask`, which exists in a complete lattice."""
+        return self.exact.elements[self.exact._lub_mask(mask)]
 
     def glb_U(self, us) -> str:
-        g = self.exact.glb(us)
-        if g is None:
-            raise PreconditionError("exact space stopped being a complete lattice")
-        return g
+        return self.exact.glb(us)
 
     def lub_U(self, us) -> str:
-        j = self.exact.lub(us)
-        if j is None:
-            raise PreconditionError("exact space stopped being a complete lattice")
-        return j
-
-    def U_least(self) -> str:
-        return self._bot
-
-    def U_greatest(self) -> str:
-        return self._top
+        return self.exact.lub(us)
 
     def least_aub_above(self, l) -> str:
         return l
@@ -65,20 +53,6 @@ class IntervalFramework(ApproximationFramework):
         if not self.exact.leq(l, u):
             raise RecomposeUndefinedError(f"inconsistent pair ({l!r}, {u!r})")
         return Approximant(self, l, u)
-
-    def members_mask(self, x: Approximant) -> int:
-        return self.exact.up_mask(x.alb) & self.exact.down_mask(x.aub)
-
-    def exact_approximant(self, y: str) -> Approximant:
-        self.exact.index(y)
-        return Approximant(self, y, y)
-
-    def closure(self, mask: int) -> Approximant:
-        """[glb, lub] of `mask`, which exist in a complete lattice."""
-        exact = self.exact
-        return Approximant(
-            self, exact.elements[exact._glb_mask(mask)], exact.elements[exact._lub_mask(mask)]
-        )
 
     def _approximants(self) -> Iterator[Approximant]:
         """Every consistent pair, ordered by ALB and then AUB index."""

@@ -312,6 +312,7 @@ def test_upper_space_matches_its_definition(seed):
         assert fw.glb_U([]) == fw.U_greatest()
         assert fw.lub_U([]) == fw.U_least()
         for u1 in aubs:
+            assert fw.aub_of_mask(fw.aub_mask(u1)) == u1
             for u2 in aubs:
                 assert fw.glb_U([u1, u2]) == _extremum(
                     aubs, lambda v: leq(v, u1) and leq(v, u2), geq)
