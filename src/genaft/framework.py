@@ -7,10 +7,10 @@ order over their union, and the recomposition that turns a compatible
 canonical (alb, aub) form and never materialised as member lists unless
 asked, because upper decomposition spaces grow combinatorially.
 
-L is the exact poset in every space.  A space supplies U through the
-map between an AUB and the down-set of exact elements it bounds
-(`aub_mask` and its inverse `aub_of_mask`); members, closures, exact
-approximants and the extremes of U are derived from that map once here.
+L is the exact poset in every space.  A space supplies U by the map
+between an AUB and its lower closure (`aub_mask`, inverted by
+`aub_of_mask`); members, closures, exact approximants and U's extremes
+are derived from it once here.
 
 The checkers in this module verify, by enumeration where feasible and
 by seeded sampling otherwise, the five composition-poset requirements,
