@@ -7,6 +7,7 @@ import pytest
 from genaft import (
     Approximator,
     ExactOperator,
+    FinitePoset,
     application_refinements,
     approximation_violation,
     build_flower_framework,
@@ -140,6 +141,21 @@ def test_stable_revision_requires_reliability():
     assert not is_reliable(fit, exact_p)
     with pytest.raises(ReliabilityError):
         stable_revision(fit, exact_p)
+
+
+def test_well_founded_rejects_a_decreasing_stable_revision():
+    """On the chain 0 < 1 < 2, stable revision takes the least approximant
+    [0,2] to the reliable [1,1] and then back down to [0,1], since the
+    approximator sends [0,2] above [0,1]'s image: not precision-monotone."""
+    chain = FinitePoset(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    fw = build_interval_framework(chain)
+    images = {("0", "2"): ("1", "2"), ("1", "2"): ("1", "2"), ("0", "0"): ("0", "1"),
+              ("0", "1"): ("0", "1"), ("1", "1"): ("1", "1"), ("2", "2"): ("2", "2")}
+    bad = Approximator(fw, lambda x: fw.recompose(*images[x.alb, x.aub]),
+                       ExactOperator(chain, [0, 1, 2]))
+    assert stable_revision(bad, fw.least_approximant()) == fw.exact_approximant("1")
+    with pytest.raises(MonotonicityError):
+        well_founded(bad)
 
 
 def test_agent_flower_stable_revision_refines_the_aub(agent):
