@@ -15,7 +15,7 @@ non-empty down-closed subsets (an antichain is the max-set of its lower
 closure), which realises its complete-lattice structure through plain
 set algebra on bitmasks.  The two directions of that bijection are
 `aub_mask` and `aub_of_mask`; the framework base derives members,
-closures and exact approximants from them.
+closures, exact approximants and U's meets and joins from them.
 """
 
 from __future__ import annotations
@@ -30,9 +30,24 @@ FLOWER_ENUMERATION_LIMIT = 12
 
 
 class FlowerFramework(ApproximationFramework):
+    """Flowers over `exact`; requires a bounded-complete cpo.
+
+    `enumerable` says whether the antichain space is materialised for
+    exhaustive checks; `build_flower_framework` sets it for posets of at
+    most FLOWER_ENUMERATION_LIMIT elements, and larger spaces operate
+    purely on (ALB, AUB) pairs.
+    """
+
     kind = "flower"
 
     def __init__(self, exact: FinitePoset, *, enumerable: bool):
+        cls = exact.classify()
+        if not cls.is_bounded_complete:
+            subset = exact.pair_without_glb() if cls.has_least else exact.elements
+            raise PreconditionError(
+                f"flower framework needs a bounded-complete cpo; "
+                f"the subset {set_id(subset)} has no greatest lower bound"
+            )
         # The two halves of the antichain <-> down-set bijection, filled on
         # demand: an antichain's lower closure, and a mask's maximal elements.
         # They are set first: the base class reads the top AUB through them.
@@ -76,21 +91,6 @@ class FlowerFramework(ApproximationFramework):
             return self.aub_mask(b1) & ~self.aub_mask(b2) == 0
         return False  # an AUB is never below an ALB: the side condition
 
-    def glb_U(self, us) -> tuple[str, ...]:
-        # Every lower closure holds the least element, so the meet is never empty.
-        mask = self.exact._full
-        for u in us:
-            mask &= self.aub_mask(u)
-        return self.aub_of_mask(mask)
-
-    def lub_U(self, us) -> tuple[str, ...]:
-        mask = 0
-        for u in us:
-            mask |= self.aub_mask(u)
-        if mask == 0:
-            return self.U_least()
-        return self.aub_of_mask(mask)
-
     def least_aub_above(self, l) -> tuple[str, ...]:
         # The least down-set containing the principal one below l.
         return (l,)
@@ -127,19 +127,6 @@ class FlowerFramework(ApproximationFramework):
 
 
 def build_flower_framework(exact: FinitePoset) -> FlowerFramework:
-    """Flowers over `exact`; requires a bounded-complete cpo.
-
-    The antichain space is materialised for exhaustive checks only for
-    posets of at most FLOWER_ENUMERATION_LIMIT elements; larger spaces
-    operate purely on (ALB, AUB) pairs.
-    """
-    cls = exact.classify()
-    if not cls.is_bounded_complete:
-        subset = exact.pair_without_glb() if cls.has_least else exact.elements
-        raise PreconditionError(
-            f"flower framework needs a bounded-complete cpo; "
-            f"the subset {set_id(subset)} has no greatest lower bound"
-        )
     return FlowerFramework(exact, enumerable=len(exact) <= FLOWER_ENUMERATION_LIMIT)
 
 

@@ -5,6 +5,10 @@ order is the exact order, and an approximant is a pair (low, high) with
 low <= high standing for every element in between.  This is the classic
 interval construction; it exists only over complete lattices, which is
 exactly the restriction the flower framework lifts.
+
+An AUB's lower closure is its principal down-set, and the least AUB
+above a mask is the mask's lub; the framework base derives members,
+closures, exact approximants and U's meets and joins from that map.
 """
 
 from __future__ import annotations
@@ -18,7 +22,30 @@ from .posets import FinitePoset, _bits
 
 
 class IntervalFramework(ApproximationFramework):
+    """Intervals over `exact`; requires a complete lattice.
+
+    The error message names what is missing, since rejecting a merely
+    bounded-complete space (no greatest element) is the expected failure
+    mode that motivates flowers.  The check runs before the base class
+    reads the top AUB, which only a complete lattice has.
+    """
+
     kind = "interval"
+
+    def __init__(self, exact: FinitePoset):
+        cls = exact.classify()
+        if not cls.is_complete_lattice:
+            if not cls.has_least:
+                missing = "a least element"
+            elif not cls.is_bounded_complete:
+                a, b = exact.pair_without_glb()
+                missing = f"a greatest lower bound for {{{a},{b}}}"
+            else:
+                missing = "a greatest element"
+            raise PreconditionError(
+                f"interval framework needs a complete lattice; the exact space lacks {missing}"
+            )
+        super().__init__(exact)
 
     # -- L and U: one carrier, the exact lattice ------------------------------
 
@@ -31,12 +58,6 @@ class IntervalFramework(ApproximationFramework):
     def aub_of_mask(self, mask: int) -> str:
         """The lub of `mask`, which exists in a complete lattice."""
         return self.exact.elements[self.exact._lub_mask(mask)]
-
-    def glb_U(self, us) -> str:
-        return self.exact.glb(us)
-
-    def lub_U(self, us) -> str:
-        return self.exact.lub(us)
 
     def least_aub_above(self, l) -> str:
         return l
@@ -66,23 +87,4 @@ class IntervalFramework(ApproximationFramework):
 
 
 def build_interval_framework(exact: FinitePoset) -> IntervalFramework:
-    """Intervals over `exact`; requires a complete lattice.
-
-    The error message names what is missing, since rejecting a merely
-    bounded-complete space (no greatest element) is the expected failure
-    mode that motivates flowers.
-    """
-    cls = exact.classify()
-    if not cls.is_complete_lattice:
-        if not cls.has_least:
-            missing = "a least element"
-        elif not cls.is_bounded_complete:
-            a, b = exact.pair_without_glb()
-            missing = f"a greatest lower bound for {{{a},{b}}}"
-        else:
-            missing = "a greatest element"
-        raise PreconditionError(
-            f"interval framework needs a complete lattice; the exact space lacks {missing}"
-        )
     return IntervalFramework(exact)
-

@@ -25,6 +25,7 @@ from genaft import (
 )
 from genaft.errors import PreconditionError
 from genaft.flowers import FlowerFramework
+from genaft.intervals import IntervalFramework
 from corpus import random_bounded_complete_cpo, vee_poset, with_top
 
 
@@ -320,3 +321,12 @@ def test_upper_space_matches_its_definition(seed):
                     aubs, lambda v: leq(u1, v) and leq(u2, v), leq)
         for y in fw.exact.elements:
             assert fw.members(fw.exact_approximant(y)) == {y}
+
+
+def test_constructors_reject_a_space_their_builders_reject():
+    vee = FinitePoset(["b", "x", "y"], [("b", "x"), ("b", "y")])
+    with pytest.raises(PreconditionError, match="lacks a greatest element"):
+        IntervalFramework(vee)
+    two_tops = FinitePoset(["x", "y"], [])
+    with pytest.raises(PreconditionError, match="has no greatest lower bound"):
+        FlowerFramework(two_tops, enumerable=True)
