@@ -4,7 +4,6 @@ from .autoepistemic import (
     AelTheory,
     ael_operator,
     belief_state_space,
-    interpretation_ids,
     parse_formula,
 )
 from .dialectical import (
@@ -33,7 +32,6 @@ __all__ = [
     "ael_operator",
     "belief_state_space",
     "fitting_approximator",
-    "interpretation_ids",
     "lp_exact_space",
     "lp_operator",
     "lp_oracle",

@@ -23,8 +23,8 @@ from ..errors import InputError, SizeCapError
 from ..posets import (
     DEFAULT_MAX_ELEMENTS,
     FinitePoset,
+    powerset_ids,
     powerset_lattice,
-    set_id,
 )
 
 MAX_AEL_ATOMS = 4
@@ -129,15 +129,8 @@ def belief_state_space(
     theory: AelTheory, *, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> FinitePoset:
     """The lattice of belief states, ordered by superset."""
-    interps = interpretation_ids(theory.atoms)
+    interps = powerset_ids(tuple(sorted(theory.atoms)))
     return powerset_lattice(interps, "superset", max_elements=max_elements)
-
-
-def interpretation_ids(atoms: tuple[str, ...]) -> list[str]:
-    n = len(atoms)
-    return [
-        set_id(a for i, a in enumerate(atoms) if bits >> i & 1) for bits in range(1 << n)
-    ]
 
 
 def ael_operator(
@@ -146,14 +139,14 @@ def ael_operator(
     """The belief-state revision operator of the theory."""
     if len(theory.atoms) > MAX_AEL_ATOMS:
         raise SizeCapError(f"{len(theory.atoms)} atoms exceed the cap of {MAX_AEL_ATOMS}")
-    atoms = theory.atoms
+    atoms = tuple(sorted(theory.atoms))
     atom_index = {a: i for i, a in enumerate(atoms)}
     n_interp = 1 << len(atoms)
     domain = belief_state_space(theory, max_elements=max_elements)
     # The lattice's atoms are the sorted interpretation identifiers: the
     # index of a state (a mask over interpretations) moves bit k to the
     # rank of interpretation k's identifier.
-    interp_ids = interpretation_ids(atoms)
+    interp_ids = powerset_ids(atoms)
     rank = {ident: r for r, ident in enumerate(sorted(interp_ids))}
     index_of = [0]
     for ident in interp_ids:

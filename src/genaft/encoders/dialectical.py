@@ -69,20 +69,6 @@ def parse_acceptance(node, values: set[str], arguments: set[str]) -> tuple:
     raise InputError(f"unknown acceptance node {op!r}")
 
 
-def _parents_of(expr: tuple) -> set[str]:
-    op = expr[0]
-    if op == "const":
-        return set()
-    if op == "parent":
-        return {expr[1]}
-    if op == "table":
-        return set(expr[1])
-    out: set[str] = set()
-    for sub in expr[1]:
-        out |= _parents_of(sub)
-    return out
-
-
 @dataclass(frozen=True)
 class Wadf:
     arguments: tuple[str, ...]

@@ -67,12 +67,12 @@ class NormalLogicProgram:
         return cls(atoms, rules)
 
 
-def parse_program(source: Iterable[str] | str, atoms: Iterable[str] | None = None) -> NormalLogicProgram:
+def parse_program(source: Iterable[str] | str) -> NormalLogicProgram:
     """Tiny rule syntax for tests and docs: "p :- q, not r"."""
     if isinstance(source, str):
         source = [ln for ln in source.splitlines() if ln.strip()]
     rules = []
-    seen: set[str] = set(atoms or ())
+    seen: set[str] = set()
     for line in source:
         line = line.strip().rstrip(".")
         if ":-" in line:

@@ -226,18 +226,9 @@ def kripke_kleene(a: Approximator, *, start: Approximant | None = None) -> Appro
 def well_founded(a: Approximator) -> Approximant:
     """Least fixpoint of stable revision, from the least approximant."""
     fw = a.space
-    x = fw.least_approximant()
-    cap = _step_cap(fw)
-    for _ in range(cap):
-        nxt = stable_revision(a, x)
-        if nxt == x:
-            return x
-        if not fw.leq_p(x, nxt):
-            raise MonotonicityError(
-                "stable revision decreased; the approximator is not precision-monotone"
-            )
-        x = nxt
-    raise MonotonicityError(f"stable revision found no fixpoint within 2*|exact| = {cap} steps")
+    op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant()),
+                          lambda x: stable_revision(a, x))
+    return lfp(op, step_cap=_step_cap(fw))
 
 
 def supported_fixpoints(a: Approximator) -> list[str]:
@@ -387,23 +378,18 @@ def is_terminal_wf(a: Approximator, x: Approximant) -> bool:
     return not grounding_refinements(a, x)
 
 
-def run_wf_induction(
-    a: Approximator,
-    strategy: Callable | None = None,
-    *,
-    start: Approximant | None = None,
-) -> list[Approximant]:
-    """Drive a well-founded induction to its terminal limit.
+def run_wf_induction(a: Approximator, strategy: Callable | None = None) -> list[Approximant]:
+    """Drive a well-founded induction from the least approximant to its
+    terminal limit.
 
     `strategy(step, x, applications, groundings)` picks the next
     approximant among the offered strict refinements; the default
     alternates application and grounding steps.  Every choice is
     re-validated, so a wayward strategy raises instead of corrupting
-    the trace.  Starting from an already-terminal approximant yields a
-    one-element trace.
+    the trace.
     """
     fw = a.space
-    x = fw.least_approximant() if start is None else start
+    x = fw.least_approximant()
     trace = [x]
     cap = _step_cap(fw)
     for step in range(cap):

@@ -36,7 +36,7 @@ from .engine import (
     well_founded,
 )
 from .errors import PreconditionError
-from .flowers import FlowerFramework, build_flower_framework
+from .flowers import build_flower_framework
 from .framework import (
     Approximant,
     ApproximationFramework,
@@ -70,18 +70,17 @@ class SpacePrecisionWitness:
 def interval_flower_witness(
     exact: FinitePoset,
     coarse: IntervalFramework | None = None,
-    fine: FlowerFramework | None = None,
 ) -> SpacePrecisionWitness:
     """The canonical witness between intervals and flowers over a
     complete lattice: each map sends an approximant to the closure of
     its members in the other space.
 
-    Pass prebuilt frameworks when approximators already live on them;
-    approximants are owned by their framework instance.
+    Pass a prebuilt interval framework when approximators already live
+    on it; approximants are owned by their framework instance.
     """
     coarse = coarse or build_interval_framework(exact)
-    fine = fine or build_flower_framework(exact)
-    if coarse.exact.elements != exact.elements or fine.exact.elements != exact.elements:
+    fine = build_flower_framework(exact)
+    if coarse.exact.elements != exact.elements:
         raise PreconditionError("witness frameworks must share the exact space")
     return SpacePrecisionWitness(
         coarse=coarse,

@@ -167,9 +167,6 @@ class FinitePoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: object) -> bool:
-        return x in self._index
-
     def index(self, x: str) -> int:
         try:
             return self._index[x]

@@ -49,7 +49,7 @@ def test_lp_operator_negative_self_loop_is_non_monotone():
 
 
 def test_lp_operator_two_negations():
-    op = lp_operator(parse_program(["q :- not p", "r :- not q"], atoms=["p", "q", "r"]))
+    op = lp_operator(parse_program(["q :- not p", "r :- not q"]))
     assert op.apply("{}") == "{q,r}"
 
 
