@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable
 
@@ -226,8 +227,7 @@ def kripke_kleene(a: Approximator, *, start: Approximant | None = None) -> Appro
 def well_founded(a: Approximator) -> Approximant:
     """Least fixpoint of stable revision, from the least approximant."""
     fw = a.space
-    op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant()),
-                          lambda x: stable_revision(a, x))
+    op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant()), partial(stable_revision, a))
     return lfp(op, step_cap=_step_cap(fw))
 
 
