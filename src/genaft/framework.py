@@ -10,7 +10,9 @@ asked, because upper decomposition spaces grow combinatorially.
 L is the exact poset in every space.  A space supplies U by the map
 between an AUB and its lower closure (`aub_mask`, inverted by
 `aub_of_mask`); members, closures, exact approximants and U's extremes,
-meets and joins are derived from it once here.
+meets and joins are derived from it once here.  Intervals replace the
+derived meet and join with the lattice's glb and lub, which on a large
+lattice are far cheaper than folding a whole down-set.
 
 The checkers in this module verify, by enumeration where feasible and
 by seeded sampling otherwise, the five composition-poset requirements,

@@ -8,7 +8,8 @@ exactly the restriction the flower framework lifts.
 
 An AUB's lower closure is its principal down-set, and the least AUB
 above a mask is the mask's lub; the framework base derives members,
-closures, exact approximants and U's meets and joins from that map.
+closures and exact approximants from that map.  U's meet and join are
+the lattice's own glb and lub, which read only the given AUBs' rows.
 """
 
 from __future__ import annotations
@@ -58,6 +59,14 @@ class IntervalFramework(ApproximationFramework):
     def aub_of_mask(self, mask: int) -> str:
         """The lub of `mask`, which exists in a complete lattice."""
         return self.exact.elements[self.exact._lub_mask(mask)]
+
+    def glb_U(self, us) -> str:
+        # The base's meet and join fold one row per bit of a combined
+        # down-set (up to |exact| rows); these fold one row per AUB given.
+        return self.exact.glb(us)
+
+    def lub_U(self, us) -> str:
+        return self.exact.lub(us)
 
     def least_aub_above(self, l) -> str:
         return l
