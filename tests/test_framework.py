@@ -330,3 +330,21 @@ def test_constructors_reject_a_space_their_builders_reject():
     two_tops = FinitePoset(["x", "y"], [])
     with pytest.raises(PreconditionError, match="has no greatest lower bound"):
         FlowerFramework(two_tops, enumerable=True)
+
+
+def test_an_approximant_is_its_framework_and_bounds():
+    lattice = powerset_lattice(["p", "q"])
+    fw, twin = build_interval_framework(lattice), build_interval_framework(lattice)
+    x = fw.recompose("{p}", "{p,q}")
+    # The same bounds in another framework over the same lattice differ.
+    assert twin.recompose("{p}", "{p,q}") != x
+    # A recomposition of the approximant's own bounds is the same dict key.
+    table = {x: "found"}
+    assert table[fw.recompose(x.alb, x.aub)] == "found"
+    assert repr(x) == "Approximant(alb='{p}', aub='{p,q}')"
+    assert str(x) == "[{p}, {p,q}]"
+    ffw = build_flower_framework(lattice)
+    flower = ffw.recompose("{}", ("{p}", "{q}"))
+    assert {flower: "found"}[ffw.recompose(flower.alb, flower.aub)] == "found"
+    assert repr(flower) == "Approximant(alb='{}', aub=('{p}', '{q}'))"
+    assert str(flower) == "⟨{} | {{p},{q}}⟩"

@@ -58,7 +58,6 @@ LATTICE = ["solve-interval-ultimate", "solve-flower-ultimate", "compare-interval
 CPO = ["solve-flower-ultimate", "compare-flower-flower"]
 CHECK = ["check"]
 SOLVE = ["solve-interval-ultimate", "solve-interval-fitting", "solve-flower-ultimate"]
-SPACES = ["solve-interval-ultimate", "solve-flower-ultimate"]
 
 INPUTS = {
     "vee_poset": (DATA / "vee_poset.json", CHECK),
@@ -70,12 +69,12 @@ INPUTS = {
     "lp8": (GOLDEN / "inputs" / "lp8.json", LP),
     "lp10": (GOLDEN / "inputs" / "lp10.json", LP),
     "lp9": (GOLDEN / "inputs" / "lp9.json", SOLVE),
-    "lp12": (GOLDEN / "inputs" / "lp12.json", SOLVE),
+    "lp12": (GOLDEN / "inputs" / "lp12.json", SOLVE + CHECK),
     "lp_unsorted": (GOLDEN / "inputs" / "lp_unsorted.json", LP),
     "ael3": (GOLDEN / "inputs" / "ael3.json", LATTICE + CHECK),
     "wadf3": (GOLDEN / "inputs" / "wadf3.json", CPO + CHECK),
     "wadf4": (GOLDEN / "inputs" / "wadf4.json", ["solve-flower-ultimate"]),
-    "ael4": (GOLDEN / "inputs" / "ael4.json", SPACES),
+    "ael4": (GOLDEN / "inputs" / "ael4.json", LATTICE),
 }
 
 # Inputs over the default 4,096-element cap.
