@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     InputError,
@@ -102,20 +102,12 @@ class Approximator:
         return hit
 
 
-class _Domain:
-    """Adapter giving the fixpoint engine a leq/least view of a space."""
+class _Domain(NamedTuple):
+    """The fixpoint engine's view of a space: its order, and a
+    zero-argument callable giving its least element."""
 
-    __slots__ = ("_leq", "_least")
-
-    def __init__(self, leq, least):
-        self._leq = leq
-        self._least = least
-
-    def leq(self, x, y):
-        return self._leq(x, y)
-
-    def least(self):
-        return self._least
+    leq: Callable
+    least: Callable
 
 
 def _table_on(fw: ApproximationFramework, op: ExactOperator) -> list[int]:
@@ -161,7 +153,7 @@ def lower_stable_bound(a: Approximator, x: Approximant):
     """lfp of the ALB projection of `a` with the AUB pinned to x's."""
     fw = a.space
     op = MonotoneOperator(
-        _Domain(fw.alb_leq, fw.L_least()),
+        _Domain(fw.alb_leq, fw.L_least),
         lambda l: a.apply(fw.recompose(l, x.aub)).alb,
     )
     return lfp(op, step_cap=_step_cap(fw))
@@ -171,7 +163,7 @@ def upper_stable_bound(a: Approximator, x: Approximant):
     """lfp of the AUB projection of `a` with the ALB pinned to x's."""
     fw = a.space
     op = MonotoneOperator(
-        _Domain(fw.aub_leq, fw.least_aub_above(x.alb)),
+        _Domain(fw.aub_leq, partial(fw.least_aub_above, x.alb)),
         lambda u: a.apply(fw.recompose(x.alb, u)).aub,
     )
     return lfp(op, step_cap=_step_cap(fw))
@@ -220,14 +212,14 @@ def kripke_kleene(a: Approximator, *, start: Approximant | None = None) -> Appro
     the fixpoint, e.g. one carried over from a less precise space.
     """
     fw = a.space
-    op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant()), a.apply)
+    op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant), a.apply)
     return lfp(op, start=start, step_cap=_step_cap(fw))
 
 
 def well_founded(a: Approximator) -> Approximant:
     """Least fixpoint of stable revision, from the least approximant."""
     fw = a.space
-    op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant()), partial(stable_revision, a))
+    op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant), partial(stable_revision, a))
     return lfp(op, step_cap=_step_cap(fw))
 
 

@@ -3,7 +3,8 @@
 The domain is anything with `leq(x, y)` and `least()`, so the iteration
 runs both on explicit FinitePoset instances and on virtual domains (the
 bound spaces and approximation spaces of the engine) that are never
-materialised.  Monotonicity is checked along the visited steps only.
+materialised.  `lfp` calls the mapping and order it is given, with no
+wrapper per step.  Monotonicity is checked along the visited steps only.
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ def lfp(op: MonotoneOperator, *, start=None, step_cap: int):
     not monotone (or `start` was not below the least fixpoint), or when
     the cap is reached.
     """
+    mapping, leq = op.mapping, op.domain.leq
     x = op.domain.least() if start is None else start
     if x is None:
         raise PreconditionError("domain has no least element")
     for _ in range(step_cap):
-        y = op.apply(x)
+        y = mapping(x)
         if y == x:
             return x
-        if not op.domain.leq(x, y):
+        if not leq(x, y):
             raise MonotonicityError(
                 f"iteration step decreased: map({x!r}) = {y!r} is not above {x!r}"
             )

@@ -3,9 +3,10 @@
 A framework bundles an exact poset with two decomposition spaces L (the
 approximation lower bounds) and U (the approximation upper bounds), one
 order over their union, and the recomposition that turns a compatible
-(ALB, AUB) pair back into an approximant.  Approximants are carried in
-canonical (alb, aub) form and never materialised as member lists unless
-asked, because upper decomposition spaces grow combinatorially.
+(ALB, AUB) pair back into an approximant.  An approximant is a value, a
+NamedTuple of its framework and canonical (alb, aub) bounds, never
+materialised as a member list unless asked, because upper decomposition
+spaces grow combinatorially.
 
 L is the exact poset in every space.  A space supplies U by the map
 between an AUB and its lower closure (`aub_mask`, inverted by
@@ -27,30 +28,30 @@ import itertools
 import math
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, RecomposeUndefinedError
 from .posets import FinitePoset, _bits
 
 
-@dataclass(frozen=True)
-class Approximant:
+class Approximant(NamedTuple):
     """A canonical (ALB, AUB) pair owned by a framework.
 
-    Equality includes the owning framework (by identity): approximants
-    from different frameworks never compare equal.
+    Equality and hash are the tuple's; the framework compares by
+    identity, so approximants from different frameworks never compare
+    equal.
     """
 
-    space: "ApproximationFramework" = field(repr=False)
+    space: "ApproximationFramework"
     alb: object
     aub: object
 
     def __str__(self) -> str:
         return self.space.format_approximant(self)
 
-    def __hash__(self):
-        return hash((id(self.space), self.alb, self.aub))
+    def __repr__(self) -> str:
+        return f"Approximant(alb={self.alb!r}, aub={self.aub!r})"
 
 
 @dataclass(frozen=True)

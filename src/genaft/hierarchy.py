@@ -337,17 +337,13 @@ def check_warm_start(
 
 def verify_transfer_theorems(
     w: SpacePrecisionWitness,
-    a1: Approximator | None = None,
-    a2: Approximator | None = None,
+    a1: Approximator,
+    a2: Approximator,
     caps: Caps = DEFAULT_CAPS,
     rng: random.Random | None = None,
 ) -> list[CheckResult]:
-    """Both transfer directions on one instance, as far as the supplied
-    approximators allow."""
+    """Both transfer directions on one instance: fixpoint preservation
+    for `a1` and precision transfer for `a2`."""
     rng = rng or random.Random(0)
-    results = []
-    if a1 is not None:
-        results.extend(check_fixpoint_preservation(w, a1, caps, rng))
-    if a2 is not None:
-        results.extend(check_precision_transfer(w, a2, caps, rng))
-    return results
+    return [*check_fixpoint_preservation(w, a1, caps, rng),
+            *check_precision_transfer(w, a2, caps, rng)]

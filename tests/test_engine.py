@@ -357,7 +357,7 @@ def test_random_strategies_converge(agent):
         assert trace[-1] == wf
 
 
-def test_trace_on_terminal_start_has_length_one():
+def test_wf_is_terminal_and_the_default_induction_ends_there():
     program = parse_program(["p"])
     _, fw, fit, _ = _interval_setup(program)
     wf = well_founded(fit)
