@@ -242,6 +242,14 @@ class WrongTripleMeet(FlowerFramework):
         return super().glb_U(us)
 
 
+class WrongLubL(FlowerFramework):
+    """Mutant: the lub of any set of ALBs is the last exact element, b on
+    the vee poset, which is not an upper bound of the ALB a."""
+
+    def lub_L(self, ls):
+        return self.exact.elements[-1]
+
+
 def flower_propositions(fw: FlowerFramework, rng: random.Random) -> list:
     """The chain, weak and abstract interlattice lub properties and the
     interlattice glb property on `fw`, in that order, drawing from `rng`."""

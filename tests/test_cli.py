@@ -28,7 +28,7 @@ def test_check_complete_lattice_runs_both_spaces(capsys, data_dir):
 def test_check_cyclic_input_exits_two(capsys, data_dir):
     code, _, err = run(capsys, "check", str(data_dir / "cyclic.json"))
     assert code == 2
-    assert "cycle" in err
+    assert err == "input error: cycle through 'x' and 'y'\n"
 
 
 def test_check_missing_file_exits_two(capsys, data_dir):

@@ -91,6 +91,12 @@ def test_tp_table_is_the_consequence_at_every_interpretation(size):
         assert list(table) == [_consequence(compiled, i) for i in range(len(space))]
 
 
+def test_rule_with_an_atom_and_its_negation_never_fires():
+    program = parse_program(["p :- q, not q", "q :- not p"])
+    without = NormalLogicProgram(program.atoms, program.rules[1:])
+    assert lp_operator(program).table == lp_operator(without).table
+
+
 def test_lp_operator_with_unsorted_atoms():
     rules = parse_program(["p :- not q", "q :- p"]).rules
     unsorted = lp_operator(NormalLogicProgram(("q", "p"), rules))

@@ -22,6 +22,7 @@ from corpus import (
     NoSideCondition,
     RejectingRecompose,
     SwappedRecompose,
+    WrongLubL,
     WrongPairMeet,
     WrongTripleMeet,
     claw_poset,
@@ -89,6 +90,7 @@ MUTANTS = {
     "wrong_pair_meet": (WrongPairMeet, vee_poset),
     "wrong_triple_meet": (WrongTripleMeet, claw_poset),
     "rejecting_recompose": (RejectingRecompose, claw_poset),
+    "wrong_lub_l": (WrongLubL, vee_poset),
 }
 
 

@@ -43,6 +43,20 @@ def test_missing_least_is_named():
         build_interval_framework(two_tops)
 
 
+def test_missing_glb_is_named():
+    """bot < a, b < c, d: c and d share the lower bounds a and b, which
+    have no greatest among them."""
+    no_glb = FinitePoset(
+        ["bot", "a", "b", "c", "d"],
+        [("bot", "a"), ("bot", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")],
+    )
+    with pytest.raises(
+        PreconditionError,
+        match=r"the exact space lacks a greatest lower bound for \{c,d\}",
+    ):
+        build_interval_framework(no_glb)
+
+
 def test_inconsistent_pair_rejected(fig_lattice):
     fw = build_interval_framework(fig_lattice)
     with pytest.raises(RecomposeUndefinedError):

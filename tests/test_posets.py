@@ -32,7 +32,7 @@ def test_three_step_transitivity():
 
 
 def test_cycle_rejected():
-    with pytest.raises(NotAPartialOrderError):
+    with pytest.raises(NotAPartialOrderError, match="cycle through 'x' and 'y'"):
         FinitePoset(["x", "y"], [("x", "y"), ("y", "x")])
 
 
@@ -46,6 +46,13 @@ def test_unknown_element_errors(fig):
         fig.leq("bot", "nope")
     with pytest.raises(ElementNotFoundError):
         FinitePoset(["x"], [("x", "ghost")])
+
+
+def test_unknown_element_in_a_pair_is_named():
+    with pytest.raises(ElementNotFoundError, match="unknown element 'y'"):
+        FinitePoset(["x"], [("y", "x")])
+    with pytest.raises(ElementNotFoundError, match="unknown element 'y'"):
+        FinitePoset(["x"], [("x", "y")])
 
 
 def test_size_cap():
