@@ -22,14 +22,12 @@ from .engine import (
     is_reliable,
     is_terminal_wf,
     kripke_kleene,
-    lower_stable_bound,
     random_wf_strategy,
     run_wf_induction,
     stable_fixpoints,
     stable_revision,
     supported_fixpoints,
     ultimate_approximator,
-    upper_stable_bound,
     well_founded,
 )
 from .errors import (

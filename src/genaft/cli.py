@@ -71,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="classify a poset and verify framework axioms")
     check.add_argument("input", help="poset or instance JSON file")
+    check.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     _common_flags(check)
     check.set_defaults(entry=cmd_check)
 
@@ -101,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument(
         "--max-elements",

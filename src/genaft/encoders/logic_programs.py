@@ -19,7 +19,7 @@ from typing import Iterable
 from ..engine import Approximator, ExactOperator
 from ..errors import InputError, SizeCapError
 from ..framework import Approximant
-from ..intervals import IntervalFramework, build_interval_framework
+from ..intervals import IntervalFramework
 from ..posets import DEFAULT_MAX_ELEMENTS, FinitePoset, _Powerset, powerset_lattice, set_id
 
 ATOM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -31,10 +31,6 @@ class Rule:
     head: str
     pos: frozenset[str]
     neg: frozenset[str]
-
-    def __str__(self) -> str:
-        body = [*sorted(self.pos), *(f"not {a}" for a in sorted(self.neg))]
-        return f"{self.head} :- {', '.join(body)}." if body else f"{self.head}."
 
 
 @dataclass(frozen=True)
@@ -180,9 +176,7 @@ def _tp(rules, space: FinitePoset) -> ExactOperator:
     return ExactOperator(space, slots.tolist())
 
 
-def fitting_approximator(
-    program: NormalLogicProgram, fw: IntervalFramework | None = None
-) -> Approximator:
+def fitting_approximator(program: NormalLogicProgram, fw: IntervalFramework) -> Approximator:
     """The four-valued immediate-consequence approximator on intervals.
 
     A head is derivable in the lower bound when some rule fires with its
@@ -192,10 +186,7 @@ def fitting_approximator(
     the approximator-precision transfer results.  On an exact pair it
     is the immediate-consequence operator, which it approximates.
     """
-    if fw is None:
-        fw = build_interval_framework(lp_exact_space(program))
-    else:
-        _check_powerset(program, fw.exact)
+    _check_powerset(program, fw.exact)
     _, rules = _compiled(program)
     exact = fw.exact
 

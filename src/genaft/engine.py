@@ -370,13 +370,12 @@ def is_terminal_wf(a: Approximator, x: Approximant) -> bool:
     return not grounding_refinements(a, x)
 
 
-def run_wf_induction(a: Approximator, strategy: Callable | None = None) -> list[Approximant]:
+def run_wf_induction(a: Approximator, strategy: Callable) -> list[Approximant]:
     """Drive a well-founded induction from the least approximant to its
     terminal limit.
 
     `strategy(step, x, applications, groundings)` picks the next
-    approximant among the offered strict refinements; the default
-    alternates application and grounding steps.  Every choice is
+    approximant among the offered strict refinements.  Every choice is
     re-validated, so a wayward strategy raises instead of corrupting
     the trace.
     """
@@ -389,13 +388,7 @@ def run_wf_induction(a: Approximator, strategy: Callable | None = None) -> list[
         grounds = grounding_refinements(a, x)
         if not apps and not grounds:
             return trace
-        if strategy is None:
-            if step % 2 == 0:
-                y = apps[0] if apps else grounds[0]
-            else:
-                y = grounds[0] if grounds else apps[0]
-        else:
-            y = strategy(step, x, apps, grounds)
+        y = strategy(step, x, apps, grounds)
         if not (is_application_refinement(a, x, y) or is_grounding_refinement(a, x, y)):
             raise InvalidRefinementError(
                 f"strategy returned {fw.format_approximant(y)}, which refines nothing"

@@ -112,7 +112,6 @@ class FlowerFramework(ApproximationFramework):
     # -- approximants ---------------------------------------------------------
 
     def recompose(self, l, u) -> Approximant:
-        u = tuple(u)
         if not self.cross_leq(l, u):
             raise RecomposeUndefinedError(f"{l!r} is incompatible with the AUB {u!r}")
         mask = self.exact.up_mask(l) & self.aub_mask(u)

@@ -228,24 +228,15 @@ class ApproximationFramework(ABC):
         sends element index i to element index table[i]: the closure of
         the image of an approximant's members, so no information beyond
         the image set is lost."""
-        image_mask, closure = self._image_masks(table), self.closure
+        bits, closure = [1 << j for j in table], self.closure
 
         def apply(x: Approximant) -> Approximant:
-            return closure(image_mask(x))
+            image = 0
+            for i in _bits(self.members_mask(x)):
+                image |= bits[i]
+            return closure(image)
 
         return apply
-
-    def _image_masks(self, table: list[int]) -> Callable[[Approximant], int]:
-        """The map from an approximant to the mask of its members' images."""
-        bits = [1 << j for j in table]
-
-        def image(x: Approximant) -> int:
-            out = 0
-            for i in _bits(self.members_mask(x)):
-                out |= bits[i]
-            return out
-
-        return image
 
     # -- shared derived operations ----------------------------------------
 
@@ -825,13 +816,10 @@ def check_preamble(
 
     bot = fw.L_least()
     cx = None
-    if bot is None:
-        cx = {"missing": "least element of L"}
-    else:
-        for s, b in bounds:
-            if not fw.bound_leq("L", bot, s, b):
-                cx = {"bound": f"{s}:{_show(b)}"}
-                break
+    for s, b in bounds:
+        if not fw.bound_leq("L", bot, s, b):
+            cx = {"bound": f"{s}:{_show(b)}"}
+            break
     results.append(_result("preamble.least_in_L", u_complete, cx))
 
     top = fw.U_greatest()

@@ -231,12 +231,7 @@ def check_fixpoint_preservation(
     return results
 
 
-def check_precision_transfer(
-    w: SpacePrecisionWitness,
-    a2: Approximator,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> list[CheckResult]:
+def check_precision_transfer(w: SpacePrecisionWitness, a2: Approximator) -> list[CheckResult]:
     """Collapsing a fine approximator can only lose precision, never
     gain it, across all four semantics."""
     a1 = induce_coarse(a2, w)
@@ -346,4 +341,4 @@ def verify_transfer_theorems(
     for `a1` and precision transfer for `a2`."""
     rng = rng or random.Random(0)
     return [*check_fixpoint_preservation(w, a1, caps, rng),
-            *check_precision_transfer(w, a2, caps, rng)]
+            *check_precision_transfer(w, a2)]

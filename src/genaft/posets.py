@@ -259,13 +259,6 @@ class FinitePoset:
 
         Powersets and products record them when they are built; any
         other poset computes them on the first call and keeps them.
-        """
-        return self._flags()
-
-    def _flags(self) -> PosetClassification:
-        """classify() for products reading their factors' flags, which
-        are not requests to classify them.
-
         The generic computation decides bounded-completeness on pairs:
         in a finite poset, glbs of pairs extend to glbs of all non-empty
         subsets by folding.  Agreement with brute-force subset
@@ -493,7 +486,7 @@ def product_poset(
     down = _pointwise([list(map(f._down_of, range(len(f)))) for f in factors])
     # Every flag holds of a product exactly when it holds of each factor
     # (an empty factor makes the product empty, with every flag false).
-    flags = [f._flags() for f in factors]
+    flags = [f.classify() for f in factors]
     classification = PosetClassification(
         has_least=all(c.has_least for c in flags),
         is_cpo=all(c.is_cpo for c in flags),

@@ -183,8 +183,6 @@ def test_output_is_deterministic(capsys, data_dir):
         "flower",
         "--format",
         "json",
-        "--seed",
-        "7",
     )
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)

@@ -207,7 +207,8 @@ def test_kk_wf_of_fitting_match_enumeration():
     for size in range(1, 4):
         for _ in range(30):
             program = random_program(tuple("abc"[:size]), rng)
-            _assert_kk_wf_by_enumeration(fitting_approximator(program))
+            fw = build_interval_framework(lp_exact_space(program))
+            _assert_kk_wf_by_enumeration(fitting_approximator(program, fw))
 
 
 def _random_formula(rng: random.Random, depth: int, modal: bool) -> list:
