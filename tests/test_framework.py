@@ -348,3 +348,47 @@ def test_an_approximant_is_its_framework_and_bounds():
     assert {flower: "found"}[ffw.recompose(flower.alb, flower.aub)] == "found"
     assert repr(flower) == "Approximant(alb='{}', aub=('{p}', '{q}'))"
     assert str(flower) == "⟨{} | {{p},{q}}⟩"
+
+
+def _tables(n: int, rng: random.Random) -> dict[str, list[int]]:
+    """A constant, the identity, a permutation and a few-valued table on n
+    elements: one preimage group, n of them, and a few."""
+    values = rng.sample(range(n), min(n, 3))
+    return {
+        "constant": [rng.randrange(n)] * n,
+        "identity": list(range(n)),
+        "permutation": rng.sample(range(n), n),
+        "few-valued": [rng.choice(values) for _ in range(n)],
+    }
+
+
+def _assert_ultimate_map_is_the_closure_of_the_image(fw, rng: random.Random) -> None:
+    """Every enumerated approximant (sampled ones when the space is too
+    large to enumerate), every exact one and the least one maps to the
+    closure of its members' images."""
+    exact = fw.exact
+    xs = list(fw.enumerate_approximants() or (fw.sample_approximant(rng) for _ in range(60)))
+    xs += [fw.least_approximant(), *map(fw.exact_approximant, exact.elements)]
+    for name, table in _tables(len(exact), rng).items():
+        apply = fw.ultimate_map(table)
+        for x in xs:
+            image = exact.mask_of(exact.elements[table[exact.index(y)]] for y in fw.members(x))
+            assert apply(x) == fw.closure(image), (name, x)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ultimate_map_is_the_closure_of_the_image_on_cpos(seed):
+    rng = random.Random(seed)
+    cpo = random_bounded_complete_cpo(rng)
+    for poset in (cpo, with_top(cpo)):
+        _assert_ultimate_map_is_the_closure_of_the_image(build_flower_framework(poset), rng)
+        if poset.classify().is_complete_lattice:
+            _assert_ultimate_map_is_the_closure_of_the_image(build_interval_framework(poset), rng)
+
+
+@pytest.mark.parametrize("atoms", range(7))
+def test_ultimate_map_is_the_closure_of_the_image_on_powersets(atoms):
+    rng = random.Random(atoms)
+    lattice = powerset_lattice([f"a{i}" for i in range(atoms)])
+    for fw in (build_interval_framework(lattice), build_flower_framework(lattice)):
+        _assert_ultimate_map_is_the_closure_of_the_image(fw, rng)
