@@ -23,7 +23,9 @@ from ..intervals import IntervalFramework
 from ..posets import DEFAULT_MAX_ELEMENTS, FinitePoset, _Powerset, powerset_lattice, set_id
 
 ATOM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-MAX_LP_ATOMS = 12
+# Also the limit of _tp's 16-bit array("H") slots: from 17 atoms on, a head
+# mask no longer fits a slot.
+MAX_LP_ATOMS = 16
 
 
 @dataclass(frozen=True)

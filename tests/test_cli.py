@@ -1,6 +1,7 @@
 """The command-line surface: exit codes, determinism, golden values."""
 
 import json
+import time
 
 from genaft.cli import main
 
@@ -191,10 +192,20 @@ def test_output_is_deterministic(capsys, data_dir):
 
 def test_solve_over_the_atom_cap_exits_two(capsys, tmp_path):
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"atoms": [f"a{i}" for i in range(13)], "rules": []}))
+    path.write_text(json.dumps({"atoms": [f"a{i}" for i in range(17)], "rules": []}))
     code, _, err = run(capsys, "solve", str(path))
     assert code == 2
-    assert err == "input error: 13 atoms exceed the cap of 12\n"
+    assert err == "input error: 17 atoms exceed the cap of 16\n"
+
+
+def test_check_of_a_sixteen_atom_program_exits_two_at_once(capsys, data_dir):
+    path = data_dir / "golden" / "inputs" / "lp16.json"
+    for extra in ([], ["--max-elements", "65536"]):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "check", str(path), *extra)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err == "input error: powerset would have 65536 elements, cap is 4096\n"
 
 
 def test_logic_programs_obey_max_elements(capsys, tmp_path):

@@ -28,7 +28,7 @@ from genaft.encoders import (
     parse_program,
     wadf_operator,
 )
-from genaft.encoders.logic_programs import _compiled, _consequence, _tp
+from genaft.encoders.logic_programs import MAX_LP_ATOMS, _compiled, _consequence, _tp
 from genaft.errors import EvaluationError, InputError, SizeCapError
 from corpus import agent_theory, random_bounded_complete_cpo, with_top
 
@@ -72,14 +72,14 @@ def test_lp_operator_evaluates_every_rule_at_every_interpretation():
                 assert op.apply(ident) == set_id(fired)
 
 
-@pytest.mark.parametrize("size", range(13))
+@pytest.mark.parametrize("size", range(MAX_LP_ATOMS + 1))
 def test_tp_table_is_the_consequence_at_every_interpretation(size):
     """The T_P table against `_consequence` at every interpretation, on
     random programs with repeated heads and bodies that may hold an
     atom and its negation."""
     rng = random.Random(size)
     atoms = tuple(f"a{k:02d}" for k in range(size))
-    space = powerset_lattice(atoms)
+    space = powerset_lattice(atoms, max_elements=1 << size)
     for _ in range(3 if size < 10 else 1):
         rules = tuple(
             Rule(head, frozenset(rng.sample(atoms, rng.randint(0, min(4, size)))),
@@ -126,7 +126,7 @@ def test_program_validation():
 
 
 def test_lp_atom_cap():
-    atoms = tuple(f"a{i}" for i in range(13))
+    atoms = tuple(f"a{i}" for i in range(17))
     with pytest.raises(SizeCapError):
         lp_operator(NormalLogicProgram(atoms, ()))
 

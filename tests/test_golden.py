@@ -71,6 +71,7 @@ INPUTS = {
     "lp10": (GOLDEN / "inputs" / "lp10.json", LP),
     "lp9": (GOLDEN / "inputs" / "lp9.json", SOLVE),
     "lp12": (GOLDEN / "inputs" / "lp12.json", SOLVE + CHECK),
+    "lp16": (GOLDEN / "inputs" / "lp16.json", SOLVE),
     "lp_unsorted": (GOLDEN / "inputs" / "lp_unsorted.json", LP),
     "ael3": (GOLDEN / "inputs" / "ael3.json", LATTICE + CHECK),
     "wadf3": (GOLDEN / "inputs" / "wadf3.json", CPO + CHECK),
@@ -79,7 +80,7 @@ INPUTS = {
 }
 
 # Inputs over the default 4,096-element cap.
-EXTRA_ARGS = {"ael4": ["--max-elements", "65536"]}
+EXTRA_ARGS = {"ael4": ["--max-elements", "65536"], "lp16": ["--max-elements", "65536"]}
 
 CASES = [(name, config) for name, (_, configs) in INPUTS.items() for config in configs]
 
