@@ -227,13 +227,33 @@ class ApproximationFramework(ABC):
         """The most precise approximator of the exact map `table`, which
         sends element index i to element index table[i]: the closure of
         the image of an approximant's members, so no information beyond
-        the image set is lost."""
-        bits, closure = [1 << j for j in table], self.closure
+        the image set is lost.
+
+        The table's preimage groups are one (1 << j, preimage mask of j)
+        pair per value j.  An application walks whichever is smaller: the
+        members, or the groups whose preimage meets them.  An injective
+        table keeps no groups: no approximant has more members than it has
+        values, and its groups would cost as much as one int per element."""
+        members_mask, closure = self.members_mask, self.closure
+        groups = []
+        if len(set(table)) < len(table):
+            preimages: dict[int, int] = {}
+            for i, j in enumerate(table):
+                preimages[j] = preimages.get(j, 0) | 1 << i
+            groups = [(1 << j, pre) for j, pre in preimages.items()]
+        values = len(groups)
 
         def apply(x: Approximant) -> Approximant:
-            image = 0
-            for i in _bits(self.members_mask(x)):
-                image |= bits[i]
+            mask, image = members_mask(x), 0
+            if not groups or mask.bit_count() <= values:
+                while mask:  # the loop of _bits, inlined to save a generator per application
+                    low = mask & -mask
+                    image |= 1 << table[low.bit_length() - 1]
+                    mask ^= low
+            else:
+                for bit, pre in groups:
+                    if pre & mask:
+                        image |= bit
             return closure(image)
 
         return apply
