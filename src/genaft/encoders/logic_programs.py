@@ -133,16 +133,14 @@ def _check_powerset(program: NormalLogicProgram, space: FinitePoset) -> None:
         )
 
 
-def lp_operator(program: NormalLogicProgram, space: FinitePoset | None = None) -> ExactOperator:
+def lp_operator(program: NormalLogicProgram, space: FinitePoset) -> ExactOperator:
     """The immediate-consequence operator on the powerset of atoms.
 
-    `space` lets program corpora over one atom set share the lattice; it
-    must be that set's powerset lattice under subset order.
+    `space` must be that set's powerset lattice under subset order, such
+    as `lp_exact_space(program)`; program corpora over one atom set share
+    it.
     """
-    if space is None:
-        space = lp_exact_space(program)
-    else:
-        _check_powerset(program, space)
+    _check_powerset(program, space)
     _, rules = _compiled(program)
     return _tp(rules, space)
 

@@ -104,7 +104,7 @@ def test_random_programs_match_the_definition():
         atoms = tuple("abcde"[:size])
         for _ in range(30):
             program = random_program(atoms, rng)
-            op = lp_operator(program)
+            op = lp_operator(program, lp_exact_space(program))
             ifw = build_interval_framework(op.domain)
             _assert_definitional(fitting_approximator(program, ifw))
             _assert_definitional(ultimate_approximator(build_flower_framework(op.domain), op))
@@ -115,7 +115,7 @@ def test_induced_approximators_match_the_definition():
     for size in range(1, 4):
         for _ in range(20):
             program = random_program(tuple("abc"[:size]), rng)
-            op = lp_operator(program)
+            op = lp_operator(program, lp_exact_space(program))
             wit = interval_flower_witness(op.domain)
             fine = induce_fine(fitting_approximator(program, wit.coarse), wit)
             coarse = induce_coarse(ultimate_approximator(wit.fine, op), wit)

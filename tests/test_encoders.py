@@ -22,6 +22,7 @@ from genaft.encoders import (
     ael_operator,
     belief_state_space,
     fitting_approximator,
+    lp_exact_space,
     lp_operator,
     lp_oracle,
     parse_formula,
@@ -37,19 +38,22 @@ from corpus import agent_theory, random_bounded_complete_cpo, with_top
 
 
 def test_lp_operator_fact():
-    op = lp_operator(parse_program(["p"]))
+    program = parse_program(["p"])
+    op = lp_operator(program, lp_exact_space(program))
     assert op.apply("{}") == "{p}"
 
 
 def test_lp_operator_negative_self_loop_is_non_monotone():
-    op = lp_operator(parse_program(["p :- not p"]))
+    program = parse_program(["p :- not p"])
+    op = lp_operator(program, lp_exact_space(program))
     assert op.apply("{}") == "{p}"
     assert op.apply("{p}") == "{}"
     assert op.monotonicity_violation() is not None
 
 
 def test_lp_operator_two_negations():
-    op = lp_operator(parse_program(["q :- not p", "r :- not q"]))
+    program = parse_program(["q :- not p", "r :- not q"])
+    op = lp_operator(program, lp_exact_space(program))
     assert op.apply("{}") == "{q,r}"
 
 
@@ -65,7 +69,8 @@ def test_lp_operator_evaluates_every_rule_at_every_interpretation():
                      frozenset(rng.sample(atoms, rng.randint(0, size))))
                 for head in atoms for _ in range(rng.randint(0, 3))
             )
-            op = lp_operator(NormalLogicProgram(atoms, rules))
+            program = NormalLogicProgram(atoms, rules)
+            op = lp_operator(program, lp_exact_space(program))
             for i, ident in enumerate(op.domain.elements):
                 true = {a for k, a in enumerate(atoms) if i >> k & 1}
                 fired = {r.head for r in rules if r.pos <= true and not r.neg & true}
@@ -94,13 +99,15 @@ def test_tp_table_is_the_consequence_at_every_interpretation(size):
 def test_rule_with_an_atom_and_its_negation_never_fires():
     program = parse_program(["p :- q, not q", "q :- not p"])
     without = NormalLogicProgram(program.atoms, program.rules[1:])
-    assert lp_operator(program).table == lp_operator(without).table
+    assert (lp_operator(program, lp_exact_space(program)).table
+            == lp_operator(without, lp_exact_space(without)).table)
 
 
 def test_lp_operator_with_unsorted_atoms():
     rules = parse_program(["p :- not q", "q :- p"]).rules
-    unsorted = lp_operator(NormalLogicProgram(("q", "p"), rules))
-    assert unsorted.table == lp_operator(NormalLogicProgram(("p", "q"), rules)).table
+    first, second = NormalLogicProgram(("q", "p"), rules), NormalLogicProgram(("p", "q"), rules)
+    unsorted = lp_operator(first, lp_exact_space(first))
+    assert unsorted.table == lp_operator(second, lp_exact_space(second)).table
     assert unsorted.apply("{}") == "{p}"
 
 
@@ -126,9 +133,9 @@ def test_program_validation():
 
 
 def test_lp_atom_cap():
-    atoms = tuple(f"a{i}" for i in range(17))
+    program = NormalLogicProgram(tuple(f"a{i}" for i in range(17)), ())
     with pytest.raises(SizeCapError):
-        lp_operator(NormalLogicProgram(atoms, ()))
+        lp_operator(program, lp_exact_space(program))
 
 
 def test_oracle_classics():
@@ -152,7 +159,7 @@ def test_oracle_supported_models():
 
 def test_fitting_vs_ultimate_separation():
     program = parse_program(["p :- p", "p :- not p"])
-    op = lp_operator(program)
+    op = lp_operator(program, lp_exact_space(program))
     fw = build_interval_framework(op.domain)
     fit = fitting_approximator(program, fw)
     ult = ultimate_approximator(fw, op)
@@ -163,7 +170,7 @@ def test_fitting_vs_ultimate_separation():
 
 def test_fitting_and_ultimate_agree_on_facts():
     program = parse_program(["p"])
-    op = lp_operator(program)
+    op = lp_operator(program, lp_exact_space(program))
     fw = build_interval_framework(op.domain)
     assert kripke_kleene(fitting_approximator(program, fw)) == kripke_kleene(
         ultimate_approximator(fw, op)

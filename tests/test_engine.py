@@ -39,6 +39,7 @@ from genaft.errors import (
 from genaft.encoders import (
     ael_operator,
     fitting_approximator,
+    lp_exact_space,
     lp_operator,
     lp_oracle,
     parse_program,
@@ -56,7 +57,7 @@ def agent():
 
 
 def _interval_setup(program):
-    op = lp_operator(program)
+    op = lp_operator(program, lp_exact_space(program))
     fw = build_interval_framework(op.domain)
     return op, fw, fitting_approximator(program, fw), ultimate_approximator(fw, op)
 

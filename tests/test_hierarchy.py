@@ -22,7 +22,7 @@ from genaft import (
     verify_transfer_theorems,
     well_founded,
 )
-from genaft.encoders import ael_operator, fitting_approximator, lp_operator
+from genaft.encoders import ael_operator, fitting_approximator, lp_exact_space, lp_operator
 from genaft.errors import PreconditionError
 from corpus import agent_theory, random_bounded_complete_cpo, random_program, with_top
 from genaft.encoders import parse_program
@@ -104,7 +104,7 @@ def test_constant_collapse_fails_with_witness(diamond_witness):
 
 def test_induced_approximators_round_trip(diamond_witness):
     program = parse_program(["p :- not q", "q :- p"])
-    op = lp_operator(program)
+    op = lp_operator(program, lp_exact_space(program))
     wit = interval_flower_witness(op.domain)
     fit = fitting_approximator(program, wit.coarse)
     back = induce_coarse(induce_fine(fit, wit), wit)
@@ -114,14 +114,14 @@ def test_induced_approximators_round_trip(diamond_witness):
 
 def test_collapsed_flower_ultimate_is_interval_ultimate():
     program = parse_program(["p :- not q", "q :- not p", "r :- p"])
-    op = lp_operator(program)
+    op = lp_operator(program, lp_exact_space(program))
     wit = interval_flower_witness(op.domain)
     assert check_ultimate_composition(wit, op).status == "pass"
 
 
 def test_induced_fine_interval_ultimate_below_flower_ultimate():
     program = parse_program(["p :- not q", "q :- not p"])
-    op = lp_operator(program)
+    op = lp_operator(program, lp_exact_space(program))
     wit = interval_flower_witness(op.domain)
     lifted = induce_fine(ultimate_approximator(wit.coarse, op), wit)
     flower_ultimate = ultimate_approximator(wit.fine, op)
@@ -133,7 +133,7 @@ def test_transfer_theorems_on_random_programs():
     rng = random.Random(23)
     for _ in range(8):
         program = random_program(("p", "q"), rng)
-        op = lp_operator(program)
+        op = lp_operator(program, lp_exact_space(program))
         wit = interval_flower_witness(op.domain)
         fit = fitting_approximator(program, wit.coarse)
         flower_ultimate = ultimate_approximator(wit.fine, op)
@@ -172,7 +172,7 @@ def test_warm_start_on_agent(agent_setup):
 
 def test_warm_start_premise_detects_violations(diamond_witness):
     program = parse_program(["p :- not q"])
-    op = lp_operator(program)
+    op = lp_operator(program, lp_exact_space(program))
     wit = interval_flower_witness(op.domain)
     fit = fitting_approximator(program, wit.coarse)
     # a2 less precise than induced a1: premise must fail
