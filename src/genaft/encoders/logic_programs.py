@@ -23,8 +23,8 @@ from ..intervals import IntervalFramework
 from ..posets import DEFAULT_MAX_ELEMENTS, FinitePoset, _Powerset, powerset_lattice, set_id
 
 ATOM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-# Also the limit of _tp's 16-bit array("H") slots: from 17 atoms on, a head
-# mask no longer fits a slot.
+# 16 is also the limit of _tp's 16-bit array("H") slots: from 17 atoms on, a
+# head mask no longer fits a slot.
 MAX_LP_ATOMS = 16
 
 
@@ -136,9 +136,9 @@ def _check_powerset(program: NormalLogicProgram, space: FinitePoset) -> None:
 def lp_operator(program: NormalLogicProgram, space: FinitePoset) -> ExactOperator:
     """The immediate-consequence operator on the powerset of atoms.
 
-    `space` must be that set's powerset lattice under subset order, such
-    as `lp_exact_space(program)`; program corpora over one atom set share
-    it.
+    `space` must be the powerset lattice of the program's atoms under
+    subset order, such as `lp_exact_space(program)`; program corpora over
+    one atom set share it.
     """
     _check_powerset(program, space)
     _, rules = _compiled(program)
