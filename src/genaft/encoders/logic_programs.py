@@ -125,7 +125,9 @@ def _check_atom_cap(program: NormalLogicProgram) -> None:
 def _check_powerset(program: NormalLogicProgram, space: FinitePoset) -> None:
     """Reject a `space` that is not the powerset lattice of the program's
     atoms under subset order: tables and approximants read element index
-    i as the set of atoms with mask i."""
+    i as the set of atoms with mask i.  The atom cap comes first: a
+    larger powerset would overflow _tp's slots."""
+    _check_atom_cap(program)
     atoms = tuple(sorted(program.atoms))
     if not (isinstance(space, _Powerset) and space._atoms == atoms and not space._superset):
         raise InputError(

@@ -135,7 +135,12 @@ def test_program_validation():
 def test_lp_atom_cap():
     program = NormalLogicProgram(tuple(f"a{i}" for i in range(17)), ())
     with pytest.raises(SizeCapError):
-        lp_operator(program, lp_exact_space(program))
+        lp_exact_space(program)
+    space = powerset_lattice(program.atoms, max_elements=1 << 17)
+    with pytest.raises(SizeCapError):
+        lp_operator(program, space)
+    with pytest.raises(SizeCapError):
+        fitting_approximator(program, build_interval_framework(space))
 
 
 def test_oracle_classics():
