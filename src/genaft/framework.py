@@ -230,10 +230,10 @@ class ApproximationFramework(ABC):
         the image set is lost.
 
         The table's preimage groups are one (1 << j, preimage mask of j)
-        pair per value j.  An application walks whichever is smaller: the
-        members, or the groups whose preimage meets them.  An injective
-        table keeps no groups: no approximant has more members than it has
-        values, and its groups would cost as much as one int per element."""
+        pair per value j, and an application ORs in 1 << j for each group
+        whose preimage meets the members.  An injective table keeps no
+        groups, which would cost as much as one int per element, and an
+        application walks the members instead."""
         members_mask, closure = self.members_mask, self.closure
         groups = []
         if len(set(table)) < len(table):
@@ -241,11 +241,10 @@ class ApproximationFramework(ABC):
             for i, j in enumerate(table):
                 preimages[j] = preimages.get(j, 0) | 1 << i
             groups = [(1 << j, pre) for j, pre in preimages.items()]
-        values = len(groups)
 
         def apply(x: Approximant) -> Approximant:
             mask, image = members_mask(x), 0
-            if not groups or mask.bit_count() <= values:
+            if not groups:
                 while mask:  # the loop of _bits, inlined to save a generator per application
                     low = mask & -mask
                     image |= 1 << table[low.bit_length() - 1]
