@@ -10,6 +10,7 @@ precision-least fixpoint of the approximator and of stable revision,
 with none of the engine's iterations.
 """
 
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from genaft import (
     ExactOperator,
     build_flower_framework,
     build_interval_framework,
+    compute_semantics,
     is_reliable,
     kripke_kleene,
     stable_fixpoints,
@@ -179,15 +181,18 @@ def _least(fw, xs: list) -> object:
     return least[0]
 
 
-def _assert_kk_wf_by_enumeration(a: Approximator) -> None:
+def _kk_wf_by_enumeration(a: Approximator) -> tuple:
     """KK is the precision-least approximant `a` fixes; WF is the
     precision-least reliable approximant stable revision fixes."""
     fw = a.space
     xs = fw.enumerate_approximants()
     fixed = [x for x in xs if a.apply(x) == x]
     revision_fixed = [x for x in xs if is_reliable(a, x) and stable_revision(a, x) == x]
-    assert kripke_kleene(a) == _least(fw, fixed), a.name
-    assert well_founded(a) == _least(fw, revision_fixed), a.name
+    return _least(fw, fixed), _least(fw, revision_fixed)
+
+
+def _assert_kk_wf_by_enumeration(a: Approximator) -> None:
+    assert (kripke_kleene(a), well_founded(a)) == _kk_wf_by_enumeration(a), a.name
 
 
 def test_kk_wf_of_random_tables_on_cpos_match_enumeration():
@@ -274,3 +279,60 @@ def test_supported_and_stable_of_theories_and_wadfs_match_the_definition(theory,
         _assert_definitional(ultimate_approximator(build_flower_framework(op.domain), op))
         if op.domain.classify().is_complete_lattice:
             _assert_definitional(ultimate_approximator(build_interval_framework(op.domain), op))
+
+
+# -- compute_semantics: every request against the oracles ----------------------
+
+SEMANTICS = ("kk", "wf", "supported", "stable")
+
+
+def _assert_compute_semantics(a: Approximator) -> None:
+    """The full run equals both oracles, and every non-empty request
+    returns the full run's entries and leaves the rest unset."""
+    full = compute_semantics(a)
+    assert (full.kk, full.wf) == _kk_wf_by_enumeration(a), a.name
+    assert (full.supported, full.stable) == _by_definition(a), a.name
+    for size in range(1, len(SEMANTICS)):
+        for parts in itertools.combinations(SEMANTICS, size):
+            got = compute_semantics(a, parts)
+            for name in SEMANTICS:
+                expected = getattr(full, name) if name in parts else None
+                assert getattr(got, name) == expected, (a.name, parts, name)
+
+
+def test_compute_semantics_of_random_tables_on_cpos_match_the_oracles():
+    rng = random.Random(413)
+    lattices = 0
+    for poset in _cpos(rng):
+        op = ExactOperator(poset, _table_with_fixed_points(len(poset), rng))
+        spaces = [build_flower_framework(poset)]
+        if poset.classify().is_complete_lattice:
+            lattices += 1
+            spaces.append(build_interval_framework(poset))
+        for fw in spaces:
+            _assert_compute_semantics(ultimate_approximator(fw, op))
+            least = fw.least_approximant()
+            _assert_compute_semantics(Approximator(fw, lambda x, least=least: least, op))
+    assert lattices >= 50
+
+
+def test_compute_semantics_of_programs_theories_and_wadfs_match_the_oracles():
+    rng = random.Random(414)
+    for size in range(1, 6):
+        for _ in range(20):
+            program = random_program(tuple("abcde"[:size]), rng)
+            op = lp_operator(program, lp_exact_space(program))
+            fw = build_interval_framework(op.domain)
+            _assert_compute_semantics(fitting_approximator(program, fw))
+            _assert_compute_semantics(ultimate_approximator(fw, op))
+    for _ in range(40):
+        sentences = [_random_formula(rng, 3, True) for _ in range(rng.randint(1, 2))]
+        op = ael_operator(AelTheory.from_json({"atoms": ["p"], "sentences": sentences}))
+        _assert_compute_semantics(ultimate_approximator(build_flower_framework(op.domain), op))
+        _assert_compute_semantics(ultimate_approximator(build_interval_framework(op.domain), op))
+        op = wadf_operator(Wadf.from_json({
+            "arguments": ["x", "y"],
+            "values": VEE,
+            "acceptance": {"x": _random_acceptance(rng), "y": _random_acceptance(rng)},
+        }))
+        _assert_compute_semantics(ultimate_approximator(build_flower_framework(op.domain), op))
