@@ -5,7 +5,9 @@ framework, this module derives the ultimate approximator, runs stable
 revision, and computes the four semantics: the Kripke-Kleene fixpoint
 (least fixpoint of the approximator), the well-founded fixpoint (least
 fixpoint of stable revision), and the supported and stable fixpoints
-(exact elements fixed by the approximator / by stable revision).
+(exact elements fixed by the approximator / by stable revision).  Each
+semantics starts from the one below it in precision: WF iterates from
+KK, and the stable candidates are the supported members of WF.
 
 Stable revision pairs two inner inductions.  The lower one runs in L
 from the bottom, over bounds compatible with the input's AUB.  The
@@ -216,11 +218,17 @@ def kripke_kleene(a: Approximator, *, start: Approximant | None = None) -> Appro
     return lfp(op, start=start, step_cap=_step_cap(fw))
 
 
-def well_founded(a: Approximator) -> Approximant:
-    """Least fixpoint of stable revision, from the least approximant."""
+def well_founded(a: Approximator, kk: Approximant) -> Approximant:
+    """Least fixpoint of stable revision, from `kk = kripke_kleene(a)`.
+
+    KK lies below WF, and every iterate from it is reliable and prudent,
+    where stable revision is monotone; so the iteration climbs from KK
+    to the same least fixpoint as from the least approximant, in no more
+    steps.  `lfp` still raises if a step from `kk` fails to rise.
+    """
     fw = a.space
     op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant), partial(stable_revision, a))
-    return lfp(op, step_cap=_step_cap(fw))
+    return lfp(op, start=kk, step_cap=_step_cap(fw))
 
 
 def supported_fixpoints(a: Approximator) -> list[str]:
@@ -242,19 +250,29 @@ def supported_fixpoints(a: Approximator) -> list[str]:
     return sorted(out)
 
 
-def stable_fixpoints(a: Approximator) -> list[str]:
-    """Exact elements fixed by stable revision, sorted.
+def stable_fixpoints(a: Approximator, wf: Approximant) -> list[str]:
+    """Exact elements fixed by stable revision, sorted, given
+    `wf = well_founded(a, kk)`.
 
-    An exact approximant is reliable only when it is already supported,
-    so non-supported elements are stable-free by definition.
+    Every stable fixpoint is a fixpoint of stable revision, so it lies
+    above WF and its element is one of WF's members.  An exact
+    approximant is reliable only when it is already supported, so the
+    candidates are the supported members of WF, and only they are
+    revised.  An exact WF is itself stable and the only candidate, so it
+    decides alone, with no revision.
     """
     fw = a.space
+    y = fw.exact_value(wf)
+    if y is not None:
+        return [y]
+    members, index = fw.members_mask(wf), fw.exact.index
     out = []
     for y in supported_fixpoints(a):
-        e = fw.exact_approximant(y)
-        if stable_revision(a, e) == e:
-            out.append(y)
-    return sorted(out)
+        if members >> index(y) & 1:
+            e = fw.exact_approximant(y)
+            if stable_revision(a, e) == e:
+                out.append(y)
+    return out
 
 
 @dataclass
@@ -287,16 +305,14 @@ def compute_semantics(
     unknown = wanted - {"kk", "wf", "supported", "stable"}
     if unknown:
         raise PreconditionError(f"unknown semantics {sorted(unknown)}")
-    result = SemanticsResult()
-    if "kk" in wanted:
-        result.kk = kripke_kleene(a)
-    if "wf" in wanted:
-        result.wf = well_founded(a)
-    if "supported" in wanted:
-        result.supported = supported_fixpoints(a)
-    if "stable" in wanted:
-        result.stable = stable_fixpoints(a)
-    return result
+    kk = kripke_kleene(a) if wanted & {"kk", "wf", "stable"} else None
+    wf = well_founded(a, kk) if wanted & {"wf", "stable"} else None
+    return SemanticsResult(
+        kk=kk if "kk" in wanted else None,
+        wf=wf if "wf" in wanted else None,
+        supported=supported_fixpoints(a) if "supported" in wanted else None,
+        stable=stable_fixpoints(a, wf) if "stable" in wanted else None,
+    )
 
 
 # ---------------------------------------------------------------------------

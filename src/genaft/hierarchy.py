@@ -49,7 +49,7 @@ from .framework import (
     _result,
     _show,
 )
-from .intervals import IntervalFramework, build_interval_framework
+from .intervals import IntervalFramework
 from .posets import FinitePoset
 
 
@@ -67,18 +67,15 @@ class SpacePrecisionWitness:
     embed: Callable[[Approximant], Approximant]
 
 
-def interval_flower_witness(
-    exact: FinitePoset,
-    coarse: IntervalFramework | None = None,
-) -> SpacePrecisionWitness:
+def interval_flower_witness(exact: FinitePoset, coarse: IntervalFramework) -> SpacePrecisionWitness:
     """The canonical witness between intervals and flowers over a
     complete lattice: each map sends an approximant to the closure of
     its members in the other space.
 
-    Pass a prebuilt interval framework when approximators already live
-    on it; approximants are owned by their framework instance.
+    `coarse` is the interval framework on `exact` that the coarse
+    approximators live on; approximants are owned by their framework
+    instance.
     """
-    coarse = coarse or build_interval_framework(exact)
     fine = build_flower_framework(exact)
     if coarse.exact.elements != exact.elements:
         raise PreconditionError("witness frameworks must share the exact space")
@@ -223,7 +220,7 @@ def check_fixpoint_preservation(
         cx = {"coarse_kk": _show(kk1), "fine_kk": _show(kk2)}
     results.append(_result("transfer.kk_equal", True, cx))
 
-    wf1, wf2 = well_founded(a1), well_founded(a2)
+    wf1, wf2 = well_founded(a1, kk1), well_founded(a2, kk2)
     cx = None
     if w.embed(wf1) != wf2:
         cx = {"coarse_wf": _show(wf1), "fine_wf": _show(wf2)}
@@ -243,7 +240,7 @@ def check_precision_transfer(w: SpacePrecisionWitness, a2: Approximator) -> list
         cx = {"coarse_kk": _show(kk1), "fine_kk": _show(kk2)}
     results.append(_result("transfer.kk_leq", True, cx))
 
-    wf1, wf2 = well_founded(a1), well_founded(a2)
+    wf1, wf2 = well_founded(a1, kk1), well_founded(a2, kk2)
     cx = None
     if not w.fine.leq_p(w.embed(wf1), wf2):
         cx = {"coarse_wf": _show(wf1), "fine_wf": _show(wf2)}
@@ -253,7 +250,7 @@ def check_precision_transfer(w: SpacePrecisionWitness, a2: Approximator) -> list
     cx = None if set(sup1) <= set(sup2) else {"coarse_only": sorted(set(sup1) - set(sup2))}
     results.append(_result("transfer.supported_subset", True, cx))
 
-    st1, st2 = stable_fixpoints(a1), stable_fixpoints(a2)
+    st1, st2 = stable_fixpoints(a1, wf1), stable_fixpoints(a2, wf2)
     cx = None if set(st1) <= set(st2) else {"coarse_only": sorted(set(st1) - set(st2))}
     results.append(_result("transfer.stable_subset", True, cx))
     return results

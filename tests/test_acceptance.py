@@ -91,7 +91,7 @@ def test_criterion_1_agent_interval_derives_nothing():
         ultimate = ultimate_approximator(fw, op)
         least = fw.least_approximant()
         assert kripke_kleene(ultimate) == least
-        assert well_founded(ultimate) == least
+        assert well_founded(ultimate, kripke_kleene(ultimate)) == least
 
 
 def test_criterion_2_agent_flowers_find_the_model():
@@ -99,7 +99,7 @@ def test_criterion_2_agent_flowers_find_the_model():
         op = _agent_operator()
         fw = build_flower_framework(op.domain)
         ultimate = ultimate_approximator(fw, op)
-        wf = well_founded(ultimate)
+        wf = well_founded(ultimate, kripke_kleene(ultimate))
         assert fw.is_exact(wf)
         assert fw.exact_value(wf) == INTENDED_STATE
         assert fw.members(wf) == frozenset({INTENDED_STATE})
@@ -202,8 +202,8 @@ def test_criterion_6_oracle_equivalence():
             exact, fw = spaces[p.atoms]
             fit = fitting_approximator(p, fw)
             oracle = lp_oracle(p)
-            assert stable_fixpoints(fit) == sorted(set_id(s) for s in oracle.answer_sets), p
-            wf = well_founded(fit)
+            wf = well_founded(fit, kripke_kleene(fit))
+            assert stable_fixpoints(fit, wf) == sorted(set_id(s) for s in oracle.answer_sets), p
             assert wf.alb == set_id(oracle.wf_true), p
             assert wf.aub == set_id(oracle.wf_possible), p
             assert supported_fixpoints(fit) == sorted(set_id(s) for s in oracle.supported), p
@@ -225,10 +225,12 @@ def test_criterion_7_precision_transfer():
             op = lp_operator(p, exact)
             fit = fitting_approximator(p, fw)
             ult = ultimate_approximator(fw, op)
-            assert fw.leq_p(kripke_kleene(fit), kripke_kleene(ult)), p
-            assert fw.leq_p(well_founded(fit), well_founded(ult)), p
+            kk_fit, kk_ult = kripke_kleene(fit), kripke_kleene(ult)
+            wf_fit, wf_ult = well_founded(fit, kk_fit), well_founded(ult, kk_ult)
+            assert fw.leq_p(kk_fit, kk_ult), p
+            assert fw.leq_p(wf_fit, wf_ult), p
             assert set(supported_fixpoints(fit)) <= set(supported_fixpoints(ult)), p
-            assert set(stable_fixpoints(fit)) <= set(stable_fixpoints(ult)), p
+            assert set(stable_fixpoints(fit, wf_fit)) <= set(stable_fixpoints(ult, wf_ult)), p
 
         # the space-change theorems, exhaustively on the three-atom corpus
         for p in [q for q in programs if len(q.atoms) == 3]:
@@ -243,14 +245,14 @@ def test_criterion_7_precision_transfer():
 
         # and on the belief-state instance
         op = _agent_operator()
-        wit = interval_flower_witness(op.domain)
+        wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
         interval_ultimate = ultimate_approximator(wit.coarse, op)
         flower_ultimate = ultimate_approximator(wit.fine, op)
         assert check_ultimate_composition(wit, op, rng=rng).ok
         report = verify_transfer_theorems(wit, a1=interval_ultimate, a2=flower_ultimate, rng=rng)
         assert report_ok(report)
-        embedded = wit.embed(well_founded(interval_ultimate))
-        wf_fine = well_founded(flower_ultimate)
+        embedded = wit.embed(well_founded(interval_ultimate, kripke_kleene(interval_ultimate)))
+        wf_fine = well_founded(flower_ultimate, kripke_kleene(flower_ultimate))
         assert wit.fine.leq_p(embedded, wf_fine) and embedded != wf_fine
 
 
@@ -259,7 +261,7 @@ def test_criterion_8_confluence():
         op = _agent_operator()
         fw = build_flower_framework(op.domain)
         ultimate = ultimate_approximator(fw, op)
-        wf = well_founded(ultimate)
+        wf = well_founded(ultimate, kripke_kleene(ultimate))
         for seed in range(50):
             trace = run_wf_induction(ultimate, random_wf_strategy(random.Random(seed)))
             assert is_terminal_wf(ultimate, trace[-1])
@@ -271,7 +273,7 @@ def test_criterion_8_confluence():
             exact = powerset_lattice(p.atoms, "subset")
             ifw = build_interval_framework(exact)
             fit = fitting_approximator(p, ifw)
-            wf_p = well_founded(fit)
+            wf_p = well_founded(fit, kripke_kleene(fit))
             for seed in range(50):
                 trace = run_wf_induction(fit, random_wf_strategy(random.Random(seed)))
                 assert is_terminal_wf(fit, trace[-1])

@@ -65,7 +65,8 @@ def _by_definition(a: Approximator) -> tuple[list[str], list[str]]:
 
 
 def _assert_definitional(a: Approximator) -> None:
-    assert (supported_fixpoints(a), stable_fixpoints(a)) == _by_definition(a), a.name
+    wf = well_founded(a, kripke_kleene(a))
+    assert (supported_fixpoints(a), stable_fixpoints(a, wf)) == _by_definition(a), a.name
 
 
 def _cpos(rng: random.Random):
@@ -118,7 +119,7 @@ def test_induced_approximators_match_the_definition():
         for _ in range(20):
             program = random_program(tuple("abc"[:size]), rng)
             op = lp_operator(program, lp_exact_space(program))
-            wit = interval_flower_witness(op.domain)
+            wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
             fine = induce_fine(fitting_approximator(program, wit.coarse), wit)
             coarse = induce_coarse(ultimate_approximator(wit.fine, op), wit)
             assert fine.exact.table == coarse.exact.table == op.table
@@ -167,8 +168,7 @@ def test_corpus_finishes_within_half_the_stated_cap(monkeypatch):
             ultimate_approximator(ffw, op),
         )
         for a in approximators:
-            kripke_kleene(a)
-            well_founded(a)
+            well_founded(a, kripke_kleene(a))
 
 
 # -- Kripke-Kleene and well-founded by enumeration ------------------------------
@@ -192,7 +192,8 @@ def _kk_wf_by_enumeration(a: Approximator) -> tuple:
 
 
 def _assert_kk_wf_by_enumeration(a: Approximator) -> None:
-    assert (kripke_kleene(a), well_founded(a)) == _kk_wf_by_enumeration(a), a.name
+    kk = kripke_kleene(a)
+    assert (kk, well_founded(a, kk)) == _kk_wf_by_enumeration(a), a.name
 
 
 def test_kk_wf_of_random_tables_on_cpos_match_enumeration():

@@ -73,7 +73,7 @@ def test_constant_operator_ultimate_is_exact(fig_lattice):
         for x in fw.enumerate_approximants():
             assert ua.apply(x) == fw.exact_approximant("a")
         assert supported_fixpoints(ua) == ["a"]
-        assert stable_fixpoints(ua) == ["a"]
+        assert stable_fixpoints(ua, well_founded(ua, kripke_kleene(ua))) == ["a"]
 
 
 def test_exact_operator_rejects_bad_tables(fig_lattice):
@@ -86,7 +86,7 @@ def test_agent_interval_ultimate_kk_wf_are_least(agent):
     op, ifw, ia, _, _ = agent
     least = ifw.least_approximant()
     assert kripke_kleene(ia) == least
-    assert well_founded(ia) == least
+    assert well_founded(ia, kripke_kleene(ia)) == least
 
 
 def test_ultimate_kk_of_tautological_loop():
@@ -146,8 +146,9 @@ def test_stable_revision_requires_reliability():
 
 def test_well_founded_rejects_a_decreasing_stable_revision():
     """On the chain 0 < 1 < 2, stable revision takes the least approximant
-    [0,2] to the reliable [1,1] and then back down to [0,1], since the
-    approximator sends [0,2] above [0,1]'s image: not precision-monotone."""
+    [0,2], and KK [1,2] too, to the reliable [1,1] and then back down to
+    [0,1], since the approximator sends [0,2] above [0,1]'s image: not
+    precision-monotone."""
     chain = FinitePoset(["0", "1", "2"], [("0", "1"), ("1", "2")])
     fw = build_interval_framework(chain)
     images = {("0", "2"): ("1", "2"), ("1", "2"): ("1", "2"), ("0", "0"): ("0", "1"),
@@ -155,8 +156,10 @@ def test_well_founded_rejects_a_decreasing_stable_revision():
     bad = Approximator(fw, lambda x: fw.recompose(*images[x.alb, x.aub]),
                        ExactOperator(chain, [0, 1, 2]))
     assert stable_revision(bad, fw.least_approximant()) == fw.exact_approximant("1")
+    kk = kripke_kleene(bad)
+    assert stable_revision(bad, kk) == fw.exact_approximant("1")
     with pytest.raises(MonotonicityError):
-        well_founded(bad)
+        well_founded(bad, kk)
 
 
 def test_agent_flower_stable_revision_refines_the_aub(agent):
@@ -218,23 +221,23 @@ def test_single_fact_program():
     assert kripke_kleene(fit) == exact_p
     assert kripke_kleene(ult) == exact_p
     assert supported_fixpoints(fit) == ["{p}"]
-    assert stable_fixpoints(fit) == ["{p}"]
+    assert stable_fixpoints(fit, well_founded(fit, kripke_kleene(fit))) == ["{p}"]
 
 
 def test_positive_loop_semantics():
     program = parse_program(["p :- p"])
     _, fw, fit, _ = _interval_setup(program)
     assert supported_fixpoints(fit) == ["{p}", "{}"]
-    assert stable_fixpoints(fit) == ["{}"]
+    assert stable_fixpoints(fit, well_founded(fit, kripke_kleene(fit))) == ["{}"]
 
 
 def test_even_loop_semantics_and_oracle():
     program = parse_program(["p :- not q", "q :- not p"])
     _, fw, fit, _ = _interval_setup(program)
     oracle = lp_oracle(program)
-    assert {set_id(s) for s in oracle.answer_sets} == set(stable_fixpoints(fit))
-    assert supported_fixpoints(fit) == stable_fixpoints(fit)
-    wf = well_founded(fit)
+    wf = well_founded(fit, kripke_kleene(fit))
+    assert {set_id(s) for s in oracle.answer_sets} == set(stable_fixpoints(fit, wf))
+    assert supported_fixpoints(fit) == stable_fixpoints(fit, wf)
     assert wf == fw.least_approximant()
     assert set_id(oracle.wf_true) == wf.alb
     assert set_id(oracle.wf_possible) == wf.aub
@@ -243,17 +246,17 @@ def test_even_loop_semantics_and_oracle():
 def test_odd_loop_well_founded():
     program = parse_program(["p :- not p"])
     _, fw, fit, _ = _interval_setup(program)
-    wf = well_founded(fit)
+    wf = well_founded(fit, kripke_kleene(fit))
     assert (wf.alb, wf.aub) == ("{}", "{p}")
-    assert stable_fixpoints(fit) == []
+    assert stable_fixpoints(fit, wf) == []
     oracle = lp_oracle(program)
     assert oracle.answer_sets == ()
 
 
 def test_agent_flower_well_founded_is_the_intended_state(agent):
     op, _, _, ffw, fa = agent
-    wf = well_founded(fa)
     kk = kripke_kleene(fa)
+    wf = well_founded(fa, kk)
     intended = set_id([set_id(["p", "q"]), set_id(["q"])])  # q true, r false
     assert ffw.is_exact(wf)
     assert ffw.exact_value(wf) == intended
@@ -280,8 +283,10 @@ def test_kk_below_wf_and_stable_subset_supported():
         program = random_program(("p", "q", "r"), rng)
         _, fw, fit, ult = _interval_setup(program)
         for a in (fit, ult):
-            assert fw.leq_p(kripke_kleene(a), well_founded(a))
-            assert set(stable_fixpoints(a)) <= set(supported_fixpoints(a))
+            kk = kripke_kleene(a)
+            wf = well_founded(a, kk)
+            assert fw.leq_p(kk, wf)
+            assert set(stable_fixpoints(a, wf)) <= set(supported_fixpoints(a))
 
 
 def test_fitting_below_ultimate_pointwise():
@@ -345,7 +350,7 @@ def test_grounding_candidates_are_grounding_refinements(agent):
 
 def test_random_strategies_converge(agent):
     op, _, _, ffw, fa = agent
-    wf = well_founded(fa)
+    wf = well_founded(fa, kripke_kleene(fa))
     for seed in range(6):
         trace = run_wf_induction(fa, random_wf_strategy(random.Random(seed)))
         assert trace[-1] == wf
@@ -354,14 +359,14 @@ def test_random_strategies_converge(agent):
 def test_wf_is_terminal_and_a_random_induction_ends_there():
     program = parse_program(["p"])
     _, fw, fit, _ = _interval_setup(program)
-    wf = well_founded(fit)
+    wf = well_founded(fit, kripke_kleene(fit))
     assert is_terminal_wf(fit, wf)
     assert run_wf_induction(fit, random_wf_strategy(random.Random(0)))[-1] == wf
 
 
 def test_terminal_iff_no_refinements(agent):
     op, _, _, ffw, fa = agent
-    wf = well_founded(fa)
+    wf = well_founded(fa, kripke_kleene(fa))
     assert is_terminal_wf(fa, wf)
     assert not application_refinements(fa, wf)
     assert not grounding_refinements(fa, wf)

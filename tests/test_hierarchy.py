@@ -16,6 +16,7 @@ from genaft import (
     induce_coarse,
     induce_fine,
     interval_flower_witness,
+    kripke_kleene,
     powerset_lattice,
     report_ok,
     ultimate_approximator,
@@ -30,23 +31,26 @@ from genaft.encoders import parse_program
 
 @pytest.fixture(scope="module")
 def diamond_witness():
-    return interval_flower_witness(powerset_lattice(["p", "q"]))
+    exact = powerset_lattice(["p", "q"])
+    return interval_flower_witness(exact, build_interval_framework(exact))
 
 
 @pytest.fixture(scope="module")
 def agent_setup():
     op = ael_operator(agent_theory())
-    wit = interval_flower_witness(op.domain)
+    wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
     return op, wit
 
 
-def test_witness_requires_complete_lattice(fig):
+def test_witness_requires_complete_lattice(fig, fig_lattice):
     with pytest.raises(PreconditionError):
-        interval_flower_witness(fig)
+        interval_flower_witness(fig, build_interval_framework(fig))
+    with pytest.raises(PreconditionError, match="share the exact space"):
+        interval_flower_witness(fig, build_interval_framework(fig_lattice))
 
 
 def test_collapse_values(fig_lattice):
-    wit = interval_flower_witness(fig_lattice)
+    wit = interval_flower_witness(fig_lattice, build_interval_framework(fig_lattice))
     whole = wit.fine.approximant_from_members({"bot", "a", "b", "top"})
     hull = wit.collapse(whole)
     assert (hull.alb, hull.aub) == ("bot", "top")
@@ -61,7 +65,8 @@ def test_collapse_values(fig_lattice):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_collapse_is_the_most_precise_covering_interval_by_enumeration(seed):
-    wit = interval_flower_witness(with_top(random_bounded_complete_cpo(random.Random(seed), 7)))
+    exact = with_top(random_bounded_complete_cpo(random.Random(seed), 7))
+    wit = interval_flower_witness(exact, build_interval_framework(exact))
     intervals = wit.coarse.enumerate_approximants()
     for x in wit.fine.enumerate_approximants():
         members = wit.fine.members_mask(x)
@@ -73,7 +78,7 @@ def test_collapse_is_the_most_precise_covering_interval_by_enumeration(seed):
 
 
 def test_embedding_members(fig_lattice):
-    wit = interval_flower_witness(fig_lattice)
+    wit = interval_flower_witness(fig_lattice, build_interval_framework(fig_lattice))
     x = wit.coarse.recompose("bot", "a")
     assert wit.fine.members(wit.embed(x)) == wit.coarse.members(x)
 
@@ -105,7 +110,7 @@ def test_constant_collapse_fails_with_witness(diamond_witness):
 def test_induced_approximators_round_trip(diamond_witness):
     program = parse_program(["p :- not q", "q :- p"])
     op = lp_operator(program, lp_exact_space(program))
-    wit = interval_flower_witness(op.domain)
+    wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
     fit = fitting_approximator(program, wit.coarse)
     back = induce_coarse(induce_fine(fit, wit), wit)
     for x in wit.coarse.enumerate_approximants():
@@ -115,14 +120,14 @@ def test_induced_approximators_round_trip(diamond_witness):
 def test_collapsed_flower_ultimate_is_interval_ultimate():
     program = parse_program(["p :- not q", "q :- not p", "r :- p"])
     op = lp_operator(program, lp_exact_space(program))
-    wit = interval_flower_witness(op.domain)
+    wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
     assert check_ultimate_composition(wit, op).status == "pass"
 
 
 def test_induced_fine_interval_ultimate_below_flower_ultimate():
     program = parse_program(["p :- not q", "q :- not p"])
     op = lp_operator(program, lp_exact_space(program))
-    wit = interval_flower_witness(op.domain)
+    wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
     lifted = induce_fine(ultimate_approximator(wit.coarse, op), wit)
     flower_ultimate = ultimate_approximator(wit.fine, op)
     for x2 in wit.fine.enumerate_approximants():
@@ -134,7 +139,7 @@ def test_transfer_theorems_on_random_programs():
     for _ in range(8):
         program = random_program(("p", "q"), rng)
         op = lp_operator(program, lp_exact_space(program))
-        wit = interval_flower_witness(op.domain)
+        wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
         fit = fitting_approximator(program, wit.coarse)
         flower_ultimate = ultimate_approximator(wit.fine, op)
         report = verify_transfer_theorems(wit, a1=fit, a2=flower_ultimate)
@@ -145,8 +150,8 @@ def test_agent_strict_precision_gap(agent_setup):
     op, wit = agent_setup
     interval_ultimate = ultimate_approximator(wit.coarse, op)
     flower_ultimate = ultimate_approximator(wit.fine, op)
-    wf_coarse = well_founded(interval_ultimate)
-    wf_fine = well_founded(flower_ultimate)
+    wf_coarse = well_founded(interval_ultimate, kripke_kleene(interval_ultimate))
+    wf_fine = well_founded(flower_ultimate, kripke_kleene(flower_ultimate))
     assert wf_coarse == wit.coarse.least_approximant()
     embedded = wit.embed(wf_coarse)
     assert wit.fine.leq_p(embedded, wf_fine)
@@ -173,7 +178,7 @@ def test_warm_start_on_agent(agent_setup):
 def test_warm_start_premise_detects_violations(diamond_witness):
     program = parse_program(["p :- not q"])
     op = lp_operator(program, lp_exact_space(program))
-    wit = interval_flower_witness(op.domain)
+    wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
     fit = fitting_approximator(program, wit.coarse)
     # a2 less precise than induced a1: premise must fail
     def blur(x2):
