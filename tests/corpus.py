@@ -30,6 +30,12 @@ CLAW = {
     "elements": ["bot", "a", "b", "c"],
     "hasse": [["bot", "a"], ["bot", "b"], ["bot", "c"]],
 }
+# The AUBs above x are the twelve non-empty antichains of {x,a,b,c,d}:
+# a full MAX_SUBSET_POOL pool for the ALB x.
+TWELVE_POOL = {
+    "elements": ["bot", "x", "a", "b", "c", "d"],
+    "hasse": [["bot", "x"], ["x", "a"], ["x", "b"], ["x", "c"], ["c", "d"]],
+}
 VEE_TOP = {
     "elements": ["bot", "a", "b", "top"],
     "hasse": [["bot", "a"], ["bot", "b"], ["a", "top"], ["b", "top"]],
@@ -45,6 +51,12 @@ def vee_poset() -> FinitePoset:
 def claw_poset() -> FinitePoset:
     """Least element below three incomparable points."""
     return FinitePoset.from_json(CLAW)
+
+
+def twelve_pool_poset() -> FinitePoset:
+    """bot below x, and x below a, b and c < d: the ALB x is compatible
+    with exactly twelve AUBs, bot with thirteen."""
+    return FinitePoset.from_json(TWELVE_POOL)
 
 
 def vee_lattice() -> FinitePoset:
@@ -239,6 +251,21 @@ class WrongTripleMeet(FlowerFramework):
         us = list(us)
         if sorted(us) == [("a", "b"), ("a", "b", "c"), ("a", "c")]:
             return ("b",)
+        return super().glb_U(us)
+
+
+class WrongElevenMeet(FlowerFramework):
+    """Mutant: on `twelve_pool_poset`, the glb of the eleven AUBs above x
+    other than {x} is {bot} rather than {x}; every other set keeps its
+    glb.  Only the exhaustive subsets of x's twelve-member pool reach it."""
+
+    ELEVEN = sorted([("a",), ("b",), ("c",), ("d",), ("a", "b"), ("a", "c"), ("a", "d"),
+                     ("b", "c"), ("b", "d"), ("a", "b", "c"), ("a", "b", "d")])
+
+    def glb_U(self, us):
+        us = list(us)
+        if sorted(us) == self.ELEVEN:
+            return ("bot",)
         return super().glb_U(us)
 
 

@@ -25,8 +25,15 @@ from genaft import (
 )
 from genaft.errors import PreconditionError
 from genaft.flowers import FlowerFramework
+from genaft.framework import DEFAULT_CAPS, MAX_SUBSET_POOL
 from genaft.intervals import IntervalFramework
-from corpus import random_bounded_complete_cpo, vee_poset, with_top
+from corpus import (
+    WrongElevenMeet,
+    random_bounded_complete_cpo,
+    twelve_pool_poset,
+    vee_poset,
+    with_top,
+)
 
 
 def test_interval_two_chain_composition_poset():
@@ -208,6 +215,17 @@ def test_exhaustive_preamble_compares_each_pair_of_bounds_once():
     report = check_preamble(fw)
     assert all(r.status == "pass" for r in report)
     assert comparisons[0] <= 2 * n * n
+
+
+def test_glb_property_enumerates_a_full_pool_down_to_its_one_wrong_subset():
+    fw = WrongElevenMeet(twelve_pool_poset(), enumerable=True)
+    pool = [u for u in fw.enumerate_aubs() if fw.cross_leq("x", u)]
+    assert len(pool) == MAX_SUBSET_POOL
+    result = check_glb_property(fw, DEFAULT_CAPS, random.Random(0))
+    assert result.status == "fail"
+    eleven = [u for u in pool if u != ("x",)]
+    assert result.counterexample == {
+        "alb": "x", "aubs": ["{" + ",".join(u) + "}" for u in eleven], "glb": "{bot}"}
 
 
 def test_flower_antichains_are_computed_once_per_mask(monkeypatch):
