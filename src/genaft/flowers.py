@@ -72,12 +72,12 @@ class FlowerFramework(ApproximationFramework):
     def aub_of_mask(self, mask: int) -> tuple[str, ...]:
         """The antichain of the maximal elements of `mask`, computed once
         per mask.  A new antichain is also filed under its lower closure,
-        which `aub_mask` records, so each down-set meets its antichain once."""
+        which `aub_mask` records, so each down-set meets its antichain once
+        and every mask with that antichain returns the same object."""
         u = self._antichains.get(mask)
         if u is None:
             u = tuple(sorted(self.exact.set_of(self.exact._max_mask(mask))))
-            self._antichains[mask] = u
-            self._antichains.setdefault(self.aub_mask(u), u)
+            u = self._antichains[mask] = self._antichains.setdefault(self.aub_mask(u), u)
         return u
 
     # -- combined order -----------------------------------------------------
@@ -99,9 +99,15 @@ class FlowerFramework(ApproximationFramework):
         if not self._enumerable:
             return None
         if self._all_aubs is None:
-            exact = self.exact
-            self._all_aubs = [tuple(sorted(exact.set_of(m))) for m in range(1, 1 << len(exact))
-                              if exact._max_mask(m) == m]
+            # Each antichain is the object filed under its down-set, so the
+            # aub_mask of an enumerated AUB hits its cache by identity.
+            exact, self._all_aubs = self.exact, []
+            for m in range(1, 1 << len(exact)):
+                if exact._max_mask(m) == m:
+                    down = exact._down_closure(m)
+                    u = self._antichains.setdefault(down, tuple(sorted(exact.set_of(m))))
+                    self._down_cache[u] = down
+                    self._all_aubs.append(u)
         return list(self._all_aubs)
 
     def sample_aub(self, rng: random.Random) -> tuple[str, ...]:

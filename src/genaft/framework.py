@@ -24,6 +24,7 @@ counterexample; nothing raises.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -391,6 +392,11 @@ def _probe(every: Iterable, count: int, draw: Callable, caps: Caps, rng: random.
     complete, and `draw` makes one seeded probe.  The result is every
     instance when the pools are complete and `count` is at most `limit`;
     otherwise it is exactly `caps.samples` draws.
+
+    Frameworks and approximants are immutable, so each framework query
+    is a pure function of its arguments, and a checker may ask it once
+    per argument within one check.  The instances are still examined in
+    this order, so the first counterexample does not depend on it.
     """
     if complete and count <= limit:
         return every, True
@@ -408,13 +414,13 @@ def _subsets(pool: list, caps: Caps, rng, *, nonempty: bool) -> tuple[Iterable, 
 
     def every():
         # Doubling lists the subsets in the order of their bitmasks over the pool.
-        subsets = [[]]
+        subsets = [()]
         for x in pool:
-            subsets += [s + [x] for s in subsets]
+            subsets += [s + (x,) for s in subsets]
         yield from subsets[start:]
 
     def draw(rng):
-        return rng.sample(pool, rng.randint(start, min(len(pool), 8)))
+        return tuple(rng.sample(pool, rng.randint(start, min(len(pool), 8))))
 
     return _probe(every(), 1 << len(pool), draw, caps, rng, limit=1 << MAX_SUBSET_POOL)
 
@@ -425,12 +431,12 @@ def _chains(fw, caps: Caps, rng) -> tuple[Iterable, bool]:
     non-empty chains, else probes.  L is the exact poset, so a probe
     climbs through up-sets."""
     pool, exact = list(fw.albs()), fw.exact
-    chains: list[list] = [[]]
-    stack = [[x] for x in pool] if len(pool) <= MAX_SUBSET_POOL else []
+    chains: list[tuple] = [()]
+    stack = [(x,) for x in pool] if len(pool) <= MAX_SUBSET_POOL else []
     while stack and len(chains) <= MAX_CHAINS + 1:
         chain = stack.pop()
         chains.append(chain)
-        stack.extend(chain + [y] for y in pool if y != chain[-1] and fw.alb_leq(chain[-1], y))
+        stack.extend(chain + (y,) for y in pool if y != chain[-1] and fw.alb_leq(chain[-1], y))
 
     def draw(rng):
         chain = [rng.choice(pool)]
@@ -440,7 +446,7 @@ def _chains(fw, caps: Caps, rng) -> tuple[Iterable, bool]:
             if not ups:
                 break
             chain.append(exact.elements[rng.choice(ups)])
-        return chain
+        return tuple(chain)
 
     return _probe(chains, len(chains) - 1, draw, caps, rng,
                   complete=len(pool) <= MAX_SUBSET_POOL, limit=MAX_CHAINS)
@@ -489,11 +495,8 @@ def _show(value) -> str:
 # the checkers
 
 
-def check_composition_poset(
-    fw: ApproximationFramework,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> list[CheckResult]:
+def check_composition_poset(fw: ApproximationFramework, caps: Caps,
+                            rng: random.Random) -> list[CheckResult]:
     """The five composition-poset requirements, one result per bullet.
 
     When bullet 3 or 4 is exhaustive, the exhaustive bullets read the
@@ -502,7 +505,6 @@ def check_composition_poset(
     way a failure reports the first violation in the bullet's own order,
     and an undefined recomposition is reported, never raised.
     """
-    rng = rng or random.Random(0)
     albs = list(fw.albs())
     aubs, u_complete = _aub_pool(fw, caps, rng)
     results = []
@@ -604,23 +606,19 @@ def check_composition_poset(
     return results
 
 
-def check_chain_ilp(
-    fw: ApproximationFramework,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> CheckResult:
+def check_chain_ilp(fw: ApproximationFramework, caps: Caps, rng: random.Random) -> CheckResult:
     """Chains of L bounded by some u have their lub below that u."""
-    rng = rng or random.Random(0)
     aubs, u_complete = _aub_pool(fw, caps, rng)
     chains, c_complete = _chains(fw, caps, rng)
     instances, exhaustive = _probe(itertools.product(chains, aubs), len(chains) * len(aubs),
                                    _draw(chains, aubs), caps, rng,
                                    complete=u_complete and c_complete)
+    cross_leq, lub_L = functools.cache(fw.cross_leq), functools.cache(fw.lub_L)
     for chain, u in instances:
-        if not all(fw.cross_leq(l, u) for l in chain):
+        if not all(cross_leq(l, u) for l in chain):
             continue
-        lub = fw.lub_L(chain) if chain else fw.L_least()
-        if lub is None or not fw.cross_leq(lub, u):
+        lub = lub_L(chain) if chain else fw.L_least()
+        if lub is None or not cross_leq(lub, u):
             return CheckResult(
                 "chain_interlattice_lub",
                 "fail",
@@ -629,13 +627,8 @@ def check_chain_ilp(
     return _result("chain_interlattice_lub", exhaustive, None)
 
 
-def check_weak_ilp(
-    fw: ApproximationFramework,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> CheckResult:
+def check_weak_ilp(fw: ApproximationFramework, caps: Caps, rng: random.Random) -> CheckResult:
     """New ALB knowledge compatible with the AUB joins with the old ALB."""
-    rng = rng or random.Random(0)
     xs, x_complete = _approximant_pool(fw, caps, rng)
     albs = list(fw.albs())
     instances, exhaustive = _probe(itertools.product(xs, albs), len(xs) * len(albs),
@@ -653,11 +646,7 @@ def check_weak_ilp(
     return _result("weak_interlattice_lub", exhaustive, None)
 
 
-def check_abstract_ilp(
-    fw: ApproximationFramework,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> CheckResult:
+def check_abstract_ilp(fw: ApproximationFramework, caps: Caps, rng: random.Random) -> CheckResult:
     """Approximants sharing an AUB have lubs that keep that AUB.
 
     Quantified over non-empty sets: the literal empty case degenerates
@@ -666,7 +655,6 @@ def check_abstract_ilp(
     once the AUB is fixed.  A probe draws an AUB and a few ALBs besides
     the least one, which recomposes with every AUB.
     """
-    rng = rng or random.Random(0)
     albs = list(fw.albs())
     aubs, u_complete = _aub_pool(fw, caps, rng)
 
@@ -719,20 +707,17 @@ def check_abstract_ilp(
     return _result("abstract_interlattice_lub", exhaustive, None)
 
 
-def check_glb_property(
-    fw: ApproximationFramework,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> CheckResult:
+def check_glb_property(fw: ApproximationFramework, caps: Caps, rng: random.Random) -> CheckResult:
     """An ALB below every member of an AUB set is below the set's glb.
 
     For each ALB the compatible AUBs of the pool form one set; every
     qualifying set is a subset of it.  Small sets are enumerated in
     full.  A set larger than MAX_SUBSET_POOL is checked alone: it
     dominates each of its subsets, because glbs in the verified complete
-    lattice U are antitone in the set.
+    lattice U are antitone in the set.  glb_U is asked on every set, and
+    compatibility with the ALB once per distinct glb: a pool of 12 has
+    4,096 subsets but at most |U| glbs.
     """
-    rng = rng or random.Random(0)
     albs = list(fw.albs())
     aubs, u_complete = _aub_pool(fw, caps, rng)
 
@@ -749,9 +734,13 @@ def check_glb_property(
             subsets = [pool]
         else:
             subsets, _ = _subsets(pool, caps, rng, nonempty=False)
+        below: dict = {}  # glb -> fw.cross_leq(l, glb)
         for subset in subsets:
             glb = fw.glb_U(subset)
-            if not fw.cross_leq(l, glb):
+            ok = below.get(glb)
+            if ok is None:
+                ok = below[glb] = fw.cross_leq(l, glb)
+            if not ok:
                 return CheckResult(
                     "interlattice_glb",
                     "fail",
@@ -760,11 +749,7 @@ def check_glb_property(
     return _result("interlattice_glb", exhaustive, None, note)
 
 
-def check_preamble(
-    fw: ApproximationFramework,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> list[CheckResult]:
+def check_preamble(fw: ApproximationFramework, caps: Caps, rng: random.Random) -> list[CheckResult]:
     """Well-formedness of the combined order and the two spaces.
 
     When transitivity or the U-lattice check is exhaustive, the
@@ -773,7 +758,6 @@ def check_preamble(
     framework.  Either way a failure reports the first violation in the
     quantifier's own order.
     """
-    rng = rng or random.Random(0)
     results = []
     albs = list(fw.albs())
     aubs, u_complete = _aub_pool(fw, caps, rng)
@@ -916,20 +900,16 @@ def _sampled_lattice_violations(fw, triples: Iterable) -> Iterator[dict]:
             yield {"aub1": _show(u1), "aub2": _show(u2), "above_both": _show(v)}
 
 
-def check_approximates_relation(
-    fw: ApproximationFramework,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
-) -> list[CheckResult]:
+def check_approximates_relation(fw: ApproximationFramework, caps: Caps,
+                                rng: random.Random) -> list[CheckResult]:
     """The four compatibility requirements on the approximates-relation."""
-    rng = rng or random.Random(0)
     results = []
     xs, x_complete = _approximant_pool(fw, caps, rng)
     pairs, exhaustive = _probe(itertools.permutations(xs, 2), len(xs) * (len(xs) - 1),
                                _draw(xs, xs), caps, rng, complete=x_complete)
-    cx = None
+    members_mask, cx = functools.cache(fw.members_mask), None
     for x, y in pairs:
-        if fw.leq_p(x, y) and fw.members_mask(y) & ~fw.members_mask(x):
+        if fw.leq_p(x, y) and members_mask(y) & ~members_mask(x):
             cx = {"less_precise": _show(x), "more_precise": _show(y)}
             break
     results.append(_result("approximates.1_antitone_in_precision", exhaustive, cx))

@@ -21,6 +21,7 @@ from genaft import (
 from genaft.encoders import AelTheory, NormalLogicProgram, Rule, Wadf
 from genaft.errors import RecomposeUndefinedError
 from genaft.flowers import FlowerFramework
+from genaft.framework import DEFAULT_CAPS
 
 
 # -- worked instances --------------------------------------------------------
@@ -281,10 +282,10 @@ def flower_propositions(fw: FlowerFramework, rng: random.Random) -> list:
     """The chain, weak and abstract interlattice lub properties and the
     interlattice glb property on `fw`, in that order, drawing from `rng`."""
     return [
-        check_chain_ilp(fw, rng=rng),
-        check_weak_ilp(fw, rng=rng),
-        check_abstract_ilp(fw, rng=rng),
-        check_glb_property(fw, rng=rng),
+        check_chain_ilp(fw, DEFAULT_CAPS, rng),
+        check_weak_ilp(fw, DEFAULT_CAPS, rng),
+        check_abstract_ilp(fw, DEFAULT_CAPS, rng),
+        check_glb_property(fw, DEFAULT_CAPS, rng),
     ]
 
 

@@ -40,6 +40,7 @@ from genaft.encoders import (
 )
 from genaft.errors import PreconditionError
 from genaft.flowers import enumerate_flowers
+from genaft.framework import DEFAULT_CAPS
 
 import conftest
 from corpus import (
@@ -163,7 +164,7 @@ def test_criterion_5_axiom_suite():
         for _ in range(200):
             poset = random_bounded_complete_cpo(rng, max_elements=7)
             fw = build_flower_framework(poset)
-            results = check_composition_poset(fw, rng=rng)
+            results = check_composition_poset(fw, DEFAULT_CAPS, rng)
             results += flower_propositions(fw, rng)
             assert report_ok(results), [r for r in results if not r.ok]
             for r in results:

@@ -38,7 +38,7 @@ from corpus import (
 
 def test_interval_two_chain_composition_poset():
     two = FinitePoset(["0", "1"], [("0", "1")])
-    report = check_composition_poset(build_interval_framework(two))
+    report = check_composition_poset(build_interval_framework(two), DEFAULT_CAPS, random.Random(0))
     assert report_ok(report)
     assert {r.axiom for r in report} == {
         "composition.1_defined_when_compatible",
@@ -50,7 +50,7 @@ def test_interval_two_chain_composition_poset():
 
 
 def test_flower_vee_composition_poset(fig):
-    report = check_composition_poset(build_flower_framework(fig))
+    report = check_composition_poset(build_flower_framework(fig), DEFAULT_CAPS, random.Random(0))
     assert report_ok(report)
     assert all(r.status == "pass" for r in report)
 
@@ -59,7 +59,7 @@ def test_flower_vee_composition_poset(fig):
 def test_interval_lattices_satisfy_the_four_properties(atoms):
     fw = build_interval_framework(powerset_lattice(atoms))
     for check in (check_chain_ilp, check_weak_ilp, check_abstract_ilp, check_glb_property):
-        assert check(fw).ok
+        assert check(fw, DEFAULT_CAPS, random.Random(0)).ok
 
 
 def test_sixteen_element_lattice_all_axioms():
@@ -69,17 +69,20 @@ def test_sixteen_element_lattice_all_axioms():
 
 
 def test_preamble_on_both_spaces(fig, fig_lattice):
-    assert report_ok(check_preamble(build_flower_framework(fig)))
-    assert report_ok(check_preamble(build_interval_framework(fig_lattice)))
+    assert report_ok(check_preamble(build_flower_framework(fig), DEFAULT_CAPS, random.Random(0)))
+    assert report_ok(check_preamble(build_interval_framework(fig_lattice), DEFAULT_CAPS,
+                                    random.Random(0)))
 
 
 def test_approximates_relation_interval(fig_lattice):
-    report = check_approximates_relation(build_interval_framework(fig_lattice))
+    report = check_approximates_relation(build_interval_framework(fig_lattice), DEFAULT_CAPS,
+                                         random.Random(0))
     assert report_ok(report)
 
 
 def test_approximates_relation_flower(fig):
-    report = check_approximates_relation(build_flower_framework(fig))
+    report = check_approximates_relation(build_flower_framework(fig), DEFAULT_CAPS,
+                                         random.Random(0))
     assert report_ok(report)
 
 
@@ -92,7 +95,7 @@ class _ApproximatesNothing(FlowerFramework):
 
 def test_empty_relation_fails_exactness_bullet(fig):
     mutant = _ApproximatesNothing(fig, enumerable=True)
-    report = check_approximates_relation(mutant)
+    report = check_approximates_relation(mutant, DEFAULT_CAPS, random.Random(0))
     failing = {r.axiom for r in report if not r.ok}
     assert "approximates.4_exact_iff_unique" in failing
 
@@ -169,7 +172,7 @@ def test_sampled_status_on_large_spaces():
     fw = build_flower_framework(lattice)  # 256 elements: no enumeration
     assert fw.enumerate_aubs() is None
     rng = random.Random(0)
-    result = check_chain_ilp(fw, rng=rng)
+    result = check_chain_ilp(fw, DEFAULT_CAPS, rng)
     assert result.ok and result.status == "sampled"
 
 
@@ -212,7 +215,7 @@ def test_exhaustive_preamble_compares_each_pair_of_bounds_once():
     fw = build_flower_framework(vee_poset())
     n = len(fw.albs()) + len(fw.enumerate_aubs())
     comparisons = _counting(fw, "bound_leq")
-    report = check_preamble(fw)
+    report = check_preamble(fw, DEFAULT_CAPS, random.Random(0))
     assert all(r.status == "pass" for r in report)
     assert comparisons[0] <= 2 * n * n
 
@@ -226,6 +229,22 @@ def test_glb_property_enumerates_a_full_pool_down_to_its_one_wrong_subset():
     eleven = [u for u in pool if u != ("x",)]
     assert result.counterexample == {
         "alb": "x", "aubs": ["{" + ",".join(u) + "}" for u in eleven], "glb": "{bot}"}
+
+
+def test_glb_property_meets_every_subset_and_tests_each_distinct_meet_once():
+    fw = build_flower_framework(twelve_pool_poset())
+    albs, aubs = fw.albs(), fw.enumerate_aubs()
+    subsets = meets = 0
+    for l in albs:
+        pool = [u for u in aubs if fw.cross_leq(l, u)]
+        sets = [pool] if len(pool) > MAX_SUBSET_POOL else [
+            [u for k, u in enumerate(pool) if m >> k & 1] for m in range(1 << len(pool))]
+        subsets += len(sets)
+        meets += len({fw.glb_U(s) for s in sets})
+    glbs, compatibility = _counting(fw, "glb_U"), _counting(fw, "cross_leq")
+    assert check_glb_property(fw, DEFAULT_CAPS, random.Random(0)).status == "pass"
+    assert glbs[0] == subsets
+    assert compatibility[0] <= len(albs) * len(aubs) + meets
 
 
 def test_flower_antichains_are_computed_once_per_mask(monkeypatch):
