@@ -30,11 +30,11 @@ from .encoders import (
     wadf_operator,
 )
 from .engine import Approximator, ExactOperator, compute_semantics, ultimate_approximator
-from .errors import GenaftError, InputError, PreconditionError
+from .errors import GenaftError, InputError, PreconditionError, SizeCapError
 from .flowers import build_flower_framework
 from .framework import check_framework, report_ok, report_to_json
 from .intervals import build_interval_framework
-from .posets import DEFAULT_MAX_ELEMENTS, FinitePoset
+from .posets import MAX_ELEMENTS, FinitePoset
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,12 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument(
-        "--max-elements",
-        type=int,
-        default=DEFAULT_MAX_ELEMENTS,
-        help="size cap for constructed posets",
-    )
 
 
 def _load(path: str) -> dict:
@@ -136,14 +130,14 @@ def _detect_kind(data: dict) -> str:
     raise InputError("unrecognised input: expected rules, sentences, acceptance, or elements")
 
 
-def _operator(data: dict, kind: str, max_elements: int) -> ExactOperator:
+def _operator(data: dict, kind: str) -> ExactOperator:
     if kind == "lp":
         program = NormalLogicProgram.from_json(data)
-        return lp_operator(program, lp_exact_space(program, max_elements=max_elements))
+        return lp_operator(program, lp_exact_space(program))
     if kind == "ael":
-        return ael_operator(AelTheory.from_json(data), max_elements=max_elements)
+        return ael_operator(AelTheory.from_json(data))
     if kind == "wadf":
-        return wadf_operator(Wadf.from_json(data), max_elements=max_elements)
+        return wadf_operator(Wadf.from_json(data))
     raise InputError(f"cannot solve a plain {kind} input")
 
 
@@ -169,12 +163,10 @@ def _approximator(data: dict, kind: str, space: str, which: str, fw, op) -> Appr
 def cmd_check(args) -> int:
     data = _load(args.input)
     kind = _detect_kind(data)
-    # check's stated budgets reach only the default cap: --max-elements cannot raise it.
-    max_elements = min(args.max_elements, DEFAULT_MAX_ELEMENTS)
-    if kind == "poset":
-        exact = FinitePoset.from_json(data, max_elements=max_elements)
-    else:
-        exact = _operator(data, kind, max_elements).domain
+    exact = FinitePoset.from_json(data) if kind == "poset" else _operator(data, kind).domain
+    # check's stated budgets reach MAX_ELEMENTS, which only powersets get past.
+    if len(exact) > MAX_ELEMENTS:
+        raise SizeCapError(f"powerset would have {len(exact)} elements, cap is {MAX_ELEMENTS}")
     cls = exact.classify()
     rng = random.Random(args.seed)
     reports = {}
@@ -232,7 +224,7 @@ def cmd_solve(args) -> int:
     data = _load(args.input)
     kind = _detect_kind(data)
     parts = _parse_semantics(args.semantics)
-    op = _operator(data, kind, args.max_elements)
+    op = _operator(data, kind)
     fw = _framework(op.domain, args.space)
     a = _approximator(data, kind, args.space, args.approximator, fw, op)
     result = compute_semantics(a, parts)
@@ -259,7 +251,7 @@ def cmd_compare(args) -> int:
     data = _load(args.input)
     kind = _detect_kind(data)
     parts = _parse_semantics(args.semantics)
-    op = _operator(data, kind, args.max_elements)
+    op = _operator(data, kind)
 
     def run(space: str, which: str):
         fw = _framework(op.domain, space)

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 from ..engine import ExactOperator
 from ..errors import InputError, SizeCapError
-from ..posets import (
-    DEFAULT_MAX_ELEMENTS,
-    FinitePoset,
-    powerset_ids,
-    powerset_lattice,
-)
+from ..posets import FinitePoset, powerset_ids, powerset_lattice
 
 MAX_AEL_ATOMS = 4
 
@@ -125,24 +120,20 @@ def _eval_modal(f: tuple, imask: int, atom_index: dict[str, int], kvalue: dict[t
     )
 
 
-def belief_state_space(
-    theory: AelTheory, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> FinitePoset:
+def belief_state_space(theory: AelTheory) -> FinitePoset:
     """The lattice of belief states, ordered by superset."""
     interps = powerset_ids(tuple(sorted(theory.atoms)))
-    return powerset_lattice(interps, "superset", max_elements=max_elements)
+    return powerset_lattice(interps, "superset")
 
 
-def ael_operator(
-    theory: AelTheory, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> ExactOperator:
+def ael_operator(theory: AelTheory) -> ExactOperator:
     """The belief-state revision operator of the theory."""
     if len(theory.atoms) > MAX_AEL_ATOMS:
         raise SizeCapError(f"{len(theory.atoms)} atoms exceed the cap of {MAX_AEL_ATOMS}")
     atoms = tuple(sorted(theory.atoms))
     atom_index = {a: i for i, a in enumerate(atoms)}
     n_interp = 1 << len(atoms)
-    domain = belief_state_space(theory, max_elements=max_elements)
+    domain = belief_state_space(theory)
     # The lattice's atoms are the sorted interpretation identifiers: the
     # index of a state (a mask over interpretations) moves bit k to the
     # rank of interpretation k's identifier.

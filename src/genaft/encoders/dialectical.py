@@ -18,7 +18,7 @@ from typing import Mapping
 
 from ..engine import ExactOperator
 from ..errors import EvaluationError, InputError, PreconditionError
-from ..posets import DEFAULT_MAX_ELEMENTS, FinitePoset, product_poset
+from ..posets import FinitePoset, product_poset
 
 
 def parse_acceptance(node, values: set[str], arguments: set[str]) -> tuple:
@@ -95,22 +95,18 @@ class Wadf:
         return cls(arguments, values, acceptance)
 
 
-def wadf_exact_space(
-    w: Wadf, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> FinitePoset:
+def wadf_exact_space(w: Wadf) -> FinitePoset:
     """Pointwise product of the value poset, one factor per argument."""
-    return product_poset([w.value_poset] * len(w.arguments), max_elements=max_elements)
+    return product_poset([w.value_poset] * len(w.arguments))
 
 
-def wadf_operator(
-    w: Wadf, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> ExactOperator:
+def wadf_operator(w: Wadf) -> ExactOperator:
     """One revision step: every argument re-evaluates its acceptance
     condition under the current assignment."""
     cls = w.value_poset.classify()
     if not cls.is_bounded_complete:
         raise PreconditionError("the acceptance-value poset must be a bounded-complete cpo")
-    domain = wadf_exact_space(w, max_elements=max_elements)
+    domain = wadf_exact_space(w)
     arg_index = {a: i for i, a in enumerate(w.arguments)}
     values = w.value_poset
 

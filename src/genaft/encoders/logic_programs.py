@@ -20,7 +20,7 @@ from ..engine import Approximator, ExactOperator
 from ..errors import InputError, SizeCapError
 from ..framework import Approximant
 from ..intervals import IntervalFramework
-from ..posets import DEFAULT_MAX_ELEMENTS, FinitePoset, _Powerset, powerset_lattice, set_id
+from ..posets import FinitePoset, _Powerset, powerset_lattice, set_id
 
 ATOM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 # 16 is also the limit of _tp's 16-bit array("H") slots: from 17 atoms on, a
@@ -110,11 +110,9 @@ def _consequence(rules, imask: int) -> int:
     return out
 
 
-def lp_exact_space(
-    program: NormalLogicProgram, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> FinitePoset:
+def lp_exact_space(program: NormalLogicProgram) -> FinitePoset:
     _check_atom_cap(program)  # the atom cap comes first, as for AEL theories
-    return powerset_lattice(program.atoms, "subset", max_elements=max_elements)
+    return powerset_lattice(program.atoms, "subset")
 
 
 def _check_atom_cap(program: NormalLogicProgram) -> None:

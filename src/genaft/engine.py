@@ -37,7 +37,7 @@ from .errors import (
     ReliabilityError,
 )
 from .fixpoints import MonotoneOperator, lfp
-from .framework import DEFAULT_CAPS, Approximant, ApproximationFramework, Caps, _approximant_pool
+from .framework import Approximant, ApproximationFramework, Caps, _approximant_pool
 from .posets import FinitePoset, _bits
 
 
@@ -127,11 +127,10 @@ def ultimate_approximator(fw: ApproximationFramework, op: ExactOperator) -> Appr
 def approximation_violation(
     a: Approximator,
     op: ExactOperator,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
+    caps: Caps,
+    rng: random.Random,
 ) -> tuple[Approximant, str] | None:
     """A pair (approximant, element) breaking "a approximates op", or None."""
-    rng = rng or random.Random(0)
     fw = a.space
     table = _table_on(fw, op)
     pool, _ = _approximant_pool(fw, caps, rng)

@@ -23,7 +23,7 @@ class NotAPartialOrderError(InputError):
 
 
 class SizeCapError(InputError):
-    """A construction would exceed its configured size cap."""
+    """A construction would exceed its fixed size cap."""
 
 
 class PreconditionError(GenaftError):

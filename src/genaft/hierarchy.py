@@ -127,11 +127,10 @@ def induce_coarse(a2: Approximator, w: SpacePrecisionWitness) -> Approximator:
 
 def check_space_precision(
     w: SpacePrecisionWitness,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
+    caps: Caps,
+    rng: random.Random,
 ) -> list[CheckResult]:
     """The definition of "more precise space", clause by clause."""
-    rng = rng or random.Random(0)
     coarse_pool, c_exh = _approximant_pool(w.coarse, caps, rng)
     fine_pool, f_exh = _approximant_pool(w.fine, caps, rng)
     results = []
@@ -182,12 +181,11 @@ def check_space_precision(
 def check_fixpoint_preservation(
     w: SpacePrecisionWitness,
     a1: Approximator,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
+    caps: Caps,
+    rng: random.Random,
 ) -> list[CheckResult]:
     """Inducing a coarse approximator into the fine space keeps its
     fixpoints, stable fixpoints, and both least fixpoints."""
-    rng = rng or random.Random(0)
     a2 = induce_fine(a1, w)
     coarse_pool, c_exh = _approximant_pool(w.coarse, caps, rng)
     results = []
@@ -260,10 +258,10 @@ def check_ultimate_composition(
     w: SpacePrecisionWitness,
     op: ExactOperator,
     caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
+    *,
+    rng: random.Random,
 ) -> CheckResult:
     """Collapsing the fine ultimate approximator yields the coarse one."""
-    rng = rng or random.Random(0)
     coarse_ultimate = ultimate_approximator(w.coarse, op)
     collapsed = induce_coarse(ultimate_approximator(w.fine, op), w)
     coarse_pool, c_exh = _approximant_pool(w.coarse, caps, rng)
@@ -283,8 +281,8 @@ def check_warm_start(
     w: SpacePrecisionWitness,
     a1: Approximator,
     a2: Approximator,
-    caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
+    caps: Caps,
+    rng: random.Random,
 ) -> list[CheckResult]:
     """Moving to a finer space need not restart: the embedded coarse
     Kripke-Kleene fixpoint warm-starts the fine one, and embedded
@@ -292,7 +290,6 @@ def check_warm_start(
 
     Requires the premise that the induced fine version of a1 is at most
     as precise as a2; the premise is verified on the probed pool."""
-    rng = rng or random.Random(0)
     a1_fine = induce_fine(a1, w)
     fine_pool, f_exh = _approximant_pool(w.fine, caps, rng)
     results = []
@@ -332,10 +329,10 @@ def verify_transfer_theorems(
     a1: Approximator,
     a2: Approximator,
     caps: Caps = DEFAULT_CAPS,
-    rng: random.Random | None = None,
+    *,
+    rng: random.Random,
 ) -> list[CheckResult]:
     """Both transfer directions on one instance: fixpoint preservation
     for `a1` and precision transfer for `a2`."""
-    rng = rng or random.Random(0)
     return [*check_fixpoint_preservation(w, a1, caps, rng),
             *check_precision_transfer(w, a2)]

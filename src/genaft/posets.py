@@ -31,7 +31,13 @@ from .errors import (
     SizeCapError,
 )
 
-DEFAULT_MAX_ELEMENTS = 4096
+# Explicit posets keep two n-bit masks per element, O(n**2) bits in all,
+# and `genaft check`'s stated budgets reach this size.
+MAX_ELEMENTS = 4096
+# Powerset lattices are index arithmetic with no masks.  The atom caps of the
+# encoders already imply this bound: 16 logic-program atoms (_tp's 16-bit
+# slots), and the 2**4 interpretations of a 4-atom auto-epistemic theory.
+MAX_POWERSET_ATOMS = 16
 
 
 @dataclass(frozen=True)
@@ -56,13 +62,7 @@ class FinitePoset:
         "elements", "_index", "_up", "_down", "_full", "_up_index", "_down_index", "_classification"
     )
 
-    def __init__(
-        self,
-        elements: Iterable[str],
-        pairs: Iterable[tuple[str, str]] = (),
-        *,
-        max_elements: int = DEFAULT_MAX_ELEMENTS,
-    ):
+    def __init__(self, elements: Iterable[str], pairs: Iterable[tuple[str, str]] = ()):
         """Build a poset from `pairs`, read as x <= y.
 
         `pairs` may be any generating relation (for example a Hasse
@@ -72,10 +72,8 @@ class FinitePoset:
         elems = tuple(elements)
         if len(set(elems)) != len(elems):
             raise InputError("duplicate element identifiers")
-        if len(elems) > max_elements:
-            raise SizeCapError(
-                f"poset has {len(elems)} elements, cap is {max_elements}"
-            )
+        if len(elems) > MAX_ELEMENTS:
+            raise SizeCapError(f"poset has {len(elems)} elements, cap is {MAX_ELEMENTS}")
         index = {x: i for i, x in enumerate(elems)}
         n = len(elems)
         up = [1 << i for i in range(n)]
@@ -144,7 +142,7 @@ class FinitePoset:
         self._classification = classification
 
     @classmethod
-    def from_json(cls, data, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> "FinitePoset":
+    def from_json(cls, data) -> "FinitePoset":
         """Build from decoded JSON {"elements": [...], "hasse": [[x, y], ...]}.
 
         The pairs mean "x is covered by y"; any generating relation is
@@ -160,7 +158,7 @@ class FinitePoset:
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
         ):
             raise InputError('"hasse" must be a list of [x, y] pairs')
-        return cls(elements, [tuple(p) for p in pairs], max_elements=max_elements)
+        return cls(elements, [tuple(p) for p in pairs])
 
     # -- basic queries ---------------------------------------------------
 
@@ -444,12 +442,7 @@ class _Powerset(FinitePoset):
         return None
 
 
-def powerset_lattice(
-    atoms: Iterable[str],
-    order: str = "subset",
-    *,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> FinitePoset:
+def powerset_lattice(atoms: Iterable[str], order: str = "subset") -> FinitePoset:
     """The lattice of all subsets of `atoms` under subset or superset order.
 
     Element identifiers are canonical "{a,b}" strings, and the subset
@@ -461,26 +454,22 @@ def powerset_lattice(
     atom_list = sorted(set(atoms))
     if order not in ("subset", "superset"):
         raise InputError(f"unknown order {order!r}")
-    if 1 << len(atom_list) > max_elements:
+    if len(atom_list) > MAX_POWERSET_ATOMS:
         raise SizeCapError(
-            f"powerset would have {1 << len(atom_list)} elements, cap is {max_elements}"
+            f"powerset would have {1 << len(atom_list)} elements, cap is {1 << MAX_POWERSET_ATOMS}"
         )
     return _Powerset(tuple(atom_list), order == "superset")
 
 
-def product_poset(
-    factors: Sequence[FinitePoset],
-    *,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> FinitePoset:
+def product_poset(factors: Sequence[FinitePoset]) -> FinitePoset:
     """Pointwise-ordered product; identifiers encode component tuples."""
     if not factors:
         raise InputError("product of zero posets")
     total = 1
     for f in factors:
         total *= len(f)
-    if total > max_elements:
-        raise SizeCapError(f"product would have {total} elements, cap is {max_elements}")
+    if total > MAX_ELEMENTS:
+        raise SizeCapError(f"product would have {total} elements, cap is {MAX_ELEMENTS}")
     ids = tuple(map(tuple_id, itertools.product(*(f.elements for f in factors))))
     up = _pointwise([list(map(f._up_of, range(len(f)))) for f in factors])
     down = _pointwise([list(map(f._down_of, range(len(f)))) for f in factors])

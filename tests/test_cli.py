@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from genaft.cli import main
 
 
@@ -199,20 +201,31 @@ def test_solve_over_the_atom_cap_exits_two(capsys, tmp_path):
 
 def test_check_of_a_sixteen_atom_program_exits_two_at_once(capsys, data_dir):
     path = data_dir / "golden" / "inputs" / "lp16.json"
-    for extra in ([], ["--max-elements", "65536"]):
-        code, _, err = run(capsys, "check", str(path), *extra)
-        assert code == 2
-        assert err == "input error: powerset would have 65536 elements, cap is 4096\n"
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert err == "input error: powerset would have 65536 elements, cap is 4096\n"
 
 
-def test_logic_programs_obey_max_elements(capsys, tmp_path):
-    path = tmp_path / "lp3.json"
-    path.write_text(json.dumps({"atoms": ["a", "b", "c"], "rules": []}))
-    for command in ("check", "solve"):
-        code, _, err = run(capsys, command, str(path), "--max-elements", "4")
-        assert code == 2
-        assert err == "input error: powerset would have 8 elements, cap is 4\n"
-    assert run(capsys, "solve", str(path), "--max-elements", "8")[0] == 0
+def test_the_size_caps_are_not_options():
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "input.json", "--max-elements", "5"])
+    assert exc.value.code == 2
+
+
+def test_solve_of_a_five_argument_wadf_exits_two_at_once(capsys, data_dir, tmp_path):
+    """Six values over five arguments make a 7,776-element product, past
+    the explicit-poset cap that `solve` shares with `check`."""
+    wadf4 = json.loads((data_dir / "golden" / "inputs" / "wadf4.json").read_text())
+    arguments = [f"a{i}" for i in range(5)]
+    path = tmp_path / "wadf5.json"
+    path.write_text(json.dumps({
+        "arguments": arguments,
+        "values": wadf4["values"],
+        "acceptance": {a: ["parent", a] for a in arguments},
+    }))
+    code, _, err = run(capsys, "solve", str(path), "--space", "flower")
+    assert code == 2
+    assert err == "input error: product would have 7776 elements, cap is 4096\n"
 
 
 def test_check_unknown_hasse_element_exits_two(capsys, tmp_path):

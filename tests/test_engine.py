@@ -36,6 +36,7 @@ from genaft.errors import (
     PreconditionError,
     ReliabilityError,
 )
+from genaft.framework import DEFAULT_CAPS
 from genaft.encoders import (
     ael_operator,
     fitting_approximator,
@@ -100,14 +101,14 @@ def test_ultimate_kk_of_tautological_loop():
 
 def test_approximates_operator(agent):
     op, ifw, ia, ffw, fa = agent
-    assert approximation_violation(ia, op) is None
-    assert approximation_violation(fa, op) is None
+    assert approximation_violation(ia, op, DEFAULT_CAPS, random.Random(0)) is None
+    assert approximation_violation(fa, op, DEFAULT_CAPS, random.Random(0)) is None
 
 
 def test_fitting_approximates_the_consequence_operator():
     program = parse_program(["p :- not q", "q :- not p", "r :- p, q"])
     op, fw, fit, _ = _interval_setup(program)
-    assert approximation_violation(fit, op) is None
+    assert approximation_violation(fit, op, DEFAULT_CAPS, random.Random(0)) is None
 
 
 def test_corrupted_map_fails_with_witness(fig_lattice):
@@ -118,7 +119,7 @@ def test_corrupted_map_fails_with_witness(fig_lattice):
         return fw.exact_approximant("top")
 
     bad = Approximator(fw, broken, op)
-    witness = approximation_violation(bad, op)
+    witness = approximation_violation(bad, op, DEFAULT_CAPS, random.Random(0))
     assert witness is not None
     x, y = witness
     assert y in fw.members(x)

@@ -79,9 +79,6 @@ INPUTS = {
     "ael4": (GOLDEN / "inputs" / "ael4.json", LATTICE),
 }
 
-# Inputs over the default 4,096-element cap.
-EXTRA_ARGS = {"ael4": ["--max-elements", "65536"], "lp16": ["--max-elements", "65536"]}
-
 CASES = [(name, config) for name, (_, configs) in INPUTS.items() for config in configs]
 
 MUTANTS = {
@@ -99,7 +96,7 @@ def _run(name: str, config: str) -> str:
     path, _ = INPUTS[name]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*CONFIGS[config], str(path), "--format", "json", *EXTRA_ARGS.get(name, [])])
+        code = main([*CONFIGS[config], str(path), "--format", "json"])
     assert code == 0, err.getvalue()
     return out.getvalue()
 

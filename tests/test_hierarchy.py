@@ -25,6 +25,7 @@ from genaft import (
 )
 from genaft.encoders import ael_operator, fitting_approximator, lp_exact_space, lp_operator
 from genaft.errors import PreconditionError
+from genaft.framework import DEFAULT_CAPS
 from corpus import agent_theory, random_bounded_complete_cpo, random_program, with_top
 from genaft.encoders import parse_program
 
@@ -84,7 +85,7 @@ def test_embedding_members(fig_lattice):
 
 
 def test_space_precision_on_diamond(diamond_witness):
-    report = check_space_precision(diamond_witness)
+    report = check_space_precision(diamond_witness, DEFAULT_CAPS, random.Random(0))
     assert report_ok(report)
     assert all(r.status == "pass" for r in report)
 
@@ -92,7 +93,7 @@ def test_space_precision_on_diamond(diamond_witness):
 def test_identity_witness_passes(fig_lattice):
     fw = build_interval_framework(fig_lattice)
     wit = SpacePrecisionWitness(fw, fw, lambda x: x, lambda x: x)
-    assert report_ok(check_space_precision(wit))
+    assert report_ok(check_space_precision(wit, DEFAULT_CAPS, random.Random(0)))
 
 
 def test_constant_collapse_fails_with_witness(diamond_witness):
@@ -102,7 +103,7 @@ def test_constant_collapse_fails_with_witness(diamond_witness):
         collapse=lambda x2: diamond_witness.coarse.least_approximant(),
         embed=diamond_witness.embed,
     )
-    report = check_space_precision(broken)
+    report = check_space_precision(broken, DEFAULT_CAPS, random.Random(0))
     failing = [r for r in report if not r.ok]
     assert failing and all(r.counterexample for r in failing)
 
@@ -121,7 +122,7 @@ def test_collapsed_flower_ultimate_is_interval_ultimate():
     program = parse_program(["p :- not q", "q :- not p", "r :- p"])
     op = lp_operator(program, lp_exact_space(program))
     wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
-    assert check_ultimate_composition(wit, op).status == "pass"
+    assert check_ultimate_composition(wit, op, rng=random.Random(0)).status == "pass"
 
 
 def test_induced_fine_interval_ultimate_below_flower_ultimate():
@@ -142,7 +143,7 @@ def test_transfer_theorems_on_random_programs():
         wit = interval_flower_witness(op.domain, build_interval_framework(op.domain))
         fit = fitting_approximator(program, wit.coarse)
         flower_ultimate = ultimate_approximator(wit.fine, op)
-        report = verify_transfer_theorems(wit, a1=fit, a2=flower_ultimate)
+        report = verify_transfer_theorems(wit, a1=fit, a2=flower_ultimate, rng=random.Random(0))
         assert report_ok(report), [r for r in report if not r.ok]
 
 
@@ -163,7 +164,7 @@ def test_agent_strict_precision_gap(agent_setup):
 def test_agent_fixpoint_preservation(agent_setup):
     op, wit = agent_setup
     interval_ultimate = ultimate_approximator(wit.coarse, op)
-    report = check_fixpoint_preservation(wit, interval_ultimate)
+    report = check_fixpoint_preservation(wit, interval_ultimate, DEFAULT_CAPS, random.Random(0))
     assert report_ok(report)
 
 
@@ -171,7 +172,8 @@ def test_warm_start_on_agent(agent_setup):
     op, wit = agent_setup
     interval_ultimate = ultimate_approximator(wit.coarse, op)
     flower_ultimate = ultimate_approximator(wit.fine, op)
-    report = check_warm_start(wit, interval_ultimate, flower_ultimate)
+    report = check_warm_start(wit, interval_ultimate, flower_ultimate, DEFAULT_CAPS,
+                              random.Random(0))
     assert report_ok(report), [r for r in report if not r.ok]
 
 
@@ -187,7 +189,7 @@ def test_warm_start_premise_detects_violations(diamond_witness):
     from genaft import Approximator
 
     blurred = Approximator(wit.fine, blur, op)
-    report = check_warm_start(wit, fit, blurred)
+    report = check_warm_start(wit, fit, blurred, DEFAULT_CAPS, random.Random(0))
     assert any(not r.ok for r in report)
 
 
