@@ -314,6 +314,23 @@ def test_ael_operator_is_k_evaluated_from_its_definition(seed):
             assert op.apply(set_id(set_id(i) for i in state)) == expected, (seed, state)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_ael_operator_is_k_evaluated_from_its_definition_on_four_atoms(seed):
+    """A random 4-atom theory (16 interpretations, so 16-bit state masks),
+    checked on a seeded sample of its 65,536 belief states and on the
+    empty and the full one."""
+    rng = random.Random(seed)
+    atoms = ["p", "q", "r", "s"]
+    sentences = [_random_sentence(atoms, rng, 3, True) for _ in range(rng.randint(1, 3))]
+    op = ael_operator(AelTheory.from_json({"atoms": atoms, "sentences": sentences}))
+    interps = [frozenset(c) for k in range(len(atoms) + 1) for c in itertools.combinations(atoms, k)]
+    states = [[], interps] + [[i for i in interps if rng.random() < 0.5] for _ in range(200)]
+    for state in states:
+        admitted = [i for i in interps if all(_holds(s, i, state) for s in sentences)]
+        expected = set_id(set_id(i) for i in admitted)
+        assert op.apply(set_id(set_id(i) for i in state)) == expected, (seed, state)
+
+
 def test_ael_atom_cap():
     theory = AelTheory.from_json({"atoms": ["a", "b", "c", "d", "e"], "sentences": []})
     with pytest.raises(SizeCapError):
@@ -402,6 +419,26 @@ def test_first_missing_lub_is_reported_in_assignment_and_argument_order():
     assert str(exc.value) == (
         "acceptance of 'x' asks for a lub of ['a', 'b'], which does not exist in the value poset"
     )
+
+
+def test_glb_and_lub_of_the_same_operands_are_told_apart():
+    """One condition asks for the glb and another for the lub of the same
+    two parents, over a diamond where the two differ: each node's bound
+    is its own, at every assignment."""
+    diamond = {"elements": ["bot", "a", "b", "top"],
+               "hasse": [["bot", "a"], ["bot", "b"], ["a", "top"], ["b", "top"]]}
+    conditions = {
+        "x": ["glb", ["parent", "x"], ["parent", "y"]],
+        "y": ["lub", ["parent", "x"], ["parent", "y"]],
+        "z": ["lub", ["glb", ["parent", "y"], ["parent", "x"]], ["parent", "z"]],
+    }
+    w = Wadf.from_json({"arguments": ["x", "y", "z"], "values": diamond, "acceptance": conditions})
+    values = w.value_poset
+    op = wadf_operator(w)
+    for combo in itertools.product(values.elements, repeat=3):
+        assignment = dict(zip(w.arguments, combo))
+        revised = [_condition_value(conditions[a], values, assignment) for a in w.arguments]
+        assert op.apply(tuple_id(combo)) == tuple_id(revised), combo
 
 
 def _random_condition(args, values, rng: random.Random, depth: int = 0) -> list:

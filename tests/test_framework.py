@@ -399,12 +399,13 @@ def _tables(n: int, rng: random.Random) -> dict[str, list[int]]:
     }
 
 
-def _assert_ultimate_map_is_the_closure_of_the_image(fw, rng: random.Random) -> None:
+def _assert_ultimate_map_is_the_closure_of_the_image(fw, rng: random.Random, sampled: bool = False) -> None:
     """Every enumerated approximant (sampled ones when the space is too
-    large to enumerate), every exact one and the least one maps to the
-    closure of its members' images."""
+    large to enumerate, or when `sampled`), every exact one and the least
+    one maps to the closure of its members' images."""
     exact = fw.exact
-    xs = list(fw.enumerate_approximants() or (fw.sample_approximant(rng) for _ in range(60)))
+    every = None if sampled else fw.enumerate_approximants()
+    xs = list(every or (fw.sample_approximant(rng) for _ in range(60)))
     xs += [fw.least_approximant(), *map(fw.exact_approximant, exact.elements)]
     for name, table in _tables(len(exact), rng).items():
         apply = fw.ultimate_map(table)
@@ -429,3 +430,13 @@ def test_ultimate_map_is_the_closure_of_the_image_on_powersets(atoms):
     lattice = powerset_lattice([f"a{i}" for i in range(atoms)])
     for fw in (build_interval_framework(lattice), build_flower_framework(lattice)):
         _assert_ultimate_map_is_the_closure_of_the_image(fw, rng)
+
+
+@pytest.mark.parametrize("atoms", [8, 10])
+def test_ultimate_map_is_the_closure_of_the_image_on_wide_powersets(atoms):
+    """256 and 1,024 elements: member masks wider than a machine word,
+    on sampled approximants plus the least and every exact one."""
+    rng = random.Random(atoms)
+    lattice = powerset_lattice([f"a{i}" for i in range(atoms)])
+    for fw in (build_interval_framework(lattice), build_flower_framework(lattice)):
+        _assert_ultimate_map_is_the_closure_of_the_image(fw, rng, sampled=True)
