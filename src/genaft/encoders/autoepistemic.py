@@ -16,6 +16,8 @@ possible-world construction.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from ..engine import ExactOperator
@@ -101,25 +103,6 @@ class AelTheory:
         return unique
 
 
-def _eval_modal(f: tuple, imask: int, atom_index: dict[str, int], kvalue: dict[tuple, bool]) -> bool:
-    """The truth of `f` in interpretation `imask`, reading each modal
-    atom K(g) from `kvalue`; an objective formula needs no `kvalue`."""
-    op = f[0]
-    if op == "K":
-        return kvalue[f[1]]
-    if op == "atom":
-        return bool(imask >> atom_index[f[1]] & 1)
-    if op == "not":
-        return not _eval_modal(f[1], imask, atom_index, kvalue)
-    if op == "and":
-        return all(_eval_modal(g, imask, atom_index, kvalue) for g in f[1])
-    if op == "or":
-        return any(_eval_modal(g, imask, atom_index, kvalue) for g in f[1])
-    return _eval_modal(f[1], imask, atom_index, kvalue) == _eval_modal(
-        f[2], imask, atom_index, kvalue
-    )
-
-
 def belief_state_space(theory: AelTheory) -> FinitePoset:
     """The lattice of belief states, ordered by superset."""
     interps = powerset_ids(tuple(sorted(theory.atoms)))
@@ -131,46 +114,64 @@ def ael_operator(theory: AelTheory) -> ExactOperator:
     if len(theory.atoms) > MAX_AEL_ATOMS:
         raise SizeCapError(f"{len(theory.atoms)} atoms exceed the cap of {MAX_AEL_ATOMS}")
     atoms = tuple(sorted(theory.atoms))
-    atom_index = {a: i for i, a in enumerate(atoms)}
     n_interp = 1 << len(atoms)
     domain = belief_state_space(theory)
     # The lattice's atoms are the sorted interpretation identifiers: the
     # index of a state (a mask over interpretations) moves bit k to the
-    # rank of interpretation k's identifier.
+    # rank of interpretation k's identifier; ranked[r] is the
+    # interpretation of rank r.
     interp_ids = powerset_ids(atoms)
-    rank = {ident: r for r, ident in enumerate(sorted(interp_ids))}
-    index_of = [0]
-    for ident in interp_ids:
-        index_of += [i | 1 << rank[ident] for i in index_of]
+    ranked = sorted(range(n_interp), key=interp_ids.__getitem__)
 
-    # K's arguments are objective: _scan rejects a K inside a K.  Bit j
-    # of a state's modal bits is the truth of the j-th modal atom there.
+    def index_of(state: int) -> int:
+        return sum(1 << r for r, k in enumerate(ranked) if state >> k & 1)
+
+    # Every formula is evaluated once as a mask over the interpretations:
+    # interpretation i makes atom k true iff bit k of i is set, so atom k's
+    # mask repeats 2^k false bits then 2^k true ones; a modal atom K(g)
+    # holds in all interpretations or in none.
+    full = (1 << n_interp) - 1
+    atom_masks = {
+        a: full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
+        for k, a in enumerate(atoms)
+    }
+
+    def truth(f: tuple, known: dict[tuple, int]) -> int:
+        """The interpretations where `f` holds, reading K(g) from `known`."""
+        op = f[0]
+        if op == "atom":
+            return atom_masks[f[1]]
+        if op == "K":
+            return known[f[1]]
+        if op == "not":
+            return full ^ truth(f[1], known)
+        if op == "iff":
+            return full ^ truth(f[1], known) ^ truth(f[2], known)
+        masks = (truth(g, known) for g in f[1])
+        if op == "and":
+            return functools.reduce(operator.and_, masks, full)
+        return functools.reduce(operator.or_, masks, 0)
+
+    # K's arguments are objective: _scan rejects a K inside a K.  Bit j of
+    # kbits[i] is the truth of the j-th modal atom K(g) in the state of
+    # index i: K(g) holds iff every deemed-possible interpretation
+    # satisfies g, so the empty (inconsistent) state knows everything, and
+    # adding the interpretation of rank r to the states below index 2^r
+    # keeps K(g) only where that interpretation satisfies g.
     modal = theory.modal_subformulas()
-    modal_masks = []
-    for j, g in enumerate(modal):
-        gmask = 0
-        for imask in range(n_interp):
-            if _eval_modal(g, imask, atom_index, {}):
-                gmask |= 1 << imask
-        modal_masks.append((1 << j, gmask))
+    gmasks = [truth(g, {}) for g in modal]
+    kbits = [(1 << len(modal)) - 1]
+    for k in ranked:
+        keep = sum(1 << j for j, gmask in enumerate(gmasks) if gmask >> k & 1)
+        kbits += [bits & keep for bits in kbits]
 
-    # The index of the state admitted under each modal bitmask.
-    admitted: dict[int, int] = {}
-    table = [0] * len(index_of)
-    for state, index in enumerate(index_of):
-        # K(g) holds iff every deemed-possible interpretation satisfies g;
-        # the empty (inconsistent) state knows everything vacuously.
-        kbits = 0
-        for bit, gmask in modal_masks:
-            if state | gmask == gmask:
-                kbits |= bit
-        hit = admitted.get(kbits)
-        if hit is None:
-            kvalue = {g: bool(kbits >> j & 1) for j, g in enumerate(modal)}
-            out = 0
-            for imask in range(n_interp):
-                if all(_eval_modal(s, imask, atom_index, kvalue) for s in theory.sentences):
-                    out |= 1 << imask
-            hit = admitted[kbits] = index_of[out]
-        table[index] = hit
-    return ExactOperator(domain, table)
+    def admitted(bits: int) -> int:
+        """The index of the state admitted under the modal bitmask `bits`."""
+        known = {g: full if bits >> j & 1 else 0 for j, g in enumerate(modal)}
+        out = full
+        for s in theory.sentences:
+            out &= truth(s, known)
+        return index_of(out)
+
+    image = {bits: admitted(bits) for bits in set(kbits)}
+    return ExactOperator(domain, list(map(image.__getitem__, kbits)))

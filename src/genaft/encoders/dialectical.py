@@ -11,6 +11,7 @@ acceptance orders routinely have several maximal values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -127,7 +128,8 @@ def wadf_operator(w: Wadf) -> ExactOperator:
             pick = itemgetter(*ks) if ks else lambda digits: ()
             return lambda digits: rows[pick(digits)]
         subs = [compiled(arg, sub) for sub in expr[1]]
-        bound = values._glb_mask if op == "glb" else values._lub_mask
+        # Each node memoises its bound per operand bit-set, a missing one too.
+        bound = functools.cache(values._glb_mask if op == "glb" else values._lub_mask)
 
         def combined(digits) -> int:
             bits = 0

@@ -99,6 +99,9 @@ MAX_PAIRS = 250_000       # full product scans up to this many tuples
 # to_json lists an approximant's members when it has at most this many.
 MEMBERS_SHOWN = 64
 
+# The binary digits of a mask, as the selector bytes of itertools.compress.
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -230,30 +233,17 @@ class ApproximationFramework(ABC):
         the image of an approximant's members, so no information beyond
         the image set is lost.
 
-        The table's preimage groups are one (1 << j, preimage mask of j)
-        pair per value j, and an application ORs in 1 << j for each group
-        whose preimage meets the members.  An injective table keeps no
-        groups, which would cost as much as one int per element, and an
-        application walks the members instead."""
+        An application spells the member mask as one 0/1 selector byte per
+        index and gathers the members' images with `itertools.compress`,
+        so no Python step runs per member and nothing is kept per table;
+        it then ORs in 1 << j for each distinct image j."""
         members_mask, closure = self.members_mask, self.closure
-        groups = []
-        if len(set(table)) < len(table):
-            preimages: dict[int, int] = {}
-            for i, j in enumerate(table):
-                preimages[j] = preimages.get(j, 0) | 1 << i
-            groups = [(1 << j, pre) for j, pre in preimages.items()]
 
         def apply(x: Approximant) -> Approximant:
-            mask, image = members_mask(x), 0
-            if not groups:
-                while mask:  # the loop of _bits, inlined to save a generator per application
-                    low = mask & -mask
-                    image |= 1 << table[low.bit_length() - 1]
-                    mask ^= low
-            else:
-                for bit, pre in groups:
-                    if pre & mask:
-                        image |= bit
+            selectors = bin(members_mask(x))[:1:-1].encode().translate(_SELECTORS)
+            image = 0
+            for j in set(itertools.compress(table, selectors)):
+                image |= 1 << j
             return closure(image)
 
         return apply

@@ -389,7 +389,7 @@ def test_an_approximant_is_its_framework_and_bounds():
 
 def _tables(n: int, rng: random.Random) -> dict[str, list[int]]:
     """A constant, the identity, a permutation and a few-valued table on n
-    elements: one preimage group, n of them, and a few."""
+    elements: one distinct value, n of them, and a few."""
     values = rng.sample(range(n), min(n, 3))
     return {
         "constant": [rng.randrange(n)] * n,
