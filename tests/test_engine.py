@@ -38,6 +38,7 @@ from genaft.errors import (
 )
 from genaft.framework import DEFAULT_CAPS
 from genaft.encoders import (
+    AelTheory,
     ael_operator,
     fitting_approximator,
     lp_exact_space,
@@ -307,6 +308,54 @@ def test_reliable_prudent_closed_under_revision():
             y = stable_revision(fit, x)
             assert fw.leq_p(x, y)
             assert is_reliable(fit, y) and is_prudent(fit, y)
+
+
+# -- shared frameworks --------------------------------------------------------------
+
+
+def _answers(*approximators):
+    """Each approximator's four semantics, as `solve` prints them, with
+    the supported and stable lists."""
+    out = []
+    for a in approximators:
+        r = compute_semantics(a)
+        out.append((r.to_json(a.space), r.supported, r.stable))
+    return out
+
+
+def test_a_shared_interval_framework_changes_no_answer():
+    """Programs over one atom set run on one framework, as a corpus sweep
+    runs them, and answer as each does on a fresh framework."""
+    rng = random.Random(21)
+    programs = [parse_program(["p :- not q", "q :- not p"]), parse_program(["p :- not p"])]
+    programs += [random_program(tuple("pqrst"[:n]), rng) for n in range(1, 6) for _ in range(8)]
+    shared = {}
+
+    def answers(program, fw):
+        op = lp_operator(program, fw.exact)
+        return _answers(fitting_approximator(program, fw), ultimate_approximator(fw, op))
+
+    for program in programs:
+        exact = lp_exact_space(program)
+        if program.atoms not in shared:
+            shared[program.atoms] = build_interval_framework(exact)
+        fresh = build_interval_framework(exact)
+        assert answers(program, shared[program.atoms]) == answers(program, fresh), program
+
+
+def test_a_shared_flower_framework_changes_no_answer():
+    """Three theories over the agent's atoms on one flower framework."""
+    theories = [agent_theory()] + [
+        AelTheory.from_json({"atoms": ["p", "q", "r"], "sentences": sentences}) for sentences in (
+            [["iff", ["atom", "p"], ["K", ["atom", "q"]]], ["iff", ["atom", "q"], ["K", ["atom", "p"]]]],
+            [["iff", ["atom", "p"], ["not", ["K", ["atom", "p"]]]], ["or", ["atom", "q"], ["atom", "r"]]],
+        )
+    ]
+    ops = [ael_operator(t) for t in theories]
+    shared = build_flower_framework(ops[0].domain)
+    for op in ops:
+        fresh = build_flower_framework(op.domain)
+        assert _answers(ultimate_approximator(shared, op)) == _answers(ultimate_approximator(fresh, op))
 
 
 # -- refinements ------------------------------------------------------------------
