@@ -117,7 +117,7 @@ class FlowerFramework(ApproximationFramework):
 
     # -- approximants ---------------------------------------------------------
 
-    def recompose(self, l, u) -> Approximant:
+    def _recompose(self, l, u) -> Approximant:
         if not self.cross_leq(l, u):
             raise RecomposeUndefinedError(f"{l!r} is incompatible with the AUB {u!r}")
         mask = self.exact.up_mask(l) & self.aub_mask(u)

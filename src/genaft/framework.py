@@ -99,8 +99,12 @@ MAX_PAIRS = 250_000       # full product scans up to this many tuples
 # to_json lists an approximant's members when it has at most this many.
 MEMBERS_SHOWN = 64
 
-# The binary digits of a mask, as the selector bytes of itertools.compress.
 _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _selectors(mask: int) -> bytes:
+    """The binary digits of `mask`, lowest first, as itertools.compress's selector bytes."""
+    return bin(mask)[:1:-1].encode().translate(_SELECTORS)
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,8 @@ class ApproximationFramework(ABC):
         # set in __init__: one added later (or a read of __dict__) leaves the
         # instance off CPython's fast attribute path, which slowed checks by 10 %.
         self._all_approximants: tuple[Approximant, ...] | None | bool = False
+        self._recomposed: dict[tuple, Approximant] = {}
+        self._closures: dict[int, Approximant] = {}
         self._top_aub = self.aub_of_mask(exact._full)
 
     # -- the combined order over L and U ----------------------------------
@@ -203,12 +209,19 @@ class ApproximationFramework(ABC):
 
     # -- approximants ------------------------------------------------------
 
-    @abstractmethod
     def recompose(self, l, u) -> Approximant:
-        """Combine a compatible ALB/AUB pair into a canonical approximant.
+        """Combine a compatible ALB/AUB pair into a canonical approximant,
+        once per framework: frameworks are immutable, so every approximator
+        on one shares the result.  Raises RecomposeUndefinedError, and
+        stores nothing, when the pair is incompatible."""
+        x = self._recomposed.get((l, u))
+        if x is None:
+            x = self._recomposed[l, u] = self._recompose(l, u)
+        return x
 
-        Raises RecomposeUndefinedError when the pair is incompatible.
-        """
+    @abstractmethod
+    def _recompose(self, l, u) -> Approximant:
+        """recompose's computation, asked once per pair."""
 
     def members_mask(self, x: Approximant) -> int:
         return self.exact.up_mask(x.alb) & self.aub_mask(x.aub)
@@ -223,9 +236,12 @@ class ApproximationFramework(ABC):
     def closure(self, mask: int) -> Approximant:
         """The most precise approximant whose members include the
         non-empty `mask`: everything between its glb and its least AUB,
-        which exist by bounded-completeness."""
-        exact = self.exact
-        return Approximant(self, exact.elements[exact._glb_mask(mask)], self.aub_of_mask(mask))
+        which exist by bounded-completeness.  Computed once per mask."""
+        x = self._closures.get(mask)
+        if x is None:
+            glb = self.exact.elements[self.exact._glb_mask(mask)]
+            x = self._closures[mask] = Approximant(self, glb, self.aub_of_mask(mask))
+        return x
 
     def ultimate_map(self, table: list[int]) -> Callable[[Approximant], Approximant]:
         """The most precise approximator of the exact map `table`, which
@@ -240,9 +256,8 @@ class ApproximationFramework(ABC):
         members_mask, closure = self.members_mask, self.closure
 
         def apply(x: Approximant) -> Approximant:
-            selectors = bin(members_mask(x))[:1:-1].encode().translate(_SELECTORS)
             image = 0
-            for j in set(itertools.compress(table, selectors)):
+            for j in set(itertools.compress(table, _selectors(members_mask(x)))):
                 image |= 1 << j
             return closure(image)
 
@@ -325,8 +340,10 @@ class ApproximationFramework(ABC):
         for _ in range(64):
             u = self.sample_aub(rng)
             if self.cross_leq(bot, u):
-                below = list(_bits(self.members_mask(self.recompose(bot, u))))
-                l = self.exact.elements[rng.choice(below)]
+                # randrange(n) is the draw rng.choice makes from n members.
+                below = self.members_mask(self.recompose(bot, u))
+                picked = itertools.compress(self.exact.elements, _selectors(below))
+                l = next(itertools.islice(picked, rng.randrange(below.bit_count()), None))
                 if self.cross_leq(l, u):
                     return self.recompose(l, u)
         return self.least_approximant()
@@ -490,10 +507,10 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
     """The five composition-poset requirements, one result per bullet.
 
     When bullet 3 or 4 is exhaustive, the exhaustive bullets read the
-    combined order from bitset rows and recompose each compatible pair
-    once; otherwise each instance or probe asks the framework.  Either
-    way a failure reports the first violation in the bullet's own order,
-    and an undefined recomposition is reported, never raised.
+    combined order from bitset rows; otherwise each instance or probe
+    asks the framework.  Either way a failure reports the first
+    violation in the bullet's own order, and an undefined recomposition
+    is reported, never raised.
     """
     albs = list(fw.albs())
     aubs, u_complete = _aub_pool(fw, caps, rng)
@@ -517,22 +534,15 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
     if rowed:
         rows, cols = _order_rows(fw, [("L", l) for l in albs] + [("U", u) for u in aubs])
         nl, lows = len(albs), (1 << len(albs)) - 1  # U bounds follow the nl L bounds
-    recomposed: dict = {}
 
     def attempt(l, u):
-        """fw.recompose(l, u), or None where it is undefined; computed once
-        per pair when the rows are built.  An undefined recomposition is
-        the counterexample of the bullet that reaches it, except in bullet
-        2: bullet 1 ranges over the same pairs."""
-        x = recomposed.get((l, u), False)
-        if x is False:
-            try:
-                x = fw.recompose(l, u)
-            except RecomposeUndefinedError:
-                x = None
-            if rowed:
-                recomposed[l, u] = x
-        return x
+        """fw.recompose(l, u), or None where it is undefined.  An undefined
+        recomposition is the counterexample of the bullet that reaches it,
+        except in bullet 2: bullet 1 ranges over the same pairs."""
+        try:
+            return fw.recompose(l, u)
+        except RecomposeUndefinedError:
+            return None
 
     # Bullets 1 and 2 range over the compatible pairs.
     if pairs_exhaustive and rowed:

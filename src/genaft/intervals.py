@@ -79,7 +79,7 @@ class IntervalFramework(ApproximationFramework):
 
     # -- approximants -------------------------------------------------------
 
-    def recompose(self, l, u) -> Approximant:
+    def _recompose(self, l, u) -> Approximant:
         if not self.exact.leq(l, u):
             raise RecomposeUndefinedError(f"inconsistent pair ({l!r}, {u!r})")
         return Approximant(self, l, u)

@@ -23,12 +23,13 @@ from genaft import (
     report_ok,
     report_to_json,
 )
-from genaft.errors import PreconditionError
+from genaft.errors import PreconditionError, RecomposeUndefinedError
 from genaft.flowers import FlowerFramework
 from genaft.framework import DEFAULT_CAPS, MAX_SUBSET_POOL
 from genaft.intervals import IntervalFramework
 from corpus import (
     WrongElevenMeet,
+    claw_poset,
     random_bounded_complete_cpo,
     twelve_pool_poset,
     vee_poset,
@@ -385,6 +386,48 @@ def test_an_approximant_is_its_framework_and_bounds():
     assert {flower: "found"}[ffw.recompose(flower.alb, flower.aub)] == "found"
     assert repr(flower) == "Approximant(alb='{}', aub=('{p}', '{q}'))"
     assert str(flower) == "⟨{} | {{p},{q}}⟩"
+
+
+def _recording(fw):
+    """Replace `fw._recompose` by a wrapper listing the pairs it is asked."""
+    pairs = []
+    method = fw._recompose
+
+    def recorded(l, u):
+        pairs.append((l, u))
+        return method(l, u)
+
+    fw._recompose = recorded
+    return pairs
+
+
+@pytest.mark.parametrize("space", [build_interval_framework, build_flower_framework])
+def test_recompose_and_closure_are_computed_once_and_never_for_an_incompatible_pair(space):
+    fw = space(powerset_lattice(["p", "q"]))
+    assert fw.closure(0b0110) is fw.closure(0b0110)
+    pairs = _recording(fw)
+    x = fw.recompose("{p}", fw.U_greatest())
+    assert fw.recompose("{p}", fw.U_greatest()) is x
+    assert pairs == [("{p}", fw.U_greatest())]
+    stored = dict(fw._recomposed)
+    below = fw.least_aub_above("{p}")
+    for _ in range(2):
+        with pytest.raises(RecomposeUndefinedError):
+            fw.recompose("{p,q}", below)
+    assert fw._recomposed == stored
+    assert pairs[1:] == [("{p,q}", below)] * 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_flower_framework(claw_poset()),
+    lambda: build_interval_framework(powerset_lattice(["p", "q", "r"])),
+    lambda: build_flower_framework(powerset_lattice(["p", "q", "r"])),
+], ids=["claw-flower", "powerset3-interval", "powerset3-flower"])
+def test_a_full_check_recomposes_each_pair_once(build):
+    fw = build()
+    pairs = _recording(fw)
+    assert report_ok(check_framework(fw))
+    assert pairs and len(pairs) == len(set(pairs))
 
 
 def _tables(n: int, rng: random.Random) -> dict[str, list[int]]:
