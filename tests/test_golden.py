@@ -77,6 +77,7 @@ INPUTS = {
     "wadf3": (GOLDEN / "inputs" / "wadf3.json", CPO + CHECK),
     "wadf4": (GOLDEN / "inputs" / "wadf4.json", ["solve-flower-ultimate"]),
     "ael4": (GOLDEN / "inputs" / "ael4.json", LATTICE),
+    "poset14": (GOLDEN / "inputs" / "poset14.json", CHECK),
 }
 
 CASES = [(name, config) for name, (_, configs) in INPUTS.items() for config in configs]

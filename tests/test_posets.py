@@ -60,6 +60,119 @@ def test_size_cap():
         FinitePoset([f"e{i}" for i in range(4097)], [])
 
 
+# -- the closure against reachability over pairs -------------------------------
+
+
+def _reachable(elements, pairs) -> dict[str, set[str]]:
+    """Each element's set of elements reachable by zero or more pairs."""
+    succ = {x: set() for x in elements}
+    for x, y in pairs:
+        succ[x].add(y)
+    reach = {}
+    for x in elements:
+        seen, stack = {x}, [x]
+        while stack:
+            for y in succ[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
+        reach[x] = seen
+    return reach
+
+
+def _cycle_message(elements, reach) -> str | None:
+    """The first element, in element order, on a cycle, with the first
+    distinct element, in element order, on a cycle with it."""
+    for x in elements:
+        mates = [y for y in elements if y != x and y in reach[x] and x in reach[y]]
+        if mates:
+            return f"cycle through {x!r} and {mates[0]!r}"
+    return None
+
+
+def _assert_closes(elements, pairs):
+    """FinitePoset(elements, pairs) is the reachability order, or raises
+    the cycle error that reachability predicts."""
+    reach = _reachable(elements, pairs)
+    message = _cycle_message(elements, reach)
+    if message is not None:
+        with pytest.raises(NotAPartialOrderError) as exc:
+            FinitePoset(elements, pairs)
+        assert str(exc.value) == message
+        return
+    p = FinitePoset(elements, pairs)
+    for x in elements:
+        for y in elements:
+            assert p.leq(x, y) == (y in reach[x]), (x, y)
+    for y in elements:
+        assert p.down_mask(y) == p.mask_of(x for x in elements if y in reach[x]), y
+        assert p.up_mask(y) == p.mask_of(reach[y]), y
+
+
+def _random_relation(rng: random.Random) -> tuple[list[str], list[tuple[str, str]]]:
+    """A generating relation on 1-9 elements listed in shuffled order:
+    forward pairs of a hidden order, self-pairs, duplicates, and now
+    and then a backward pair that closes a cycle."""
+    n = rng.randint(1, 9)
+    ranked = [f"e{i}" for i in range(n)]
+    pairs = [(ranked[i], ranked[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    pairs += [(x, x) for x in ranked if rng.random() < 0.2]
+    pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 2)))
+    if n > 1 and rng.random() < 0.3:
+        i, j = sorted(rng.sample(range(n), 2))
+        pairs.append((ranked[j], ranked[i]))
+    rng.shuffle(pairs)
+    elements = ranked[:]
+    rng.shuffle(elements)
+    return elements, pairs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closure_matches_reachability_on_shuffled_relations(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        _assert_closes(*_random_relation(rng))
+
+
+def test_shuffled_relations_cover_cycles_and_orders():
+    rng = random.Random(0)
+    messages = [_cycle_message(e, _reachable(e, p)) for e, p in (_random_relation(rng) for _ in range(400))]
+    assert 20 <= sum(m is not None for m in messages) <= 380
+
+
+def test_cycle_names_the_first_element_on_a_cycle_and_its_lowest_mate():
+    elements = ["a", "z", "y", "x", "w"]
+    pairs = [("a", "z"), ("w", "y"), ("y", "x"), ("x", "w"), ("z", "z")]
+    with pytest.raises(NotAPartialOrderError, match="^cycle through 'y' and 'x'$"):
+        FinitePoset(elements, pairs)
+
+
+def test_reversed_chain_closes():
+    names = [f"c{i}" for i in range(300)]
+    pairs = list(zip(names, names[1:]))
+    p = FinitePoset(names[::-1], pairs)
+    for i, x in enumerate(names):
+        assert p.up_mask(x) == p.mask_of(names[i:])
+        assert p.down_mask(x) == p.mask_of(names[: i + 1])
+    assert p.leq("c0", "c299") and not p.leq("c299", "c0")
+    with pytest.raises(NotAPartialOrderError, match="^cycle through 'c299' and 'c298'$"):
+        FinitePoset(names[::-1], [*pairs, ("c299", "c0")])
+
+
+def test_shuffled_claw_and_grid_close():
+    rng = random.Random(1)
+    claw = ["bot", *(f"a{i}" for i in range(6))]
+    claw_pairs = [("bot", a) for a in claw[1:]]
+    cells = [f"{x}{y}{z}" for x in range(3) for y in range(3) for z in range(3)]
+    grid_pairs = [(c, d) for c in cells for d in cells
+                  if sum(int(a) for a in d) == sum(int(a) for a in c) + 1
+                  and all(a <= b for a, b in zip(c, d))]
+    for elements, pairs in ((claw, claw_pairs), (cells, grid_pairs)):
+        elements = elements[::-1]
+        _assert_closes(elements, pairs)
+        rng.shuffle(elements)
+        _assert_closes(elements, pairs)
+
+
 # -- bounds --------------------------------------------------------------------
 
 
