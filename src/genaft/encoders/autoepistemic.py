@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ..engine import ExactOperator
 from ..errors import InputError, SizeCapError
-from ..posets import FinitePoset, powerset_ids, powerset_lattice
+from ..posets import FinitePoset, _strings, powerset_ids, powerset_lattice
 
 MAX_AEL_ATOMS = 4
 
@@ -85,7 +85,7 @@ class AelTheory:
     @classmethod
     def from_json(cls, data) -> "AelTheory":
         try:
-            atoms = tuple(sorted(data["atoms"]))
+            atoms = tuple(sorted(_strings(data["atoms"], '"atoms"')))
             sentences = tuple(parse_formula(s) for s in data["sentences"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed theory JSON: {exc}") from exc

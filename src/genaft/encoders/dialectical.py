@@ -19,7 +19,7 @@ from typing import Mapping
 
 from ..engine import ExactOperator
 from ..errors import EvaluationError, InputError, PreconditionError
-from ..posets import FinitePoset, product_poset
+from ..posets import FinitePoset, _strings, product_poset
 
 
 def parse_acceptance(node, values: set[str], arguments: set[str]) -> tuple:
@@ -32,11 +32,11 @@ def parse_acceptance(node, values: set[str], arguments: set[str]) -> tuple:
         raise InputError(f"malformed acceptance node: {node!r}")
     op, *args = node
     if op == "const":
-        if len(args) != 1 or args[0] not in values:
+        if len(args) != 1 or not isinstance(args[0], str) or args[0] not in values:
             raise InputError(f"bad constant node: {node!r}")
         return ("const", args[0])
     if op == "parent":
-        if len(args) != 1 or args[0] not in arguments:
+        if len(args) != 1 or not isinstance(args[0], str) or args[0] not in arguments:
             raise InputError(f"bad parent node: {node!r}")
         return ("parent", args[0])
     if op in ("glb", "lub"):
@@ -47,13 +47,13 @@ def parse_acceptance(node, values: set[str], arguments: set[str]) -> tuple:
         if len(args) != 2:
             raise InputError(f"bad table node: {node!r}")
         parents, rows = args
-        if not all(p in arguments for p in parents):
+        if not all(p in arguments for p in _strings(parents, "table parents")):
             raise InputError(f"table over undeclared arguments: {parents!r}")
         mapping = {}
         for row in rows:
-            key, out = tuple(row[0]), row[1]
-            if len(key) != len(parents) or out not in values or not all(
-                v in values for v in key
+            key, out = tuple(_strings(row[0], "table keys")), row[1]
+            if len(key) != len(parents) or not all(
+                isinstance(v, str) and v in values for v in (*key, out)
             ):
                 raise InputError(f"bad table row: {row!r}")
             mapping[key] = out
@@ -86,13 +86,13 @@ class Wadf:
     @classmethod
     def from_json(cls, data) -> "Wadf":
         try:
-            arguments = tuple(data["arguments"])
+            arguments = tuple(_strings(data["arguments"], '"arguments"'))
             values = FinitePoset.from_json(data["values"])
             raw = data["acceptance"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed wADF JSON: {exc}") from exc
         vset, aset = set(values.elements), set(arguments)
-        acceptance = {a: parse_acceptance(raw[a], vset, aset) for a in arguments}
+        acceptance = {a: parse_acceptance(raw[a], vset, aset) for a in arguments if a in raw}
         return cls(arguments, values, acceptance)
 
 

@@ -20,7 +20,7 @@ from ..engine import Approximator, ExactOperator
 from ..errors import InputError, SizeCapError
 from ..framework import Approximant
 from ..intervals import IntervalFramework
-from ..posets import FinitePoset, _Powerset, powerset_lattice, set_id
+from ..posets import FinitePoset, _Powerset, _strings, powerset_lattice, set_id
 
 ATOM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 # 16 is also the limit of _tp's 16-bit array("H") slots: from 17 atoms on, a
@@ -49,15 +49,16 @@ class NormalLogicProgram:
                 raise InputError(f"bad atom name {a!r}")
         for r in self.rules:
             for a in (r.head, *r.pos, *r.neg):
-                if a not in known:
+                if not isinstance(a, str) or a not in known:
                     raise InputError(f"rule mentions undeclared atom {a!r}")
 
     @classmethod
     def from_json(cls, data) -> "NormalLogicProgram":
         try:
-            atoms = tuple(sorted(data["atoms"]))
+            atoms = tuple(sorted(_strings(data["atoms"], '"atoms"')))
             rules = tuple(
-                Rule(r["head"], frozenset(r.get("pos", ())), frozenset(r.get("neg", ())))
+                Rule(r["head"], frozenset(_strings(r.get("pos", []), '"pos"')),
+                     frozenset(_strings(r.get("neg", []), '"neg"')))
                 for r in data["rules"]
             )
         except (KeyError, TypeError) as exc:

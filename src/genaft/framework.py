@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import PreconditionError, RecomposeUndefinedError
-from .posets import FinitePoset, _bits
+from .posets import FinitePoset, _bits, _low
 
 
 class Approximant(NamedTuple):
@@ -475,11 +475,6 @@ def _order_rows(fw, bounds: list[tuple[str, object]]) -> tuple[list[int], list[i
 def _undefined(l, u) -> dict:
     """The counterexample entry naming a pair recompose rejects."""
     return {"undefined": f"({_show(l)}, {_show(u)})"}
-
-
-def _low(mask: int) -> int:
-    """The index of the lowest set bit."""
-    return (mask & -mask).bit_length() - 1
 
 
 def _result(axiom: str, exhaustive: bool, counterexample: dict | None, note: str = "") -> CheckResult:

@@ -77,29 +77,29 @@ class FinitePoset:
         index = {x: i for i, x in enumerate(elems)}
         n = len(elems)
         up = [1 << i for i in range(n)]
+        down = up[:]
         for x, y in pairs:
             if x not in index:
                 raise ElementNotFoundError(f"unknown element {x!r}")
             if y not in index:
                 raise ElementNotFoundError(f"unknown element {y!r}")
-            up[index[x]] |= 1 << index[y]
-        # Warshall closure over the up-sets.
+            i, j = index[x], index[y]
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+        # Warshall's step through k, applied only to the rows it changes,
+        # so `down` stays the transpose of `up`.
         for k in range(n):
-            upk = up[k]
-            bit = 1 << k
-            for i in range(n):
-                if up[i] & bit:
-                    up[i] |= upk
+            upk, downk = up[k], down[k]
+            for i in _bits(downk):
+                up[i] |= upk
+            for j in _bits(upk):
+                down[j] |= downk
         for i in range(n):
-            for j in _bits(up[i]):
-                if j != i and up[j] >> i & 1:
-                    raise NotAPartialOrderError(
-                        f"cycle through {elems[i]!r} and {elems[j]!r}"
-                    )
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
+            # What lies both above and below i shares a cycle with it.
+            if mates := up[i] & down[i] & ~(1 << i):
+                raise NotAPartialOrderError(
+                    f"cycle through {elems[i]!r} and {elems[_low(mates)]!r}"
+                )
         self._set_order(elems, up, down, None)
 
     @classmethod
@@ -150,12 +150,11 @@ class FinitePoset:
         """
         if not isinstance(data, dict) or "elements" not in data:
             raise InputError('poset JSON needs an "elements" list')
-        elements = data["elements"]
+        elements = _strings(data["elements"], '"elements"')
         pairs = data.get("hasse", data.get("leq", []))
-        if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-            raise InputError('"elements" must be a list of strings')
         if not isinstance(pairs, list) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(isinstance(x, str) for x in p)
+            for p in pairs
         ):
             raise InputError('"hasse" must be a list of [x, y] pairs')
         return cls(elements, [tuple(p) for p in pairs])
@@ -294,6 +293,18 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _low(mask: int) -> int:
+    """The index of the lowest set bit."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _strings(value, name: str) -> list[str]:
+    """`value` if it is a JSON list of identifiers, else an InputError."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"{name} must be a list of strings")
+    return value
 
 
 def set_id(members: Iterable[str]) -> str:

@@ -234,3 +234,35 @@ def test_check_unknown_hasse_element_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "ghost" in err
+
+
+_VALUES = {"elements": ["x"], "hasse": []}
+MALFORMED_IDENTIFIERS = {
+    "hasse_pair_of_a_list": {"elements": ["a", "b"], "hasse": [[["a"], "b"]]},
+    "lp_head_list": {"atoms": ["p"], "rules": [{"head": ["p"]}]},
+    "lp_atom_number": {"atoms": [1], "rules": []},
+    "lp_pos_string": {"atoms": ["p"], "rules": [{"head": "p", "pos": "p"}]},
+    "lp_neg_object": {"atoms": ["p"], "rules": [{"head": "p", "neg": {"p": 1}}]},
+    "ael_atom_number": {"atoms": [1], "sentences": []},
+    "wadf_const_list": {"arguments": ["a"], "values": _VALUES, "acceptance": {"a": ["const", ["x"]]}},
+    "wadf_argument_list": {"arguments": [["a"]], "values": _VALUES, "acceptance": {}},
+    "wadf_table_parent_list": {
+        "arguments": ["a"], "values": _VALUES, "acceptance": {"a": ["table", [["a"]], [[["x"], "x"]]]},
+    },
+    "wadf_table_key_list": {
+        "arguments": ["a"], "values": _VALUES, "acceptance": {"a": ["table", ["a"], [[[["x"]], "x"]]]},
+    },
+    "wadf_missing_acceptance": {
+        "arguments": ["a", "b"], "values": _VALUES, "acceptance": {"a": ["const", "x"]},
+    },
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_IDENTIFIERS)
+def test_malformed_identifiers_exit_two(capsys, tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(MALFORMED_IDENTIFIERS[case]))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
