@@ -1,11 +1,12 @@
 """Flowers, their decomposition spaces, and the four structural properties."""
 
+import itertools
 import random
 
 import pytest
 
 from genaft import FinitePoset, build_flower_framework, check_framework, report_ok
-from genaft.errors import PreconditionError, RecomposeUndefinedError
+from genaft.errors import ElementNotFoundError, PreconditionError, RecomposeUndefinedError
 from genaft.flowers import enumerate_flowers
 from corpus import (
     NoSideCondition,
@@ -138,6 +139,74 @@ def test_aub_lattice_bounds(fig):
     assert fw.glb_U([]) == ("a", "b")
     assert fw.glb_U([("a", "b"), ("a",)]) == ("a",)
     assert fw.lub_U([("a",), ("b",)]) == ("a", "b")
+
+
+def _max_set(p, mask):
+    """The identifier-sorted maximal elements of `mask`, by definition."""
+    s = [x for i, x in enumerate(p.elements) if mask >> i & 1]
+    return tuple(sorted(x for x in s if not any(x != y and p.leq(x, y) for y in s)))
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_U_meets_and_joins_are_max_sets_of_closure_algebra(seed):
+    rng = random.Random(seed)
+    cpo = random_bounded_complete_cpo(rng)
+    fw = build_flower_framework(cpo)
+    aubs = fw.enumerate_aubs()
+    pool = rng.sample(aubs, min(len(aubs), 12))
+    down = {}
+    for u in pool:
+        down[u] = 0
+        for m in u:
+            down[u] |= cpo.down_mask(m)
+    for k in range(5):
+        for us in itertools.combinations(pool, k):
+            meet, join = (1 << len(cpo)) - 1, 0
+            for u in us:
+                meet &= down[u]
+                join |= down[u]
+            assert fw.glb_U(us) == _max_set(cpo, meet)
+            assert fw.lub_U(us) == (_max_set(cpo, join) if us else fw.U_least())
+    assert fw.glb_U([]) == fw.U_greatest() == _max_set(cpo, (1 << len(cpo)) - 1)
+    assert fw.lub_U([]) == fw.U_least() == (cpo.least(),)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_equal_antichains_share_one_mask_and_one_canonical_object(seed):
+    cpo = random_bounded_complete_cpo(random.Random(seed))
+    fw = build_flower_framework(cpo)
+    # Masks and max-sets asked of hand-built antichains before U is enumerated.
+    fresh = _brute_aubs(cpo)
+    above = [fw.least_aub_above(l) for l in cpo.elements]
+    masks = [fw.aub_mask(u) for u in fresh + above]
+    own = [fw.aub_of_mask(cpo.mask_of(u)) for u in fresh]
+    aubs = {u: u for u in fw.enumerate_aubs()}
+    assert set(aubs) == set(fresh)
+    for u, mask in zip(fresh + above, masks):
+        canonical = aubs[u]
+        assert canonical is not u
+        assert fw.aub_mask(u) == mask == fw.aub_mask(canonical)
+        assert fw.aub_of_mask(mask) is canonical
+    assert all(v is aubs[v] for v in own)
+    for u in fresh:
+        assert fw.aub_of_mask(fw.aub_mask(tuple(list(u)))) is aubs[u]
+
+
+def _brute_aubs(p):
+    """Every non-empty antichain of `p`, identifier-sorted, by definition."""
+    subsets = ([x for i, x in enumerate(p.elements) if m >> i & 1] for m in range(1, 1 << len(p)))
+    return [tuple(sorted(s)) for s in subsets
+            if not any(x != y and p.leq(x, y) for x in s for y in s)]
+
+
+def test_unknown_antichain_raises_on_every_call_and_stores_nothing(fig):
+    fw = build_flower_framework(fig)
+    fw.enumerate_aubs()
+    before = dict(fw._down_cache)
+    for _ in range(2):
+        with pytest.raises(ElementNotFoundError):
+            fw.aub_mask(("nope",))
+    assert fw._down_cache == before
 
 
 def test_recomposition_gains_precision(fig):
