@@ -44,13 +44,15 @@ def parse_acceptance(node, values: set[str], arguments: set[str]) -> tuple:
             raise InputError(f"{op} needs at least one argument")
         return (op, tuple(parse_acceptance(a, values, arguments) for a in args))
     if op == "table":
-        if len(args) != 2:
+        if len(args) != 2 or not isinstance(args[1], list):
             raise InputError(f"bad table node: {node!r}")
         parents, rows = args
         if not all(p in arguments for p in _strings(parents, "table parents")):
             raise InputError(f"table over undeclared arguments: {parents!r}")
         mapping = {}
         for row in rows:
+            if not isinstance(row, list) or len(row) != 2:
+                raise InputError(f"bad table row: {row!r}")
             key, out = tuple(_strings(row[0], "table keys")), row[1]
             if len(key) != len(parents) or not all(
                 isinstance(v, str) and v in values for v in (*key, out)
@@ -91,6 +93,8 @@ class Wadf:
             raw = data["acceptance"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed wADF JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InputError('"acceptance" must be an object')
         vset, aset = set(values.elements), set(arguments)
         acceptance = {a: parse_acceptance(raw[a], vset, aset) for a in arguments if a in raw}
         return cls(arguments, values, acceptance)

@@ -14,8 +14,9 @@ and printing are canonical.  The upper space is in bijection with the
 non-empty down-closed subsets (an antichain is the max-set of its lower
 closure), which realises its complete-lattice structure through plain
 set algebra on bitmasks.  The two directions of that bijection are
-`aub_mask` and `aub_of_mask`; the framework base derives members,
-closures, exact approximants and U's meets and joins from them.
+two tables that fill themselves on a miss, read by `aub_mask` and
+`aub_of_mask`; the framework base derives members, closures and exact
+approximants from them, and U's meet and join read the tables directly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,18 @@ from .framework import Approximant, ApproximationFramework
 from .posets import FinitePoset, set_id
 
 FLOWER_ENUMERATION_LIMIT = 12
+
+
+class _Table(dict):
+    """A dict that computes a missing entry with `fill` and stores it; a
+    fill that raises stores nothing.  A hit is one C-level subscript."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class FlowerFramework(ApproximationFramework):
@@ -51,34 +64,46 @@ class FlowerFramework(ApproximationFramework):
         # The two halves of the antichain <-> down-set bijection, filled on
         # demand: an antichain's lower closure, and a mask's maximal elements.
         # They are set first: the base class reads the top AUB through them.
-        self._down_cache: dict[tuple[str, ...], int] = {}
-        self._antichains: dict[int, tuple[str, ...]] = {}
+        self._down_cache = _Table(self._lower_closure)  # tuple[str, ...] -> int
+        self._antichains = _Table(self._max_set)  # int -> tuple[str, ...]
         super().__init__(exact)
         self._enumerable = enumerable
         self._all_aubs: list[tuple[str, ...]] | None = None
 
     # -- antichain plumbing -------------------------------------------------
 
+    def _lower_closure(self, u: tuple[str, ...]) -> int:
+        mask = 0
+        for m in u:
+            mask |= self.exact.down_mask(m)
+        return mask
+
+    def _max_set(self, mask: int) -> tuple[str, ...]:
+        """A new antichain is filed under its own down-set too, so each
+        down-set meets its antichain once and every mask with that
+        antichain returns the same object."""
+        u = tuple(sorted(self.exact.set_of(self.exact._max_mask(mask))))
+        return self._antichains.setdefault(self._down_cache[u], u)
+
     def aub_mask(self, u: tuple[str, ...]) -> int:
         """Lower closure of the antichain, as a bitmask."""
-        cached = self._down_cache.get(u)
-        if cached is None:
-            cached = 0
-            for m in u:
-                cached |= self.exact.down_mask(m)
-            self._down_cache[u] = cached
-        return cached
+        return self._down_cache[u]
 
     def aub_of_mask(self, mask: int) -> tuple[str, ...]:
-        """The antichain of the maximal elements of `mask`, computed once
-        per mask.  A new antichain is also filed under its lower closure,
-        which `aub_mask` records, so each down-set meets its antichain once
-        and every mask with that antichain returns the same object."""
-        u = self._antichains.get(mask)
-        if u is None:
-            u = tuple(sorted(self.exact.set_of(self.exact._max_mask(mask))))
-            u = self._antichains[mask] = self._antichains.setdefault(self.aub_mask(u), u)
-        return u
+        """The antichain of the maximal elements of `mask`."""
+        return self._antichains[mask]
+
+    def glb_U(self, us) -> tuple[str, ...]:
+        down, mask = self._down_cache, self.exact._full
+        for u in us:
+            mask &= down[u]
+        return self._antichains[mask]
+
+    def lub_U(self, us) -> tuple[str, ...]:
+        down, mask = self._down_cache, 0
+        for u in us:
+            mask |= down[u]
+        return self._antichains[mask] if mask else self.U_least()
 
     # -- combined order -----------------------------------------------------
 

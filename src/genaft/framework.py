@@ -10,10 +10,10 @@ spaces grow combinatorially.
 
 L is the exact poset in every space.  A space supplies U by the map
 between an AUB and its lower closure (`aub_mask`, inverted by
-`aub_of_mask`); members, closures, exact approximants and U's extremes,
-meets and joins are derived from it once here.  Intervals replace the
-derived meet and join with the lattice's glb and lub, which on a large
-lattice are far cheaper than folding a whole down-set.
+`aub_of_mask`); members, closures, exact approximants and U's extremes
+are derived from it once here.  Each space supplies U's meet and join:
+intervals take the lattice's glb and lub, and flowers fold lower
+closures read from their tables.
 
 The checkers in this module verify, by enumeration where feasible and
 by seeded sampling otherwise, the five composition-poset requirements,
@@ -157,24 +157,16 @@ class ApproximationFramework(ABC):
         """lub in the bounded-complete cpo L, the exact space; None when unbounded."""
         return self.exact.lub(ls)
 
+    @abstractmethod
     def glb_U(self, us: Iterable):
-        """glb in the complete lattice U: the AUB of the meet of the lower
-        closures.  Every lower closure holds the least element, so the
-        meet is never empty."""
-        mask = self.exact._full
-        for u in us:
-            mask &= self.aub_mask(u)
-        return self.aub_of_mask(mask)
+        """glb in the complete lattice U: the AUB whose lower closure is
+        the meet of the given AUBs' closures, U's greatest for none.  Every
+        lower closure holds the least element, so the meet is never empty."""
 
+    @abstractmethod
     def lub_U(self, us: Iterable):
-        """lub in the complete lattice U: the AUB of the join of the lower
-        closures, or U's least element for none."""
-        mask = 0
-        for u in us:
-            mask |= self.aub_mask(u)
-        if mask == 0:
-            return self.U_least()
-        return self.aub_of_mask(mask)
+        """lub in the complete lattice U: the AUB whose lower closure is
+        the join of the given AUBs' closures, or U's least element for none."""
 
     def L_least(self):
         return self._bot

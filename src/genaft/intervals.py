@@ -61,8 +61,6 @@ class IntervalFramework(ApproximationFramework):
         return self.exact.elements[self.exact._lub_mask(mask)]
 
     def glb_U(self, us) -> str:
-        # The base's meet and join fold one row per bit of a combined
-        # down-set (up to |exact| rows); these fold one row per AUB given.
         return self.exact.glb(us)
 
     def lub_U(self, us) -> str:

@@ -266,3 +266,23 @@ def test_malformed_identifiers_exit_two(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+MALFORMED_WADF_STRUCTURE = {
+    "acceptance_string": {"arguments": ["a"], "values": _VALUES, "acceptance": "abc"},
+    "table_rows_number": {"arguments": ["a"], "values": _VALUES, "acceptance": {"a": ["table", ["a"], 5]}},
+    "table_row_without_output": {
+        "arguments": ["a"], "values": _VALUES, "acceptance": {"a": ["table", ["a"], [[["x"]]]]},
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("case", MALFORMED_WADF_STRUCTURE)
+def test_malformed_wadf_structure_exits_two(capsys, tmp_path, case, command):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(MALFORMED_WADF_STRUCTURE[case]))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
