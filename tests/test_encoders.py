@@ -82,7 +82,8 @@ def test_lp_operator_evaluates_every_rule_at_every_interpretation():
 def test_tp_table_is_the_consequence_at_every_interpretation(size):
     """The T_P table against `_consequence` at every interpretation, on
     random programs with repeated heads and bodies that may hold an
-    atom and its negation."""
+    atom and its negation.  The masks are over the sorted atoms, in
+    whatever order the program lists them."""
     rng = random.Random(size)
     atoms = tuple(f"a{k:02d}" for k in range(size))
     space = powerset_lattice(atoms)
@@ -93,6 +94,7 @@ def test_tp_table_is_the_consequence_at_every_interpretation(size):
             for head in atoms for _ in range(rng.randint(0, 3))
         )
         _, compiled = _compiled(NormalLogicProgram(atoms, rules))
+        assert _compiled(NormalLogicProgram(atoms[::-1], rules))[1] == compiled
         table = _tp(compiled, space).table
         assert list(table) == [_consequence(compiled, i) for i in range(len(space))]
 
@@ -110,6 +112,22 @@ def test_lp_operator_with_unsorted_atoms():
     unsorted = lp_operator(first, lp_exact_space(first))
     assert unsorted.table == lp_operator(second, lp_exact_space(second)).table
     assert unsorted.apply("{}") == "{p}"
+
+
+def test_operator_and_fitting_approximator_of_one_program_carry_equal_tables():
+    """Both compile the same program object; the program keeps the
+    equality, hash and repr of a fresh equal one."""
+    programs = [
+        parse_program(["p :- q, not r", "q", "r :- not p"]),
+        NormalLogicProgram(("q", "p"), parse_program(["p :- not q", "q :- p"]).rules),
+    ]
+    for program in programs:
+        fresh = NormalLogicProgram(program.atoms, program.rules)
+        space = lp_exact_space(program)
+        op = lp_operator(program, space)
+        fit = fitting_approximator(program, build_interval_framework(space))
+        assert fit.exact.table == op.table
+        assert program == fresh and hash(program) == hash(fresh) and repr(program) == repr(fresh)
 
 
 def test_positional_tables_need_the_programs_powerset():
