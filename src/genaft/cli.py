@@ -130,14 +130,17 @@ def _detect_kind(data: dict) -> str:
     raise InputError("unrecognised input: expected rules, sentences, acceptance, or elements")
 
 
-def _operator(data: dict, kind: str) -> ExactOperator:
+def _operator(data: dict, kind: str) -> tuple[object, ExactOperator]:
+    """The parsed instance and its exact operator."""
     if kind == "lp":
         program = NormalLogicProgram.from_json(data)
-        return lp_operator(program, lp_exact_space(program))
+        return program, lp_operator(program, lp_exact_space(program))
     if kind == "ael":
-        return ael_operator(AelTheory.from_json(data))
+        theory = AelTheory.from_json(data)
+        return theory, ael_operator(theory)
     if kind == "wadf":
-        return wadf_operator(Wadf.from_json(data))
+        wadf = Wadf.from_json(data)
+        return wadf, wadf_operator(wadf)
     raise InputError(f"cannot solve a plain {kind} input")
 
 
@@ -150,20 +153,20 @@ def _framework(exact: FinitePoset, space: str):
     return build_flower_framework(exact)
 
 
-def _approximator(data: dict, kind: str, space: str, which: str, fw, op) -> Approximator:
+def _approximator(instance, space: str, which: str, fw, op) -> Approximator:
     if which == "ultimate":
         return ultimate_approximator(fw, op)
-    if kind != "lp" or space != "interval":
+    if not isinstance(instance, NormalLogicProgram) or space != "interval":
         raise PreconditionError(
             "the fitting approximator is defined for logic programs on the interval space"
         )
-    return fitting_approximator(NormalLogicProgram.from_json(data), fw)
+    return fitting_approximator(instance, fw)
 
 
 def cmd_check(args) -> int:
     data = _load(args.input)
     kind = _detect_kind(data)
-    exact = FinitePoset.from_json(data) if kind == "poset" else _operator(data, kind).domain
+    exact = FinitePoset.from_json(data) if kind == "poset" else _operator(data, kind)[1].domain
     # check's stated budgets reach MAX_ELEMENTS, which only powersets get past.
     if len(exact) > MAX_ELEMENTS:
         raise SizeCapError(f"powerset would have {len(exact)} elements, cap is {MAX_ELEMENTS}")
@@ -224,9 +227,9 @@ def cmd_solve(args) -> int:
     data = _load(args.input)
     kind = _detect_kind(data)
     parts = _parse_semantics(args.semantics)
-    op = _operator(data, kind)
+    instance, op = _operator(data, kind)
     fw = _framework(op.domain, args.space)
-    a = _approximator(data, kind, args.space, args.approximator, fw, op)
+    a = _approximator(instance, args.space, args.approximator, fw, op)
     result = compute_semantics(a, parts)
     payload = {
         "space": args.space,
@@ -251,11 +254,14 @@ def cmd_compare(args) -> int:
     data = _load(args.input)
     kind = _detect_kind(data)
     parts = _parse_semantics(args.semantics)
-    op = _operator(data, kind)
+    instance, op = _operator(data, kind)
+    fws = {}  # one framework per space serves both sides
 
     def run(space: str, which: str):
-        fw = _framework(op.domain, space)
-        a = _approximator(data, kind, space, which, fw, op)
+        if space not in fws:
+            fws[space] = _framework(op.domain, space)
+        fw = fws[space]
+        a = _approximator(instance, space, which, fw, op)
         return fw, compute_semantics(a, parts)
 
     fw_a, res_a = run(args.space_a, args.approximator_a)

@@ -14,6 +14,7 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from ..engine import Approximator, ExactOperator
@@ -50,7 +51,20 @@ class NormalLogicProgram:
         for r in self.rules:
             for a in (r.head, *r.pos, *r.neg):
                 if not isinstance(a, str) or a not in known:
+                    # The bodies iterate in hash order: name the first in sorted order.
+                    a = next(b for b in (r.head, *sorted(r.pos, key=str), *sorted(r.neg, key=str))
+                             if not isinstance(b, str) or b not in known)
                     raise InputError(f"rule mentions undeclared atom {a!r}")
+
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, int, int], ...]:
+        """The rules as (head, positive body, negative body) masks over
+        the sorted atoms, compiled on first use and kept in the
+        instance: a set's mask is also its index in the program's
+        powerset lattice."""
+        bit = {a: 1 << i for i, a in enumerate(sorted(self.atoms))}.__getitem__
+        return tuple([(bit(r.head), sum(map(bit, r.pos)), sum(map(bit, r.neg)))
+                      for r in self.rules])
 
     @classmethod
     def from_json(cls, data) -> "NormalLogicProgram":
@@ -88,19 +102,6 @@ def parse_program(source: Iterable[str] | str) -> NormalLogicProgram:
         rules.append(Rule(head, frozenset(pos), frozenset(neg)))
         seen |= {head, *pos, *neg}
     return NormalLogicProgram(tuple(sorted(seen)), tuple(rules))
-
-
-def _compiled(program: NormalLogicProgram):
-    """The sorted atoms, and the rules as (head, positive body, negative
-    body) masks over them: a set's mask is also its index in the
-    program's powerset lattice."""
-    atoms = sorted(program.atoms)
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    rules = [
-        (bit[r.head], sum(bit[a] for a in r.pos), sum(bit[a] for a in r.neg))
-        for r in program.rules
-    ]
-    return atoms, rules
 
 
 def _consequence(rules, imask: int) -> int:
@@ -142,8 +143,7 @@ def lp_operator(program: NormalLogicProgram, space: FinitePoset) -> ExactOperato
     one atom set share it.
     """
     _check_powerset(program, space)
-    _, rules = _compiled(program)
-    return _tp(rules, space)
+    return _tp(program._masks, space)
 
 
 def _tp(rules, space: FinitePoset) -> ExactOperator:
@@ -188,8 +188,7 @@ def fitting_approximator(program: NormalLogicProgram, fw: IntervalFramework) -> 
     is the immediate-consequence operator, which it approximates.
     """
     _check_powerset(program, fw.exact)
-    _, rules = _compiled(program)
-    exact = fw.exact
+    rules, exact = program._masks, fw.exact
 
     def apply(x: Approximant) -> Approximant:
         low, high = exact.index(x.alb), exact.index(x.aub)
@@ -222,7 +221,7 @@ def lp_oracle(program: NormalLogicProgram) -> LpOracle:
     """Answer sets by reduct enumeration, well-founded by the alternating
     fixpoint, supported models by direct closure checking."""
     _check_atom_cap(program)
-    atoms, rules = _compiled(program)
+    atoms, rules = sorted(program.atoms), program._masks
     n = len(atoms)
 
     def unmask(m: int) -> frozenset[str]:

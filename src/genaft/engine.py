@@ -249,9 +249,9 @@ def supported_fixpoints(a: Approximator) -> list[str]:
     return sorted(out)
 
 
-def stable_fixpoints(a: Approximator, wf: Approximant) -> list[str]:
+def stable_fixpoints(a: Approximator, wf: Approximant, supported: list[str]) -> list[str]:
     """Exact elements fixed by stable revision, sorted, given
-    `wf = well_founded(a, kk)`.
+    `wf = well_founded(a, kk)` and `supported = supported_fixpoints(a)`.
 
     Every stable fixpoint is a fixpoint of stable revision, so it lies
     above WF and its element is one of WF's members.  An exact
@@ -266,7 +266,7 @@ def stable_fixpoints(a: Approximator, wf: Approximant) -> list[str]:
         return [y]
     members, index = fw.members_mask(wf), fw.exact.index
     out = []
-    for y in supported_fixpoints(a):
+    for y in supported:
         if members >> index(y) & 1:
             e = fw.exact_approximant(y)
             if stable_revision(a, e) == e:
@@ -306,11 +306,12 @@ def compute_semantics(
         raise PreconditionError(f"unknown semantics {sorted(unknown)}")
     kk = kripke_kleene(a) if wanted & {"kk", "wf", "stable"} else None
     wf = well_founded(a, kk) if wanted & {"wf", "stable"} else None
+    sup = supported_fixpoints(a) if wanted & {"supported", "stable"} else None
     return SemanticsResult(
         kk=kk if "kk" in wanted else None,
         wf=wf if "wf" in wanted else None,
-        supported=supported_fixpoints(a) if "supported" in wanted else None,
-        stable=stable_fixpoints(a, wf) if "stable" in wanted else None,
+        supported=sup if "supported" in wanted else None,
+        stable=stable_fixpoints(a, wf, sup) if "stable" in wanted else None,
     )
 
 

@@ -248,7 +248,7 @@ def check_precision_transfer(w: SpacePrecisionWitness, a2: Approximator) -> list
     cx = None if set(sup1) <= set(sup2) else {"coarse_only": sorted(set(sup1) - set(sup2))}
     results.append(_result("transfer.supported_subset", True, cx))
 
-    st1, st2 = stable_fixpoints(a1, wf1), stable_fixpoints(a2, wf2)
+    st1, st2 = stable_fixpoints(a1, wf1, sup1), stable_fixpoints(a2, wf2, sup2)
     cx = None if set(st1) <= set(st2) else {"coarse_only": sorted(set(st1) - set(st2))}
     results.append(_result("transfer.stable_subset", True, cx))
     return results

@@ -1,9 +1,14 @@
 """The command-line surface: exit codes, determinism, golden values."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import genaft
 from genaft.cli import main
 
 
@@ -234,6 +239,23 @@ def test_check_unknown_hasse_element_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert "ghost" in err
+
+
+def test_undeclared_atom_error_names_the_same_atom_under_every_hash_seed(tmp_path):
+    """The first undeclared atom in sorted body order, not in the hash
+    order of the body's frozenset: one process per PYTHONHASHSEED."""
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps({"atoms": ["p"], "rules": [{"head": "p", "pos": ["x", "y", "z", "w"]}]}))
+    src = str(pathlib.Path(genaft.__file__).parent.parent)
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from genaft.cli import main; sys.exit(main(sys.argv[1:]))",
+             "solve", str(path)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), seed
+        assert proc.stderr == "input error: rule mentions undeclared atom 'w'\n", seed
 
 
 _VALUES = {"elements": ["x"], "hasse": []}

@@ -66,7 +66,8 @@ def _by_definition(a: Approximator) -> tuple[list[str], list[str]]:
 
 def _assert_definitional(a: Approximator) -> None:
     wf = well_founded(a, kripke_kleene(a))
-    assert (supported_fixpoints(a), stable_fixpoints(a, wf)) == _by_definition(a), a.name
+    sup = supported_fixpoints(a)
+    assert (sup, stable_fixpoints(a, wf, sup)) == _by_definition(a), a.name
 
 
 def _cpos(rng: random.Random):

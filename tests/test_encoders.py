@@ -29,7 +29,7 @@ from genaft.encoders import (
     parse_program,
     wadf_operator,
 )
-from genaft.encoders.logic_programs import MAX_LP_ATOMS, _compiled, _consequence, _tp
+from genaft.encoders.logic_programs import MAX_LP_ATOMS, _consequence, _tp
 from genaft.errors import EvaluationError, InputError, SizeCapError
 from genaft.posets import _Powerset
 from corpus import agent_theory, random_bounded_complete_cpo, with_top
@@ -93,8 +93,8 @@ def test_tp_table_is_the_consequence_at_every_interpretation(size):
                  frozenset(rng.sample(atoms, rng.randint(0, min(3, size)))))
             for head in atoms for _ in range(rng.randint(0, 3))
         )
-        _, compiled = _compiled(NormalLogicProgram(atoms, rules))
-        assert _compiled(NormalLogicProgram(atoms[::-1], rules))[1] == compiled
+        compiled = NormalLogicProgram(atoms, rules)._masks
+        assert NormalLogicProgram(atoms[::-1], rules)._masks == compiled
         table = _tp(compiled, space).table
         assert list(table) == [_consequence(compiled, i) for i in range(len(space))]
 
@@ -115,8 +115,9 @@ def test_lp_operator_with_unsorted_atoms():
 
 
 def test_operator_and_fitting_approximator_of_one_program_carry_equal_tables():
-    """Both compile the same program object; the program keeps the
-    equality, hash and repr of a fresh equal one."""
+    """Both read the masks the program object compiled once; the
+    compiled program keeps the equality, hash and repr of a fresh equal
+    one."""
     programs = [
         parse_program(["p :- q, not r", "q", "r :- not p"]),
         NormalLogicProgram(("q", "p"), parse_program(["p :- not q", "q :- p"]).rules),
@@ -127,6 +128,7 @@ def test_operator_and_fitting_approximator_of_one_program_carry_equal_tables():
         op = lp_operator(program, space)
         fit = fitting_approximator(program, build_interval_framework(space))
         assert fit.exact.table == op.table
+        assert "_masks" in vars(program) and "_masks" not in vars(fresh)
         assert program == fresh and hash(program) == hash(fresh) and repr(program) == repr(fresh)
 
 

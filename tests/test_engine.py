@@ -75,7 +75,7 @@ def test_constant_operator_ultimate_is_exact(fig_lattice):
         for x in fw.enumerate_approximants():
             assert ua.apply(x) == fw.exact_approximant("a")
         assert supported_fixpoints(ua) == ["a"]
-        assert stable_fixpoints(ua, well_founded(ua, kripke_kleene(ua))) == ["a"]
+        assert stable_fixpoints(ua, well_founded(ua, kripke_kleene(ua)), ["a"]) == ["a"]
 
 
 def test_exact_operator_rejects_bad_tables(fig_lattice):
@@ -223,14 +223,14 @@ def test_single_fact_program():
     assert kripke_kleene(fit) == exact_p
     assert kripke_kleene(ult) == exact_p
     assert supported_fixpoints(fit) == ["{p}"]
-    assert stable_fixpoints(fit, well_founded(fit, kripke_kleene(fit))) == ["{p}"]
+    assert stable_fixpoints(fit, well_founded(fit, kripke_kleene(fit)), ["{p}"]) == ["{p}"]
 
 
 def test_positive_loop_semantics():
     program = parse_program(["p :- p"])
     _, fw, fit, _ = _interval_setup(program)
     assert supported_fixpoints(fit) == ["{p}", "{}"]
-    assert stable_fixpoints(fit, well_founded(fit, kripke_kleene(fit))) == ["{}"]
+    assert stable_fixpoints(fit, well_founded(fit, kripke_kleene(fit)), ["{p}", "{}"]) == ["{}"]
 
 
 def test_even_loop_semantics_and_oracle():
@@ -238,8 +238,9 @@ def test_even_loop_semantics_and_oracle():
     _, fw, fit, _ = _interval_setup(program)
     oracle = lp_oracle(program)
     wf = well_founded(fit, kripke_kleene(fit))
-    assert {set_id(s) for s in oracle.answer_sets} == set(stable_fixpoints(fit, wf))
-    assert supported_fixpoints(fit) == stable_fixpoints(fit, wf)
+    sup = supported_fixpoints(fit)
+    assert {set_id(s) for s in oracle.answer_sets} == set(stable_fixpoints(fit, wf, sup))
+    assert sup == stable_fixpoints(fit, wf, sup)
     assert wf == fw.least_approximant()
     assert set_id(oracle.wf_true) == wf.alb
     assert set_id(oracle.wf_possible) == wf.aub
@@ -250,7 +251,7 @@ def test_odd_loop_well_founded():
     _, fw, fit, _ = _interval_setup(program)
     wf = well_founded(fit, kripke_kleene(fit))
     assert (wf.alb, wf.aub) == ("{}", "{p}")
-    assert stable_fixpoints(fit, wf) == []
+    assert stable_fixpoints(fit, wf, supported_fixpoints(fit)) == []
     oracle = lp_oracle(program)
     assert oracle.answer_sets == ()
 
@@ -288,7 +289,8 @@ def test_kk_below_wf_and_stable_subset_supported():
             kk = kripke_kleene(a)
             wf = well_founded(a, kk)
             assert fw.leq_p(kk, wf)
-            assert set(stable_fixpoints(a, wf)) <= set(supported_fixpoints(a))
+            sup = supported_fixpoints(a)
+            assert set(stable_fixpoints(a, wf, sup)) <= set(sup)
 
 
 def test_fitting_below_ultimate_pointwise():
