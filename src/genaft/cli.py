@@ -220,7 +220,7 @@ def _parse_semantics(raw: str) -> tuple[str, ...]:
     bad = [s for s in parts if s not in ALL_SEMANTICS]
     if bad:
         raise InputError(f"unknown semantics: {', '.join(bad)}")
-    return parts or ALL_SEMANTICS
+    return tuple(dict.fromkeys(parts)) or ALL_SEMANTICS  # each name once, first occurrence first
 
 
 def cmd_solve(args) -> int:

@@ -20,7 +20,6 @@ from .logic_programs import (
     lp_exact_space,
     lp_operator,
     lp_oracle,
-    parse_program,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "lp_oracle",
     "parse_acceptance",
     "parse_formula",
-    "parse_program",
     "wadf_exact_space",
     "wadf_operator",
 ]

@@ -84,6 +84,9 @@ class Wadf:
         missing = [a for a in self.arguments if a not in self.acceptance]
         if missing:
             raise InputError(f"arguments without acceptance conditions: {missing}")
+        extra = sorted(set(self.acceptance) - set(self.arguments))
+        if extra:
+            raise InputError(f"acceptance condition for undeclared argument {extra[0]!r}")
 
     @classmethod
     def from_json(cls, data) -> "Wadf":
@@ -97,6 +100,8 @@ class Wadf:
             raise InputError('"acceptance" must be an object')
         vset, aset = set(values.elements), set(arguments)
         acceptance = {a: parse_acceptance(raw[a], vset, aset) for a in arguments if a in raw}
+        # An undeclared key is kept unparsed, for __post_init__ to reject by name.
+        acceptance.update((a, raw[a]) for a in raw.keys() - aset)
         return cls(arguments, values, acceptance)
 
 

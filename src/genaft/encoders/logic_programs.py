@@ -1,11 +1,13 @@
-"""Normal logic programs as exact operators, with independent oracles.
+"""Normal logic programs as exact operators, with an independent oracle.
 
 The exact space of a program is the powerset of its atoms under subset
 order; the operator is the immediate-consequence map.  Next to it live
-the four-valued consequence approximator on intervals and a brute-force
-oracle (reduct enumeration plus the alternating fixpoint) that knows
-nothing about frameworks: the oracle is the ground truth the framework
-pipeline is tested against, so it must stay independent of it.
+the four-valued consequence approximator on intervals, both read off the
+program's rules compiled once to atom masks, and a brute-force oracle
+(reduct enumeration plus the alternating fixpoint) that works on sets of
+atom names and knows nothing about frameworks or the compile: the oracle
+is the ground truth the framework pipeline is tested against, so it must
+stay independent of it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import combinations
 
 from ..engine import Approximator, ExactOperator
 from ..errors import InputError, SizeCapError
@@ -78,38 +80,6 @@ class NormalLogicProgram:
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed program JSON: {exc}") from exc
         return cls(atoms, rules)
-
-
-def parse_program(source: Iterable[str] | str) -> NormalLogicProgram:
-    """Tiny rule syntax for tests and docs: "p :- q, not r"."""
-    if isinstance(source, str):
-        source = [ln for ln in source.splitlines() if ln.strip()]
-    rules = []
-    seen: set[str] = set()
-    for line in source:
-        line = line.strip().rstrip(".")
-        if ":-" in line:
-            head, body = line.split(":-")
-        else:
-            head, body = line, ""
-        pos, neg = set(), set()
-        for lit in filter(None, (b.strip() for b in body.split(","))):
-            if lit.startswith("not "):
-                neg.add(lit[4:].strip())
-            else:
-                pos.add(lit)
-        head = head.strip()
-        rules.append(Rule(head, frozenset(pos), frozenset(neg)))
-        seen |= {head, *pos, *neg}
-    return NormalLogicProgram(tuple(sorted(seen)), tuple(rules))
-
-
-def _consequence(rules, imask: int) -> int:
-    out = 0
-    for head, pos, neg in rules:
-        if pos & ~imask == 0 and neg & imask == 0:
-            out |= head
-    return out
 
 
 def lp_exact_space(program: NormalLogicProgram) -> FinitePoset:
@@ -218,45 +188,37 @@ class LpOracle:
 
 
 def lp_oracle(program: NormalLogicProgram) -> LpOracle:
-    """Answer sets by reduct enumeration, well-founded by the alternating
-    fixpoint, supported models by direct closure checking."""
+    """Answer sets as the interpretations equal to the least model of
+    their Gelfond-Lifschitz reduct, the well-founded model as Van
+    Gelder's alternating fixpoint, and supported models as the fixpoints
+    of the immediate-consequence map.
+
+    Reads only the program's atoms and rules, as sets of atom names: it
+    shares no compile with the operators it checks.
+    """
     _check_atom_cap(program)
-    atoms, rules = sorted(program.atoms), program._masks
-    n = len(atoms)
+    atoms, rules = program.atoms, program.rules
 
-    def unmask(m: int) -> frozenset[str]:
-        return frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
+    def consequence(pos: frozenset[str], neg: frozenset[str]) -> frozenset[str]:
+        """The heads of the rules whose positive body holds in `pos` and
+        whose negative body misses `neg`."""
+        return frozenset(r.head for r in rules if r.pos <= pos and not r.neg & neg)
 
-    def reduct_lfp(imask: int) -> int:
-        kept = [(h, p) for h, p, neg in rules if neg & imask == 0]
-        cur = 0
-        while True:
-            nxt = 0
-            for h, p in kept:
-                if p & ~cur == 0:
-                    nxt |= h
-            if nxt == cur:
-                return cur
-            cur = nxt
+    def reduct_model(i: frozenset[str]) -> frozenset[str]:
+        """The least model of the reduct of the program by `i`."""
+        model: frozenset[str] = frozenset()
+        while (nxt := consequence(model, i)) != model:
+            model = nxt
+        return model
 
-    answers = []
-    supported = []
-    for imask in range(1 << n):
-        if reduct_lfp(imask) == imask:
-            answers.append(unmask(imask))
-        if _consequence(rules, imask) == imask:
-            supported.append(unmask(imask))
-
-    true = 0
-    while True:
-        nxt = reduct_lfp(reduct_lfp(true))
-        if nxt == true:
-            break
+    interpretations = [frozenset(c) for k in range(len(atoms) + 1)
+                       for c in combinations(atoms, k)]
+    true: frozenset[str] = frozenset()
+    while (nxt := reduct_model(reduct_model(true))) != true:
         true = nxt
-    possible = reduct_lfp(true)
     return LpOracle(
-        answer_sets=tuple(sorted(answers, key=sorted)),
-        wf_true=unmask(true),
-        wf_possible=unmask(possible),
-        supported=tuple(sorted(supported, key=sorted)),
+        answer_sets=tuple(sorted((i for i in interpretations if reduct_model(i) == i), key=sorted)),
+        wf_true=true,
+        wf_possible=reduct_model(true),
+        supported=tuple(sorted((i for i in interpretations if consequence(i, i) == i), key=sorted)),
     )

@@ -46,8 +46,8 @@ class ExactOperator:
     """A total map on the exact poset, as an index table; no monotonicity
     assumed.
 
-    `table[i]` is the index of the image of `domain.elements[i]`.
-    Identifiers appear only at the edge, in `apply`.
+    `table[i]` is the index of the image of `domain.elements[i]`; no
+    identifier is read or written here.
     """
 
     domain: FinitePoset
@@ -59,18 +59,6 @@ class ExactOperator:
         if (len(table) != n or not all(map(isinstance, table, repeat(int)))
                 or table and (min(table) < 0 or max(table) >= n)):
             raise InputError(f"an operator on {n} elements needs a table of {n} indices below {n}")
-
-    def apply(self, x: str) -> str:
-        return self.domain.elements[self.table[self.domain.index(x)]]
-
-    def monotonicity_violation(self) -> tuple[str, str] | None:
-        up, table = self.domain._up_of, self.table
-        for i, fi in enumerate(table):
-            above = up(fi)
-            for j in _bits(up(i)):
-                if not above >> table[j] & 1:
-                    return (self.domain.elements[i], self.domain.elements[j])
-        return None
 
 
 @dataclass

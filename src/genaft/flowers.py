@@ -24,10 +24,8 @@ from __future__ import annotations
 import random
 
 from .errors import PreconditionError, RecomposeUndefinedError
-from .framework import Approximant, ApproximationFramework
+from .framework import MAX_SUBSET_POOL, Approximant, ApproximationFramework
 from .posets import FinitePoset, set_id
-
-FLOWER_ENUMERATION_LIMIT = 12
 
 
 class _Table(dict):
@@ -47,8 +45,8 @@ class FlowerFramework(ApproximationFramework):
 
     `enumerable` says whether the antichain space is materialised for
     exhaustive checks; `build_flower_framework` sets it for posets of at
-    most FLOWER_ENUMERATION_LIMIT elements, and larger spaces operate
-    purely on (ALB, AUB) pairs.
+    most MAX_SUBSET_POOL elements, the bound on every 2**n subset
+    enumeration, and larger spaces operate purely on (ALB, AUB) pairs.
     """
 
     kind = "flower"
@@ -157,7 +155,7 @@ class FlowerFramework(ApproximationFramework):
 
 
 def build_flower_framework(exact: FinitePoset) -> FlowerFramework:
-    return FlowerFramework(exact, enumerable=len(exact) <= FLOWER_ENUMERATION_LIMIT)
+    return FlowerFramework(exact, enumerable=len(exact) <= MAX_SUBSET_POOL)
 
 
 def enumerate_flowers(fw: FlowerFramework) -> list[Approximant]:
@@ -166,9 +164,7 @@ def enumerate_flowers(fw: FlowerFramework) -> list[Approximant]:
     closure.  The test reads the order directly, so that checks exercise
     members_mask independently."""
     exact = fw.exact
-    if len(exact) > FLOWER_ENUMERATION_LIMIT:
-        raise PreconditionError(
-            f"flower enumeration is limited to {FLOWER_ENUMERATION_LIMIT} elements"
-        )
+    if len(exact) > MAX_SUBSET_POOL:
+        raise PreconditionError(f"flower enumeration is limited to {MAX_SUBSET_POOL} elements")
     return [fw.closure(m) for m in range(1, 1 << len(exact))
             if exact._up_of(exact._glb_mask(m)) & exact._down_closure(m) == m]

@@ -26,14 +26,12 @@ from typing import Callable
 from .engine import (
     Approximator,
     ExactOperator,
+    compute_semantics,
     is_prudent,
     is_reliable,
     kripke_kleene,
-    stable_fixpoints,
     stable_revision,
-    supported_fixpoints,
     ultimate_approximator,
-    well_founded,
 )
 from .errors import PreconditionError
 from .flowers import build_flower_framework
@@ -211,17 +209,16 @@ def check_fixpoint_preservation(
             break
     results.append(_result("transfer.stable_fixpoints_coincide", c_exh, cx))
 
-    kk1, kk2 = kripke_kleene(a1), kripke_kleene(a2)
-    embedded = w.embed(kk1)
+    s1, s2 = compute_semantics(a1, ("kk", "wf")), compute_semantics(a2, ("kk", "wf"))
+    embedded = w.embed(s1.kk)
     cx = None
-    if a2.apply(embedded) != embedded or embedded != kk2:
-        cx = {"coarse_kk": _show(kk1), "fine_kk": _show(kk2)}
+    if a2.apply(embedded) != embedded or embedded != s2.kk:
+        cx = {"coarse_kk": _show(s1.kk), "fine_kk": _show(s2.kk)}
     results.append(_result("transfer.kk_equal", True, cx))
 
-    wf1, wf2 = well_founded(a1, kk1), well_founded(a2, kk2)
     cx = None
-    if w.embed(wf1) != wf2:
-        cx = {"coarse_wf": _show(wf1), "fine_wf": _show(wf2)}
+    if w.embed(s1.wf) != s2.wf:
+        cx = {"coarse_wf": _show(s1.wf), "fine_wf": _show(s2.wf)}
     results.append(_result("transfer.wf_equal", True, cx))
     return results
 
@@ -229,28 +226,23 @@ def check_fixpoint_preservation(
 def check_precision_transfer(w: SpacePrecisionWitness, a2: Approximator) -> list[CheckResult]:
     """Collapsing a fine approximator can only lose precision, never
     gain it, across all four semantics."""
-    a1 = induce_coarse(a2, w)
+    s1, s2 = compute_semantics(induce_coarse(a2, w)), compute_semantics(a2)
     results = []
 
-    kk1, kk2 = kripke_kleene(a1), kripke_kleene(a2)
     cx = None
-    if not w.fine.leq_p(w.embed(kk1), kk2):
-        cx = {"coarse_kk": _show(kk1), "fine_kk": _show(kk2)}
+    if not w.fine.leq_p(w.embed(s1.kk), s2.kk):
+        cx = {"coarse_kk": _show(s1.kk), "fine_kk": _show(s2.kk)}
     results.append(_result("transfer.kk_leq", True, cx))
 
-    wf1, wf2 = well_founded(a1, kk1), well_founded(a2, kk2)
     cx = None
-    if not w.fine.leq_p(w.embed(wf1), wf2):
-        cx = {"coarse_wf": _show(wf1), "fine_wf": _show(wf2)}
+    if not w.fine.leq_p(w.embed(s1.wf), s2.wf):
+        cx = {"coarse_wf": _show(s1.wf), "fine_wf": _show(s2.wf)}
     results.append(_result("transfer.wf_leq", True, cx))
 
-    sup1, sup2 = supported_fixpoints(a1), supported_fixpoints(a2)
-    cx = None if set(sup1) <= set(sup2) else {"coarse_only": sorted(set(sup1) - set(sup2))}
-    results.append(_result("transfer.supported_subset", True, cx))
-
-    st1, st2 = stable_fixpoints(a1, wf1, sup1), stable_fixpoints(a2, wf2, sup2)
-    cx = None if set(st1) <= set(st2) else {"coarse_only": sorted(set(st1) - set(st2))}
-    results.append(_result("transfer.stable_subset", True, cx))
+    for name in ("supported", "stable"):
+        coarse_only = set(getattr(s1, name)) - set(getattr(s2, name))
+        cx = {"coarse_only": sorted(coarse_only)} if coarse_only else None
+        results.append(_result(f"transfer.{name}_subset", True, cx))
     return results
 
 

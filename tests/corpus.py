@@ -1,15 +1,18 @@
-"""Shared instance builders for the test suite.
+"""Shared instance builders and helpers for the test suite.
 
 Houses the bounded rule grammar the exhaustive logic-programming sweeps
-run over, seeded random generators for programs and bounded-complete
-cpos, and the two worked instances (the introspective-agent theory and
-the paper-review wADF) used throughout.
+run over, a tiny rule syntax, seeded random generators for programs and
+bounded-complete cpos, the two worked instances (the introspective-agent
+theory and the paper-review wADF) used throughout, and two readings of
+an exact operator at identifiers: an element's image and a monotonicity
+violation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable
 
 from genaft import (
     FinitePoset,
@@ -20,8 +23,29 @@ from genaft import (
 )
 from genaft.encoders import AelTheory, NormalLogicProgram, Rule, Wadf
 from genaft.errors import RecomposeUndefinedError
+from genaft.engine import ExactOperator
 from genaft.flowers import FlowerFramework
 from genaft.framework import DEFAULT_CAPS
+from genaft.posets import _bits
+
+
+# -- exact operators at identifiers ------------------------------------------
+
+
+def image(op: ExactOperator, x: str) -> str:
+    """The identifier of `op`'s image of the element `x`."""
+    return op.domain.elements[op.table[op.domain.index(x)]]
+
+
+def monotonicity_violation(op: ExactOperator) -> tuple[str, str] | None:
+    """A pair x <= y of elements with op(x) not below op(y), or None."""
+    up, table = op.domain._up_of, op.table
+    for i, fi in enumerate(table):
+        above = up(fi)
+        for j in _bits(up(i)):
+            if not above >> table[j] & 1:
+                return (op.domain.elements[i], op.domain.elements[j])
+    return None
 
 
 # -- worked instances --------------------------------------------------------
@@ -117,6 +141,31 @@ def review_wadf() -> Wadf:
 
 
 # -- the bounded rule grammar ------------------------------------------------
+
+
+def parse_program(source: Iterable[str] | str) -> NormalLogicProgram:
+    """Tiny rule syntax: "p :- q, not r"."""
+    if isinstance(source, str):
+        source = [ln for ln in source.splitlines() if ln.strip()]
+    rules = []
+    seen: set[str] = set()
+    for line in source:
+        line = line.strip().rstrip(".")
+        if ":-" in line:
+            head, body = line.split(":-")
+        else:
+            head, body = line, ""
+        pos, neg = set(), set()
+        for lit in filter(None, (b.strip() for b in body.split(","))):
+            if lit.startswith("not "):
+                neg.add(lit[4:].strip())
+            else:
+                pos.add(lit)
+        head = head.strip()
+        rules.append(Rule(head, frozenset(pos), frozenset(neg)))
+        seen |= {head, *pos, *neg}
+    return NormalLogicProgram(tuple(sorted(seen)), tuple(rules))
+
 
 
 def _bodies(atoms: tuple[str, ...], max_literals: int):

@@ -113,6 +113,16 @@ def test_solve_unknown_semantics_exits_two(capsys, data_dir):
     assert "magic" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", [["solve"], ["compare", "--approximator-a", "fitting"]])
+def test_a_repeated_semantics_is_reported_once(capsys, data_dir, command, fmt):
+    """Each name once, at the position of its first occurrence."""
+    path = str(data_dir / "even_loop.json")
+    once = run(capsys, *command, path, "--semantics", "wf,kk", "--format", fmt)
+    assert once[0] == 0
+    assert run(capsys, *command, path, "--semantics", "wf,kk,wf,kk", "--format", fmt) == once
+
+
 def test_solve_fitting_on_flower_exits_three(capsys, data_dir):
     code, _, err = run(
         capsys,
@@ -231,6 +241,20 @@ def test_solve_of_a_five_argument_wadf_exits_two_at_once(capsys, data_dir, tmp_p
     code, _, err = run(capsys, "solve", str(path), "--space", "flower")
     assert code == 2
     assert err == "input error: product would have 7776 elements, cap is 4096\n"
+
+
+@pytest.mark.parametrize("command", [["check"], ["solve", "--space", "flower"]])
+def test_a_wadf_condition_for_an_undeclared_argument_exits_two(capsys, data_dir, tmp_path, command):
+    """The first undeclared key in sorted order is named, even when its
+    condition would not parse."""
+    review = json.loads((data_dir / "review_wadf.json").read_text())
+    review["acceptance"]["ghost"] = ["const", "accept"]
+    review["acceptance"]["extra"] = ["parent", "nobody"]
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(review))
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "input error: acceptance condition for undeclared argument 'extra'\n"
 
 
 def test_check_unknown_hasse_element_exits_two(capsys, tmp_path):

@@ -44,9 +44,8 @@ from genaft.encoders import (
     lp_exact_space,
     lp_operator,
     lp_oracle,
-    parse_program,
 )
-from corpus import agent_theory, random_program
+from corpus import agent_theory, image, parse_program, random_program
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +93,7 @@ def test_agent_interval_ultimate_kk_wf_are_least(agent):
 def test_ultimate_kk_of_tautological_loop():
     program = parse_program(["p :- p", "p :- not p"])
     op, fw, fit, ult = _interval_setup(program)
-    assert op.apply("{}") == "{p}" and op.apply("{p}") == "{p}"
+    assert image(op, "{}") == "{p}" and image(op, "{p}") == "{p}"
     assert kripke_kleene(ult) == fw.exact_approximant("{p}")
     kk_fit = kripke_kleene(fit)
     assert (kk_fit.alb, kk_fit.aub) == ("{}", "{p}")
@@ -124,7 +123,7 @@ def test_corrupted_map_fails_with_witness(fig_lattice):
     assert witness is not None
     x, y = witness
     assert y in fw.members(x)
-    assert op.apply(y) not in fw.members(bad.apply(x))
+    assert image(op, y) not in fw.members(bad.apply(x))
 
 
 # -- stable revision ----------------------------------------------------------
@@ -264,7 +263,7 @@ def test_agent_flower_well_founded_is_the_intended_state(agent):
     assert ffw.is_exact(wf)
     assert ffw.exact_value(wf) == intended
     assert kk == wf
-    assert op.apply(intended) == intended
+    assert image(op, intended) == intended
 
 
 def test_compute_semantics_bundle():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from genaft import ExactOperator, FinitePoset, MonotoneOperator, lfp, powerset_lattice
 from genaft.errors import MonotonicityError, PreconditionError
-from corpus import random_poset
+from corpus import monotonicity_violation, random_poset
 
 
 def _identity(fig):
@@ -95,7 +95,7 @@ def _random_monotone_table(p, rng):
     # candidates can be empty only if images are unbounded; retry never
     # needed because the full poset always has the image itself
     as_indices = [p.index(table[x]) for x in p.elements]
-    if ExactOperator(p, as_indices).monotonicity_violation() is not None:
+    if monotonicity_violation(ExactOperator(p, as_indices)) is not None:
         # extremely sparse posets may defeat the construction; fall back
         table = {x: x for x in p.elements}
     return table
@@ -117,7 +117,7 @@ def test_iteration_bounded_by_longest_chain():
 def test_monotonicity_violation_finds_witness(fig):
     drop = {"bot": "a", "a": "bot", "b": "b"}
     bad = ExactOperator(fig, [fig.index(drop[x]) for x in fig.elements])
-    witness = bad.monotonicity_violation()
+    witness = monotonicity_violation(bad)
     assert witness is not None
     x, y = witness
     assert fig.leq(x, y) and not fig.leq(drop[x], drop[y])

@@ -26,8 +26,13 @@ from genaft import (
 from genaft.encoders import ael_operator, fitting_approximator, lp_exact_space, lp_operator
 from genaft.errors import PreconditionError
 from genaft.framework import DEFAULT_CAPS
-from corpus import agent_theory, random_bounded_complete_cpo, random_program, with_top
-from genaft.encoders import parse_program
+from corpus import (
+    agent_theory,
+    parse_program,
+    random_bounded_complete_cpo,
+    random_program,
+    with_top,
+)
 
 
 @pytest.fixture(scope="module")
