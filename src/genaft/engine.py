@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .errors import (
     InputError,
@@ -92,14 +92,6 @@ class Approximator:
         return hit
 
 
-class _Domain(NamedTuple):
-    """The fixpoint engine's view of a space: its order, and a
-    zero-argument callable giving its least element."""
-
-    leq: Callable
-    least: Callable
-
-
 def _table_on(fw: ApproximationFramework, op: ExactOperator) -> list[int]:
     """`op`'s table, once `fw.exact` has the same elements in its order."""
     if fw.exact.elements != op.domain.elements:
@@ -141,21 +133,17 @@ def is_reliable(a: Approximator, x: Approximant) -> bool:
 def lower_stable_bound(a: Approximator, x: Approximant):
     """lfp of the ALB projection of `a` with the AUB pinned to x's."""
     fw = a.space
-    op = MonotoneOperator(
-        _Domain(fw.alb_leq, fw.L_least),
-        lambda l: a.apply(fw.recompose(l, x.aub)).alb,
-    )
-    return lfp(op, step_cap=_step_cap(fw))
+    apply, recompose, aub = a.apply, fw.recompose, x.aub
+    op = MonotoneOperator(fw.alb_leq, lambda l: apply(recompose(l, aub)).alb)
+    return lfp(op, start=fw.L_least(), step_cap=_step_cap(fw))
 
 
 def upper_stable_bound(a: Approximator, x: Approximant):
     """lfp of the AUB projection of `a` with the ALB pinned to x's."""
     fw = a.space
-    op = MonotoneOperator(
-        _Domain(fw.aub_leq, partial(fw.least_aub_above, x.alb)),
-        lambda u: a.apply(fw.recompose(x.alb, u)).aub,
-    )
-    return lfp(op, step_cap=_step_cap(fw))
+    apply, recompose, alb = a.apply, fw.recompose, x.alb
+    op = MonotoneOperator(fw.aub_leq, lambda u: apply(recompose(alb, u)).aub)
+    return lfp(op, start=fw.least_aub_above(alb), step_cap=_step_cap(fw))
 
 
 def is_prudent(a: Approximator, x: Approximant) -> bool:
@@ -201,8 +189,9 @@ def kripke_kleene(a: Approximator, *, start: Approximant | None = None) -> Appro
     the fixpoint, e.g. one carried over from a less precise space.
     """
     fw = a.space
-    op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant), a.apply)
-    return lfp(op, start=start, step_cap=_step_cap(fw))
+    if start is None:
+        start = fw.least_approximant()
+    return lfp(MonotoneOperator(fw.leq_p, a.apply), start=start, step_cap=_step_cap(fw))
 
 
 def well_founded(a: Approximator, kk: Approximant) -> Approximant:
@@ -214,7 +203,7 @@ def well_founded(a: Approximator, kk: Approximant) -> Approximant:
     steps.  `lfp` still raises if a step from `kk` fails to rise.
     """
     fw = a.space
-    op = MonotoneOperator(_Domain(fw.leq_p, fw.least_approximant), partial(stable_revision, a))
+    op = MonotoneOperator(fw.leq_p, partial(stable_revision, a))
     return lfp(op, start=kk, step_cap=_step_cap(fw))
 
 

@@ -1,10 +1,12 @@
 """Least fixpoints of monotone operators on finite cpos.
 
-The domain is anything with `leq(x, y)` and `least()`, so the iteration
-runs both on explicit FinitePoset instances and on virtual domains (the
-bound spaces and approximation spaces of the engine) that are never
-materialised.  `lfp` calls the mapping and order it is given, with no
-wrapper per step.  Monotonicity is checked along the visited steps only.
+`lfp` climbs from the start it is given along the order it is given, so
+the iteration runs both on explicit FinitePoset instances
+(`MonotoneOperator(p.leq, f)` from `start=p.least()`) and on virtual
+domains (the bound spaces and approximation spaces of the engine) that
+are never materialised.  It reads no least element itself, and calls
+the mapping and the order with no wrapper per step.  Monotonicity is
+checked along the visited steps only.
 """
 
 from __future__ import annotations
@@ -17,32 +19,36 @@ from .errors import MonotonicityError, PreconditionError
 
 @dataclass
 class MonotoneOperator:
-    """A self-map on an ordered domain, assumed monotone.
+    """A self-map, assumed monotone, and the order `leq(x, y)` its
+    iteration climbs, kept in the field `domain`.
 
     The image must stay inside the domain (not checked up front for
-    virtual domains).
+    virtual domains).  `lfp` calls `mapping` directly; `apply` has no
+    caller in the package and stays only as the hook the benchmark's
+    tracer wraps to count steps.
     """
 
-    domain: object
+    domain: Callable
     mapping: Callable
 
     def apply(self, x):
         return self.mapping(x)
 
 
-def lfp(op: MonotoneOperator, *, start=None, step_cap: int):
-    """Least fixpoint by iteration from the domain's least element.
+def lfp(op: MonotoneOperator, *, start, step_cap: int):
+    """Least fixpoint by iteration from `start`, the domain's least
+    element or any element known to lie below the least fixpoint.
 
     `step_cap` bounds the iterations; the caller derives it from the
-    length of a strict chain in the domain.  Raises MonotonicityError if
-    an iteration step fails to increase, which witnesses that `op` is
-    not monotone (or `start` was not below the least fixpoint), or when
-    the cap is reached.
+    length of a strict chain in the domain.  Raises PreconditionError on
+    a `None` start (a domain with no least element), and
+    MonotonicityError if an iteration step fails to increase, which
+    witnesses that `op` is not monotone (or `start` was not below the
+    least fixpoint), or when the cap is reached.
     """
-    mapping, leq = op.mapping, op.domain.leq
-    x = op.domain.least() if start is None else start
-    if x is None:
+    if start is None:
         raise PreconditionError("domain has no least element")
+    mapping, leq, x = op.mapping, op.domain, start
     for _ in range(step_cap):
         y = mapping(x)
         if y == x:

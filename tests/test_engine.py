@@ -1,9 +1,11 @@
 """Approximators, stable revision, the four semantics, refinements."""
 
+import json
 import random
 
 import pytest
 
+from genaft import engine
 from genaft import (
     Approximator,
     ExactOperator,
@@ -39,6 +41,7 @@ from genaft.errors import (
 from genaft.framework import DEFAULT_CAPS
 from genaft.encoders import (
     AelTheory,
+    NormalLogicProgram,
     ael_operator,
     fitting_approximator,
     lp_exact_space,
@@ -182,6 +185,47 @@ def test_exact_reliable_iff_supported():
     for y in fw.exact.elements:
         e = fw.exact_approximant(y)
         assert is_reliable(fit, e) == (fit.apply(e) == e)
+
+
+def test_every_induction_is_one_lfp_call_on_a_rebuildable_operator(monkeypatch, data_dir):
+    """KK and WF are one `lfp` call each, and each stable revision two,
+    its lower and its upper induction.  An operator rebuilt as
+    `type(op)(op.domain, g)`, as the benchmark's step counter rebuilds
+    it, keeps its order and still runs."""
+    program = NormalLogicProgram.from_json(json.loads((data_dir / "even_loop.json").read_text()))
+    _, fw, fit, ult = _interval_setup(program)
+    lfp, revise = engine.lfp, engine.stable_revision
+    calls, revisions = [], []
+
+    def counted_lfp(op, **kwargs):
+        calls.append(op)
+        return lfp(type(op)(op.domain, op.apply), **kwargs)
+
+    def counted_revision(a, x):
+        revisions.append(x)
+        return revise(a, x)
+
+    monkeypatch.setattr(engine, "lfp", counted_lfp)
+    monkeypatch.setattr(engine, "stable_revision", counted_revision)
+    for a in (fit, ult):
+        calls.clear()
+        revisions.clear()
+        result = compute_semantics(a)
+        assert revisions and len(calls) == 2 + 2 * len(revisions)
+        assert result.wf == fw.least_approximant()
+        assert result.stable == ["{p}", "{q}"]
+
+
+def test_the_step_cap_bounds_the_inner_inductions(monkeypatch):
+    """A fact's lower and upper inductions each rise once, from {} to
+    {p}, so they need two iterations: one step is not enough."""
+    _, fw, fit, _ = _interval_setup(parse_program(["p"]))
+    least = fw.least_approximant()
+    assert engine.lower_stable_bound(fit, least) == engine.upper_stable_bound(fit, least) == "{p}"
+    monkeypatch.setattr(engine, "_step_cap", lambda fw: 1)
+    for bound in (engine.lower_stable_bound, engine.upper_stable_bound):
+        with pytest.raises(MonotonicityError, match="no fixpoint within 1 steps"):
+            bound(fit, least)
 
 
 # -- reliability and prudence ---------------------------------------------------

@@ -11,20 +11,21 @@ from corpus import monotonicity_violation, random_poset
 
 
 def _identity(fig):
-    return MonotoneOperator(fig, lambda x: x)
+    return MonotoneOperator(fig.leq, lambda x: x)
 
 
 def _is_prefixpoint(op, x):
-    return op.domain.leq(op.apply(x), x)
+    return op.domain(op.apply(x), x)
 
 
 def _is_postfixpoint(op, x):
-    return op.domain.leq(x, op.apply(x))
+    return op.domain(x, op.apply(x))
 
 
 def test_lfp_identity_and_constant(fig):
-    assert lfp(_identity(fig), step_cap=len(fig)) == "bot"
-    assert lfp(MonotoneOperator(fig, lambda x: "a"), step_cap=len(fig)) == "a"
+    assert lfp(_identity(fig), start=fig.least(), step_cap=len(fig)) == "bot"
+    const_a = MonotoneOperator(fig.leq, lambda x: "a")
+    assert lfp(const_a, start=fig.least(), step_cap=len(fig)) == "a"
 
 
 def test_lfp_immediate_consequence_two_steps():
@@ -37,31 +38,33 @@ def test_lfp_immediate_consequence_two_steps():
             out.add("q")
         return "{" + ",".join(sorted(out)) + "}"
 
-    op = MonotoneOperator(lattice, step)
+    op = MonotoneOperator(lattice.leq, step)
     fixpoints = [x for x in lattice.elements if step(x) == x]
     least = [x for x in fixpoints if all(lattice.leq(x, y) for y in fixpoints)]
     assert least == ["{p,q}"]
-    assert lfp(op, step_cap=len(lattice)) == "{p,q}"
+    assert lfp(op, start=lattice.least(), step_cap=len(lattice)) == "{p,q}"
 
 
 def test_lfp_requires_least_element():
     no_bottom = FinitePoset(["x", "y"], [])
+    assert no_bottom.least() is None
     with pytest.raises(PreconditionError):
-        lfp(MonotoneOperator(no_bottom, lambda v: v), step_cap=len(no_bottom))
+        lfp(MonotoneOperator(no_bottom.leq, lambda v: v), start=no_bottom.least(),
+            step_cap=len(no_bottom))
 
 
 def test_lfp_detects_decreasing_step(fig):
     swap = {"bot": "a", "a": "b", "b": "a"}
     with pytest.raises(MonotonicityError):
-        lfp(MonotoneOperator(fig, lambda x: swap[x]), step_cap=len(fig))
+        lfp(MonotoneOperator(fig.leq, lambda x: swap[x]), start=fig.least(), step_cap=len(fig))
 
 
 def test_pre_and_post_fixpoints(fig):
-    const_a = MonotoneOperator(fig, lambda x: "a")
+    const_a = MonotoneOperator(fig.leq, lambda x: "a")
     assert _is_postfixpoint(const_a, "bot")
     assert _is_prefixpoint(const_a, "a")
     assert not _is_prefixpoint(const_a, "b")  # a is not below b
-    assert _is_prefixpoint(const_a, lfp(const_a, step_cap=len(fig)))
+    assert _is_prefixpoint(const_a, lfp(const_a, start=fig.least(), step_cap=len(fig)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,8 +76,8 @@ def test_lfp_below_every_prefixpoint(seed, op_seed):
         return
     op_rng = random.Random(op_seed)
     table = _random_monotone_table(p, op_rng)
-    op = MonotoneOperator(p, table.__getitem__)
-    least = lfp(op, step_cap=len(p))
+    op = MonotoneOperator(p.leq, table.__getitem__)
+    least = lfp(op, start=p.least(), step_cap=len(p))
     for x in p.elements:
         if p.leq(table[x], x):
             assert p.leq(least, x)
@@ -108,10 +111,10 @@ def test_iteration_bounded_by_longest_chain():
         [f"c{i}" for i in range(6)], [(f"c{i}", f"c{i+1}") for i in range(5)]
     )
     steps = {f"c{i}": f"c{min(i + 1, 5)}" for i in range(6)}
-    op = MonotoneOperator(chain, steps.__getitem__)
-    assert lfp(op, step_cap=6) == "c5"
+    op = MonotoneOperator(chain.leq, steps.__getitem__)
+    assert lfp(op, start="c0", step_cap=6) == "c5"
     with pytest.raises(MonotonicityError, match="within 5 steps"):
-        lfp(op, step_cap=5)
+        lfp(op, start="c0", step_cap=5)
 
 
 def test_monotonicity_violation_finds_witness(fig):
