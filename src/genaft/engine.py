@@ -135,7 +135,7 @@ def lower_stable_bound(a: Approximator, x: Approximant):
     fw = a.space
     apply, recompose, aub = a.apply, fw.recompose, x.aub
     op = MonotoneOperator(fw.alb_leq, lambda l: apply(recompose(l, aub)).alb)
-    return lfp(op, start=fw.L_least(), step_cap=_step_cap(fw))
+    return lfp(op, start=fw._bot, step_cap=fw.step_cap)
 
 
 def upper_stable_bound(a: Approximator, x: Approximant):
@@ -143,7 +143,7 @@ def upper_stable_bound(a: Approximator, x: Approximant):
     fw = a.space
     apply, recompose, alb = a.apply, fw.recompose, x.alb
     op = MonotoneOperator(fw.aub_leq, lambda u: apply(recompose(alb, u)).aub)
-    return lfp(op, start=fw.least_aub_above(alb), step_cap=_step_cap(fw))
+    return lfp(op, start=fw.least_aub_above(alb), step_cap=fw.step_cap)
 
 
 def is_prudent(a: Approximator, x: Approximant) -> bool:
@@ -165,19 +165,6 @@ def stable_revision(a: Approximator, x: Approximant) -> Approximant:
     return a.space.recompose(low, high)
 
 
-def _step_cap(fw: ApproximationFramework) -> int:
-    """The iteration bound of every induction on `fw`: 2·|exact|.
-
-    Each step strictly raises precision: a higher ALB, or an AUB with a
-    smaller lower closure.  The ALBs form a chain in the exact poset and
-    rise at most |exact| − 1 times; the closures are non-empty subsets
-    of it and shrink at most |exact| − 1 times.  So a chain has at most
-    2·|exact| − 2 steps, and one more iteration sees the fixpoint.  The
-    inner inductions move in L or in U alone: |exact| − 1 steps at most.
-    """
-    return 2 * len(fw.exact)
-
-
 # ---------------------------------------------------------------------------
 # the four semantics
 
@@ -191,7 +178,7 @@ def kripke_kleene(a: Approximator, *, start: Approximant | None = None) -> Appro
     fw = a.space
     if start is None:
         start = fw.least_approximant()
-    return lfp(MonotoneOperator(fw.leq_p, a.apply), start=start, step_cap=_step_cap(fw))
+    return lfp(MonotoneOperator(fw.leq_p, a.apply), start=start, step_cap=fw.step_cap)
 
 
 def well_founded(a: Approximator, kk: Approximant) -> Approximant:
@@ -204,7 +191,7 @@ def well_founded(a: Approximator, kk: Approximant) -> Approximant:
     """
     fw = a.space
     op = MonotoneOperator(fw.leq_p, partial(stable_revision, a))
-    return lfp(op, start=kk, step_cap=_step_cap(fw))
+    return lfp(op, start=kk, step_cap=fw.step_cap)
 
 
 def supported_fixpoints(a: Approximator) -> list[str]:
@@ -339,7 +326,7 @@ def grounding_refinements(a: Approximator, x: Approximant) -> list[Approximant]:
     fw = a.space
     seen = []
     u = fw.least_aub_above(x.alb)
-    for _ in range(_step_cap(fw)):
+    for _ in range(fw.step_cap):
         seen.append(u)
         nxt = a.apply(fw.recompose(x.alb, u)).aub
         if nxt == u:
@@ -375,7 +362,7 @@ def run_wf_induction(a: Approximator, strategy: Callable) -> list[Approximant]:
     fw = a.space
     x = fw.least_approximant()
     trace = [x]
-    cap = _step_cap(fw)
+    cap = fw.step_cap
     for step in range(cap):
         apps = application_refinements(a, x)
         grounds = grounding_refinements(a, x)

@@ -125,12 +125,21 @@ class ApproximationFramework(ABC):
     def __init__(self, exact: FinitePoset):
         self.exact = exact
         self._bot = exact.least()
+        # The iteration bound of every induction on this framework: 2·|exact|.
+        # Each step strictly raises precision: a higher ALB, or an AUB with a
+        # smaller lower closure.  The ALBs form a chain in the exact poset and
+        # rise at most |exact| − 1 times; the closures are non-empty subsets
+        # of it and shrink at most |exact| − 1 times.  So a chain has at most
+        # 2·|exact| − 2 steps, and one more iteration sees the fixpoint.  The
+        # inner inductions move in L or in U alone: |exact| − 1 steps at most.
+        self.step_cap = 2 * len(exact)
         # False until enumerate_approximants fills it.  Every attribute is
         # set in __init__: one added later (or a read of __dict__) leaves the
         # instance off CPython's fast attribute path, which slowed checks by 10 %.
         self._all_approximants: tuple[Approximant, ...] | None | bool = False
         self._recomposed: dict[tuple, Approximant] = {}
         self._closures: dict[int, Approximant] = {}
+        self._members: dict[Approximant, int] = {}
         self._top_aub = self.aub_of_mask(exact._full)
 
     # -- the combined order over L and U ----------------------------------
@@ -216,7 +225,12 @@ class ApproximationFramework(ABC):
         """recompose's computation, asked once per pair."""
 
     def members_mask(self, x: Approximant) -> int:
-        return self.exact.up_mask(x.alb) & self.aub_mask(x.aub)
+        """The mask of x's members, up(alb) & aub_mask(aub), computed once
+        per approximant and framework in the same way as `recompose`."""
+        mask = self._members.get(x)
+        if mask is None:
+            mask = self._members[x] = self.exact.up_mask(x.alb) & self.aub_mask(x.aub)
+        return mask
 
     def exact_approximant(self, y: str) -> Approximant:
         self.exact.index(y)
@@ -894,7 +908,7 @@ def check_approximates_relation(fw: ApproximationFramework, caps: Caps,
     xs, x_complete = _approximant_pool(fw, caps, rng)
     pairs, exhaustive = _probe(itertools.permutations(xs, 2), len(xs) * (len(xs) - 1),
                                _draw(xs, xs), caps, rng, complete=x_complete)
-    members_mask, cx = functools.cache(fw.members_mask), None
+    members_mask, cx = fw.members_mask, None
     for x, y in pairs:
         if fw.leq_p(x, y) and members_mask(y) & ~members_mask(x):
             cx = {"less_precise": _show(x), "more_precise": _show(y)}

@@ -40,6 +40,7 @@ from genaft.encoders import (
     wadf_operator,
 )
 from genaft.errors import PreconditionError
+from genaft.fixpoints import lfp
 from genaft.hierarchy import induce_coarse, induce_fine, interval_flower_witness
 from corpus import (
     VEE,
@@ -149,18 +150,25 @@ def test_approximator_rejects_an_operator_on_another_space(fig, fig_lattice):
 
 
 def test_corpus_finishes_within_half_the_stated_cap(monkeypatch):
-    """The stated cap is 2·|exact|; every corpus program's KK and WF
-    finish under |exact|."""
-    monkeypatch.setattr(engine, "_step_cap", lambda fw: len(fw.exact))
+    """The stated cap is each framework's 2·|exact|; every corpus
+    program's KK and WF finish under |exact|.  Every induction is seen
+    to run under the halved cap."""
+    caps = []
+
+    def capped_lfp(op, *, start, step_cap):
+        caps.append(step_cap)
+        return lfp(op, start=start, step_cap=step_cap)
+
+    monkeypatch.setattr(engine, "lfp", capped_lfp)
     frameworks = {}
     for program in grammar_programs():
         if program.atoms not in frameworks:
             space = lp_exact_space(program)
-            frameworks[program.atoms] = (
-                space,
-                build_interval_framework(space),
-                build_flower_framework(space),
-            )
+            ifw, ffw = build_interval_framework(space), build_flower_framework(space)
+            for fw in (ifw, ffw):
+                assert fw.step_cap == 2 * len(space)
+                fw.step_cap = len(space)
+            frameworks[program.atoms] = (space, ifw, ffw)
         space, ifw, ffw = frameworks[program.atoms]
         op = lp_operator(program, space)
         approximators = (
@@ -169,7 +177,9 @@ def test_corpus_finishes_within_half_the_stated_cap(monkeypatch):
             ultimate_approximator(ffw, op),
         )
         for a in approximators:
+            caps.clear()
             well_founded(a, kripke_kleene(a))
+            assert caps and set(caps) == {len(space)}
 
 
 # -- Kripke-Kleene and well-founded by enumeration ------------------------------

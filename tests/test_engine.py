@@ -222,7 +222,8 @@ def test_the_step_cap_bounds_the_inner_inductions(monkeypatch):
     _, fw, fit, _ = _interval_setup(parse_program(["p"]))
     least = fw.least_approximant()
     assert engine.lower_stable_bound(fit, least) == engine.upper_stable_bound(fit, least) == "{p}"
-    monkeypatch.setattr(engine, "_step_cap", lambda fw: 1)
+    assert fw.step_cap == 2 * len(fw.exact)
+    monkeypatch.setattr(fw, "step_cap", 1)
     for bound in (engine.lower_stable_bound, engine.upper_stable_bound):
         with pytest.raises(MonotonicityError, match="no fixpoint within 1 steps"):
             bound(fit, least)

@@ -8,6 +8,7 @@ import pytest
 from genaft import (
     Approximant,
     Caps,
+    ExactOperator,
     FinitePoset,
     build_flower_framework,
     build_interval_framework,
@@ -19,9 +20,11 @@ from genaft import (
     check_glb_property,
     check_preamble,
     check_weak_ilp,
+    compute_semantics,
     powerset_lattice,
     report_ok,
     report_to_json,
+    ultimate_approximator,
 )
 from genaft.errors import PreconditionError, RecomposeUndefinedError
 from genaft.flowers import FlowerFramework
@@ -428,6 +431,34 @@ def test_a_full_check_recomposes_each_pair_once(build):
     pairs = _recording(fw)
     assert report_ok(check_framework(fw))
     assert pairs and len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_interval_framework(powerset_lattice(["p", "q", "r"])),
+    lambda: build_flower_framework(powerset_lattice(["p", "q", "r"])),
+    lambda: build_flower_framework(claw_poset()),
+], ids=["powerset3-interval", "powerset3-flower", "claw-flower"])
+def test_member_masks_are_computed_once_per_framework(build, monkeypatch):
+    """Each asked approximant's mask is stored once, as up(alb) &
+    aub_mask(aub), and a second approximator on the framework reuses it
+    without computing a mask again."""
+    fw = build()
+    exact = fw.exact
+    rng = random.Random(5)
+    op = ExactOperator(exact, [rng.randrange(len(exact)) for _ in exact.elements])
+    compute_semantics(ultimate_approximator(fw, op))
+    asked = dict(fw._members)
+    assert asked
+    up_masks = []
+    up_mask = type(exact).up_mask
+    monkeypatch.setattr(type(exact), "up_mask", lambda p, x: up_masks.append(x) or up_mask(p, x))
+    compute_semantics(ultimate_approximator(fw, op))
+    assert fw._members == asked and up_masks == []
+    xs = fw.enumerate_approximants()
+    for x in xs:
+        assert fw.members_mask(x) == exact.up_mask(x.alb) & fw.aub_mask(x.aub)
+        assert fw._members[x] == fw.members_mask(x)
+    assert len(fw._members) == len(xs)
 
 
 def _tables(n: int, rng: random.Random) -> dict[str, list[int]]:

@@ -5,11 +5,13 @@ import itertools
 import pytest
 
 from genaft import (
+    ApproximationFramework,
     FinitePoset,
     build_interval_framework,
     powerset_lattice,
 )
 from genaft.errors import PreconditionError, RecomposeUndefinedError
+from corpus import vee_lattice
 
 
 def test_two_chain_has_three_approximants():
@@ -76,6 +78,31 @@ def test_precision_equals_member_containment():
     xs = fw.enumerate_approximants()
     for x, y in itertools.product(xs, xs):
         assert fw.leq_p(x, y) == (fw.members(y) <= fw.members(x))
+
+
+@pytest.mark.parametrize("lattice", [vee_lattice, lambda: powerset_lattice(["p", "q", "r"])],
+                         ids=["vee-lattice", "powerset3"])
+def test_the_interval_orders_are_the_lattices_on_every_side(lattice):
+    """alb_leq, aub_leq, cross_leq and leq_p, read straight from the
+    lattice, agree with bound_leq and the base class's derivation from
+    it on every pair."""
+    fw = build_interval_framework(lattice())
+    generic = ApproximationFramework
+    orders = (
+        (fw.alb_leq, generic.alb_leq, "L", "L"),
+        (fw.aub_leq, generic.aub_leq, "U", "U"),
+        (fw.cross_leq, generic.cross_leq, "L", "U"),
+    )
+    for b1, b2 in itertools.product(fw.exact.elements, repeat=2):
+        for mine, derived, side1, side2 in orders:
+            assert mine(b1, b2) == derived(fw, b1, b2) == fw.bound_leq(side1, b1, side2, b2)
+    xs = fw.enumerate_approximants()
+    outcomes = set()
+    for x, y in itertools.product(xs, repeat=2):
+        expected = fw.bound_leq("L", x.alb, "L", y.alb) and fw.bound_leq("U", y.aub, "U", x.aub)
+        assert fw.leq_p(x, y) == generic.leq_p(fw, x, y) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_exact_approximants_are_the_diagonal(fig_lattice):
