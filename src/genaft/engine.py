@@ -135,7 +135,7 @@ def lower_stable_bound(a: Approximator, x: Approximant):
     fw = a.space
     apply, recompose, aub = a.apply, fw.recompose, x.aub
     op = MonotoneOperator(fw.alb_leq, lambda l: apply(recompose(l, aub)).alb)
-    return lfp(op, start=fw._bot, step_cap=fw.step_cap)
+    return lfp(op, start=fw.L_least(), step_cap=fw.step_cap)
 
 
 def upper_stable_bound(a: Approximator, x: Approximant):

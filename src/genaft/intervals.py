@@ -47,19 +47,14 @@ class IntervalFramework(ApproximationFramework):
                 f"interval framework needs a complete lattice; the exact space lacks {missing}"
             )
         super().__init__(exact)
-        # The interval order ignores sides, so L's, U's and the cross order
-        # are the lattice's own, called with no frame of the framework's.
-        self.alb_leq = self.aub_leq = self.cross_leq = exact.leq
+        # The interval order ignores sides, so L's and U's orders are the
+        # lattice's own, called with no frame of the framework's.
+        self.alb_leq = self.aub_leq = exact.leq
 
     # -- L and U: one carrier, the exact lattice ------------------------------
 
     def bound_leq(self, side1, b1, side2, b2) -> bool:
         return self.exact.leq(b1, b2)
-
-    def leq_p(self, x: Approximant, y: Approximant) -> bool:
-        """[l1, u1] <= [l2, u2] when l1 <= l2 and u2 <= u1 in the lattice."""
-        leq = self.exact.leq
-        return leq(x.alb, y.alb) and leq(y.aub, x.aub)
 
     def aub_mask(self, u: str) -> int:
         return self.exact.down_mask(u)
