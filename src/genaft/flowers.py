@@ -65,6 +65,8 @@ class FlowerFramework(ApproximationFramework):
         self._down_cache = _Table(self._lower_closure)  # tuple[str, ...] -> int
         self._antichains = _Table(self._max_set)  # int -> tuple[str, ...]
         super().__init__(exact)
+        # L's order is the exact one, called with no frame of the framework's.
+        self.alb_leq = exact.leq
         self._enumerable = enumerable
         self._all_aubs: list[tuple[str, ...]] | None = None
 
@@ -105,14 +107,21 @@ class FlowerFramework(ApproximationFramework):
 
     # -- combined order -----------------------------------------------------
 
+    # U is ordered by inclusion of lower closures, and an ALB is below an
+    # AUB when it lies in the AUB's lower closure; both read the table.
+
+    def aub_leq(self, u1, u2) -> bool:
+        down = self._down_cache
+        return down[u1] & ~down[u2] == 0
+
+    def cross_leq(self, l, u) -> bool:
+        return self._down_cache[u] >> self.exact.index(l) & 1 == 1
+
     def bound_leq(self, side1, b1, side2, b2) -> bool:
         if side1 == "L":
-            if side2 == "L":
-                return self.exact.leq(b1, b2)
-            return bool(self.aub_mask(b2) >> self.exact.index(b1) & 1)
-        if side2 == "U":
-            return self.aub_mask(b1) & ~self.aub_mask(b2) == 0
-        return False  # an AUB is never below an ALB: the side condition
+            return self.alb_leq(b1, b2) if side2 == "L" else self.cross_leq(b1, b2)
+        # An AUB is never below an ALB: the side condition.
+        return side2 == "U" and self.aub_leq(b1, b2)
 
     def least_aub_above(self, l) -> tuple[str, ...]:
         # The least down-set containing the principal one below l.

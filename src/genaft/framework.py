@@ -140,6 +140,7 @@ class ApproximationFramework(ABC):
         self._recomposed: dict[tuple, Approximant] = {}
         self._closures: dict[int, Approximant] = {}
         self._members: dict[Approximant, int] = {}
+        self._rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None  # see _order_rows
         self._top_aub = self.aub_of_mask(exact._full)
 
     # -- the combined order over L and U ----------------------------------
@@ -465,17 +466,30 @@ def _chains(fw, caps: Caps, rng) -> tuple[Iterable, bool]:
                   complete=len(pool) <= MAX_SUBSET_POOL, limit=MAX_CHAINS)
 
 
-def _order_rows(fw, bounds: list[tuple[str, object]]) -> tuple[list[int], list[int]]:
-    """The combined order on `bounds`, (side, bound) pairs, as bitsets:
+def _bounds(fw, aubs: Iterable) -> list[tuple[str, object]]:
+    """L's elements and then `aubs`, as (side, bound) pairs."""
+    return [("L", l) for l in fw.albs()] + [("U", u) for u in aubs]
+
+
+def _order_rows(fw) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The combined order on _bounds(fw, fw.enumerate_aubs()) as bitsets:
     bit j of rows[i], and bit i of cols[j], say bounds[i] <= bounds[j].
-    The framework's bound_leq is called once per pair."""
-    rows, cols = [0] * len(bounds), [0] * len(bounds)
-    for i, (s1, b1) in enumerate(bounds):
-        for j, (s2, b2) in enumerate(bounds):
-            if fw.bound_leq(s1, b1, s2, b2):
-                rows[i] |= 1 << j
-                cols[j] |= 1 << i
-    return rows, cols
+    Callers ask only when U is enumerated.
+
+    The framework's bound_leq is called once per pair, on the first call
+    per framework; the rows are kept on the framework and shared by the
+    preamble and the composition checks, which is sound because
+    frameworks are immutable, as for recompose and closure."""
+    if fw._rows is None:
+        bounds = _bounds(fw, fw.enumerate_aubs())
+        rows, cols = [0] * len(bounds), [0] * len(bounds)
+        for i, (s1, b1) in enumerate(bounds):
+            for j, (s2, b2) in enumerate(bounds):
+                if fw.bound_leq(s1, b1, s2, b2):
+                    rows[i] |= 1 << j
+                    cols[j] |= 1 << i
+        fw._rows = tuple(rows), tuple(cols)
+    return fw._rows
 
 
 def _undefined(l, u) -> dict:
@@ -529,11 +543,12 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
     aub_triples, aub_exhaustive = _probe(
         ((l, u1, u2) for u1, u2, l in itertools.product(aubs, aubs, albs)),
         len(aubs) ** 2 * len(albs), _draw(albs, aubs, aubs), caps, rng, complete=u_complete)
-    # The rows cost one comparison per pair of bounds, as much as a
-    # quadratic bullet itself: they pay off only for the cubic ones.
+    # Unless the preamble built them, the rows cost one comparison per pair
+    # of bounds, as much as a quadratic bullet: they pay off only for the
+    # cubic ones.
     rowed = alb_exhaustive or aub_exhaustive
     if rowed:
-        rows, cols = _order_rows(fw, [("L", l) for l in albs] + [("U", u) for u in aubs])
+        rows, cols = _order_rows(fw)
         nl, lows = len(albs), (1 << len(albs)) - 1  # U bounds follow the nl L bounds
 
     def attempt(l, u):
@@ -762,7 +777,7 @@ def check_preamble(fw: ApproximationFramework, caps: Caps, rng: random.Random) -
     results = []
     albs = list(fw.albs())
     aubs, u_complete = _aub_pool(fw, caps, rng)
-    bounds = [("L", l) for l in albs] + [("U", u) for u in aubs]
+    bounds = _bounds(fw, aubs)
     n = len(bounds)
 
     # Every probe is drawn before any axiom is checked; the checks draw nothing.
@@ -781,9 +796,10 @@ def check_preamble(fw: ApproximationFramework, caps: Caps, rng: random.Random) -
         complete=u_complete)
     # The rows cost one comparison per pair of bounds, as much as
     # antisymmetry itself: they pay off only for the cubic quantifiers.
+    # They are built once per framework, so composition reuses them.
     rowed = trans_exhaustive or lattice_exhaustive
     if rowed:
-        rows, cols = _order_rows(fw, bounds)
+        rows, cols = _order_rows(fw)
 
     def leq(a, b):
         return fw.bound_leq(*a, *b)

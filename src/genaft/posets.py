@@ -168,10 +168,20 @@ class FinitePoset:
         try:
             return self._index[x]
         except KeyError:
-            raise ElementNotFoundError(f"unknown element {x!r}") from None
+            raise self._unknown(x) from None
+
+    def _unknown(self, *xs: str) -> ElementNotFoundError:
+        """The error for the first of `xs` that is not an element.  The
+        order queries read `_index` once per identifier, with no frame of
+        `index`'s, and ask this only on a miss."""
+        x = next(x for x in xs if x not in self._index)
+        return ElementNotFoundError(f"unknown element {x!r}")
 
     def leq(self, x: str, y: str) -> bool:
-        return bool(self._up[self.index(x)] >> self.index(y) & 1)
+        try:
+            return self._up[self._index[x]] >> self._index[y] & 1 == 1
+        except KeyError:
+            raise self._unknown(x, y) from None
 
     def mask_of(self, s: Iterable[str]) -> int:
         m = 0
@@ -183,10 +193,16 @@ class FinitePoset:
         return frozenset(self.elements[i] for i in _bits(mask))
 
     def up_mask(self, x: str) -> int:
-        return self._up[self.index(x)]
+        try:
+            return self._up[self._index[x]]
+        except KeyError:
+            raise self._unknown(x) from None
 
     def down_mask(self, x: str) -> int:
-        return self._down[self.index(x)]
+        try:
+            return self._down[self._index[x]]
+        except KeyError:
+            raise self._unknown(x) from None
 
     def _up_of(self, i: int) -> int:
         """The principal up-set of the element with index i."""
@@ -399,14 +415,23 @@ class _Powerset(FinitePoset):
         return lo[c & low] * hi[c >> h] << i
 
     def leq(self, x: str, y: str) -> bool:
-        i, j = self.index(x), self.index(y)
+        try:
+            i, j = self._index[x], self._index[y]
+        except KeyError:
+            raise self._unknown(x, y) from None
         return (j & ~i if self._superset else i & ~j) == 0
 
     def up_mask(self, x: str) -> int:
-        return self._up_of(self.index(x))
+        try:
+            return self._up_of(self._index[x])
+        except KeyError:
+            raise self._unknown(x) from None
 
     def down_mask(self, x: str) -> int:
-        return self._down_of(self.index(x))
+        try:
+            return self._down_of(self._index[x])
+        except KeyError:
+            raise self._unknown(x) from None
 
     def _union(self, smask: int) -> int:
         out = 0

@@ -224,6 +224,24 @@ def test_exhaustive_preamble_compares_each_pair_of_bounds_once():
     assert comparisons[0] <= 2 * n * n
 
 
+@pytest.mark.parametrize("poset", [vee_poset, claw_poset], ids=["vee", "claw"])
+def test_the_order_rows_are_built_once_per_framework(poset):
+    """The preamble and the composition checks share one set of rows, so a
+    whole check asks bound_leq once per pair of bounds, plus the
+    preamble's three linear scans; a second framework builds its own."""
+    exact = poset()
+    fw = build_flower_framework(exact)
+    n = len(fw.albs()) + len(fw.enumerate_aubs())
+    comparisons = _counting(fw, "bound_leq")
+    assert report_ok(check_framework(fw))
+    assert comparisons[0] <= n * n + 3 * n
+    other = build_flower_framework(exact)
+    others = _counting(other, "bound_leq")
+    assert report_ok(check_framework(other))
+    assert n * n <= others[0] <= n * n + 3 * n
+    assert comparisons[0] == others[0]
+
+
 def test_glb_property_enumerates_a_full_pool_down_to_its_one_wrong_subset():
     fw = WrongElevenMeet(twelve_pool_poset(), enumerable=True)
     pool = [u for u in fw.enumerate_aubs() if fw.cross_leq("x", u)]

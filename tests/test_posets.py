@@ -55,6 +55,29 @@ def test_unknown_element_in_a_pair_is_named():
         FinitePoset(["x"], [("x", "y")])
 
 
+@pytest.mark.parametrize("poset", [
+    lambda: FinitePoset(["x", "y"], [("x", "y")]),
+    lambda: product_poset([FinitePoset(["x", "y"], [("x", "y")])] * 2),
+    lambda: powerset_lattice(["p", "q"]),
+    lambda: powerset_lattice(["p", "q"], "superset"),
+], ids=["explicit", "product", "subset", "superset"])
+def test_an_unknown_identifier_is_named_by_every_order_query(poset):
+    p = poset()
+    known = p.elements[0]
+    queries = [
+        lambda x: p.index(x),
+        lambda x: p.leq(x, known),
+        lambda x: p.leq(known, x),
+        lambda x: p.leq(x, "other"),
+        lambda x: p.up_mask(x),
+        lambda x: p.down_mask(x),
+    ]
+    for query in queries:
+        with pytest.raises(ElementNotFoundError, match=r"^unknown element 'ghost'$"):
+            query("ghost")
+    assert p.leq(known, known)
+
+
 def test_size_cap():
     with pytest.raises(SizeCapError, match="poset has 4097 elements, cap is 4096"):
         FinitePoset([f"e{i}" for i in range(4097)], [])
