@@ -223,6 +223,12 @@ def _parse_semantics(raw: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(parts)) or ALL_SEMANTICS  # each name once, first occurrence first
 
 
+def _show(fw, key: str, value) -> str:
+    """One semantics value as text: an approximant for kk and wf, the
+    list of exact elements for supported and stable."""
+    return fw.format_approximant(value) if key in ("kk", "wf") else f"[{', '.join(value)}]"
+
+
 def cmd_solve(args) -> int:
     data = _load(args.input)
     kind = _detect_kind(data)
@@ -241,12 +247,9 @@ def cmd_solve(args) -> int:
     else:
         for key in parts:
             value = getattr(result, key)
-            if key in ("kk", "wf"):
-                exact = fw.exact_value(value)
-                tail = f"  (exact: {exact})" if exact is not None else ""
-                print(f"{key}: {fw.format_approximant(value)}{tail}")
-            else:
-                print(f"{key}: [{', '.join(value)}]")
+            exact = fw.exact_value(value) if key in ("kk", "wf") else None
+            tail = f"  (exact: {exact})" if exact is not None else ""
+            print(f"{key}: {_show(fw, key, value)}{tail}")
     return EXIT_OK
 
 
@@ -295,9 +298,8 @@ def cmd_compare(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for key in parts:
-            va, vb = getattr(res_a, key), getattr(res_b, key)
-            show_a = fw_a.format_approximant(va) if key in ("kk", "wf") else f"[{', '.join(va)}]"
-            show_b = fw_b.format_approximant(vb) if key in ("kk", "wf") else f"[{', '.join(vb)}]"
+            show_a = _show(fw_a, key, getattr(res_a, key))
+            show_b = _show(fw_b, key, getattr(res_b, key))
             print(f"{key}: a={show_a}  b={show_b}")
         for name in sorted(verdicts):
             print(f"{name}: {str(verdicts[name]).lower()}")

@@ -95,12 +95,7 @@ class AelTheory:
         out: list = []
         for s in self.sentences:
             _scan(s, inside_k=False, atoms=set(self.atoms), modal_out=out)
-        seen, unique = set(), []
-        for g in out:
-            if g not in seen:
-                seen.add(g)
-                unique.append(g)
-        return unique
+        return list(dict.fromkeys(out))  # each subformula once, first occurrence first
 
 
 def belief_state_space(theory: AelTheory) -> FinitePoset:

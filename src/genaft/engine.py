@@ -337,7 +337,7 @@ def grounding_refinements(a: Approximator, x: Approximant) -> list[Approximant]:
         if not fw.cross_leq(x.alb, u):
             continue
         y = fw.recompose(x.alb, u)
-        if y != x and y not in out and is_grounding_refinement(a, x, y) and fw.leq_p(x, y):
+        if y != x and y not in out and is_grounding_refinement(a, x, y):
             out.append(y)
     return out
 
