@@ -334,8 +334,6 @@ def grounding_refinements(a: Approximator, x: Approximant) -> list[Approximant]:
         u = nxt
     out = []
     for u in seen:
-        if not fw.cross_leq(x.alb, u):
-            continue
         y = fw.recompose(x.alb, u)
         if y != x and y not in out and is_grounding_refinement(a, x, y):
             out.append(y)

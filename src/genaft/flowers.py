@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import PreconditionError, RecomposeUndefinedError
+from .errors import PreconditionError
 from .framework import MAX_SUBSET_POOL, Approximant, ApproximationFramework
 from .posets import FinitePoset, set_id
 
@@ -117,12 +117,6 @@ class FlowerFramework(ApproximationFramework):
     def cross_leq(self, l, u) -> bool:
         return self._down_cache[u] >> self.exact.index(l) & 1 == 1
 
-    def bound_leq(self, side1, b1, side2, b2) -> bool:
-        if side1 == "L":
-            return self.alb_leq(b1, b2) if side2 == "L" else self.cross_leq(b1, b2)
-        # An AUB is never below an ALB: the side condition.
-        return side2 == "U" and self.aub_leq(b1, b2)
-
     def least_aub_above(self, l) -> tuple[str, ...]:
         # The least down-set containing the principal one below l.
         return (l,)
@@ -150,8 +144,6 @@ class FlowerFramework(ApproximationFramework):
     # -- approximants ---------------------------------------------------------
 
     def _recompose(self, l, u) -> Approximant:
-        if not self.cross_leq(l, u):
-            raise RecomposeUndefinedError(f"{l!r} is incompatible with the AUB {u!r}")
         mask = self.exact.up_mask(l) & self.aub_mask(u)
         # The glb of the recomposition is l itself; only the AUB may shrink.
         return Approximant(self, l, self.aub_of_mask(mask))

@@ -11,9 +11,10 @@ spaces grow combinatorially.
 L is the exact poset in every space.  A space supplies U by the map
 between an AUB and its lower closure (`aub_mask`, inverted by
 `aub_of_mask`); members, closures, exact approximants and U's extremes
-are derived from it once here.  Each space supplies U's meet and join:
-intervals take the lattice's glb and lub, and flowers fold lower
-closures read from their tables.
+are derived from it once here.  Each space supplies U's meet and join,
+and the order as three relations: `alb_leq` on L, `aub_leq` on U and
+`cross_leq` from L to U.  The base class derives `bound_leq` from them
+and recomposes only the pairs that `cross_leq` holds of.
 
 The checkers in this module verify, by enumeration where feasible and
 by seeded sampling otherwise, the five composition-poset requirements,
@@ -145,18 +146,13 @@ class ApproximationFramework(ABC):
 
     # -- the combined order over L and U ----------------------------------
 
-    @abstractmethod
     def bound_leq(self, side1: str, b1, side2: str, b2) -> bool:
-        """The order on L u U; sides are "L" or "U"."""
-
-    def alb_leq(self, l1, l2) -> bool:
-        return self.bound_leq("L", l1, "L", l2)
-
-    def aub_leq(self, u1, u2) -> bool:
-        return self.bound_leq("U", u1, "U", u2)
-
-    def cross_leq(self, l, u) -> bool:
-        return self.bound_leq("L", l, "U", u)
+        """The order on L u U, read from the space's alb_leq, cross_leq
+        and aub_leq; sides are "L" or "U"."""
+        if side1 == "L":
+            return self.alb_leq(b1, b2) if side2 == "L" else self.cross_leq(b1, b2)
+        # An AUB is never below an ALB: the side condition.
+        return side2 == "U" and self.aub_leq(b1, b2)
 
     # -- decomposition space structure -------------------------------------
 
@@ -218,12 +214,14 @@ class ApproximationFramework(ABC):
         stores nothing, when the pair is incompatible."""
         x = self._recomposed.get((l, u))
         if x is None:
+            if not self.cross_leq(l, u):
+                raise RecomposeUndefinedError(f"{l!r} is incompatible with the AUB {u!r}")
             x = self._recomposed[l, u] = self._recompose(l, u)
         return x
 
     @abstractmethod
     def _recompose(self, l, u) -> Approximant:
-        """recompose's computation, asked once per pair."""
+        """recompose's computation, asked once per compatible pair."""
 
     def members_mask(self, x: Approximant) -> int:
         """The mask of x's members, up(alb) & aub_mask(aub), computed once

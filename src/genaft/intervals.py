@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .errors import PreconditionError, RecomposeUndefinedError
+from .errors import PreconditionError
 from .framework import Approximant, ApproximationFramework
 from .posets import FinitePoset, _bits
 
@@ -47,9 +47,9 @@ class IntervalFramework(ApproximationFramework):
                 f"interval framework needs a complete lattice; the exact space lacks {missing}"
             )
         super().__init__(exact)
-        # The interval order ignores sides, so L's and U's orders are the
-        # lattice's own, called with no frame of the framework's.
-        self.alb_leq = self.aub_leq = exact.leq
+        # The interval order ignores sides, so all three relations are the
+        # lattice's own order, called with no frame of the framework's.
+        self.alb_leq = self.aub_leq = self.cross_leq = exact.leq
 
     # -- L and U: one carrier, the exact lattice ------------------------------
 
@@ -81,8 +81,6 @@ class IntervalFramework(ApproximationFramework):
     # -- approximants -------------------------------------------------------
 
     def _recompose(self, l, u) -> Approximant:
-        if not self.exact.leq(l, u):
-            raise RecomposeUndefinedError(f"inconsistent pair ({l!r}, {u!r})")
         return Approximant(self, l, u)
 
     def _approximants(self) -> Iterator[Approximant]:

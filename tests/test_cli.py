@@ -332,3 +332,75 @@ def test_malformed_wadf_structure_exits_two(capsys, tmp_path, case, command):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
+_VEE = {"elements": ["bot", "a", "b"], "hasse": [["bot", "a"], ["bot", "b"]]}
+
+
+def _wadf(acceptance, **fields):
+    return json.dumps({"arguments": ["a"], "values": _VALUES, "acceptance": {"a": acceptance}} | fields)
+
+
+# (file contents, exit code, stderr prefix with the file's path spelled "<file>")
+ERROR_EDGES = {
+    "invalid_json": ("{", 2, "input error: <file>: invalid JSON at line 1"),
+    "json_list": ("[]", 2, "input error: <file>: expected a JSON object"),
+    "no_known_key": ("{}", 2, "input error: unrecognised input"),
+    "ael_sentence_not_a_list": (
+        json.dumps({"atoms": ["p"], "sentences": ["p"]}), 2, "input error: malformed formula node"),
+    "ael_bare_atom": (
+        json.dumps({"atoms": ["p"], "sentences": [["atom"]]}), 2, "input error: malformed atom node"),
+    "ael_bare_and": (
+        json.dumps({"atoms": ["p"], "sentences": [["and"]]}), 2, "input error: and needs at least one"),
+    "ael_duplicate_atoms": (
+        json.dumps({"atoms": ["p", "p"], "sentences": []}), 2, "input error: duplicate atoms"),
+    "ael_missing_atoms": (json.dumps({"sentences": []}), 2, "input error: malformed theory JSON"),
+    "wadf_acceptance_not_a_list": (_wadf("x"), 2, "input error: malformed acceptance node"),
+    "wadf_bare_glb": (_wadf(["glb"]), 2, "input error: glb needs at least one"),
+    "wadf_table_over_undeclared": (
+        _wadf(["table", ["ghost"], []]), 2, "input error: table over undeclared arguments"),
+    "wadf_table_key_length": (_wadf(["table", ["a"], [[["x", "x"], "x"]]]), 2, "input error: bad table row"),
+    "wadf_unknown_node": (_wadf(["max", ["const", "x"]]), 2, "input error: unknown acceptance node 'max'"),
+    "wadf_duplicate_arguments": (
+        _wadf(["const", "x"], arguments=["a", "a"]), 2, "input error: duplicate arguments"),
+    "wadf_missing_values": (
+        json.dumps({"arguments": ["a"], "acceptance": {"a": ["const", "x"]}}), 2,
+        "input error: malformed wADF JSON"),
+    "wadf_values_without_elements": (
+        _wadf(["const", "x"], values={"hasse": []}), 2, 'input error: poset JSON needs an "elements" list'),
+    "wadf_zero_arguments": (
+        json.dumps({"arguments": [], "values": _VALUES, "acceptance": {}}), 2,
+        "input error: product of zero posets"),
+    "wadf_values_not_bounded_complete": (
+        _wadf(["const", "x"], values={"elements": ["x", "y"], "hasse": []}), 3,
+        "precondition error: the acceptance-value poset must be a bounded-complete cpo"),
+    "wadf_missing_lub": (
+        _wadf(["lub", ["const", "a"], ["const", "b"]], values=_VEE), 3,
+        "error: acceptance of 'a' asks for a lub of ['a', 'b']"),
+    "lp_rule_without_head": (
+        json.dumps({"atoms": ["p"], "rules": [{"pos": ["p"]}]}), 2, "input error: malformed program JSON"),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_EDGES)
+def test_each_error_at_the_json_edge_exits_with_one_stderr_line(capsys, tmp_path, case):
+    text, expected_code, prefix = ERROR_EDGES[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (expected_code, "")
+    assert err.replace(str(path), "<file>").startswith(prefix) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("poset, classification", [
+    ({"elements": ["x", "y"], "hasse": []}, "poset without a least element"),
+    ({"elements": ["bot", "a", "b", "c", "d"],
+      "hasse": [["bot", "a"], ["bot", "b"], ["a", "c"], ["b", "c"], ["a", "d"], ["b", "d"]]}, "cpo"),
+], ids=["no-least", "not-bounded-complete"])
+def test_check_text_names_a_poset_no_framework_applies_to(capsys, tmp_path, poset, classification):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset))
+    code, out, err = run(capsys, "check", str(path), "--format", "text")
+    assert (code, err) == (0, "")
+    assert out == (f"elements: {len(poset['elements'])}\nclassification: {classification}\n"
+                   "no framework applies: the poset is not a bounded-complete cpo\n")
