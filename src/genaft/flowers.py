@@ -16,7 +16,7 @@ closure), which realises its complete-lattice structure through plain
 set algebra on bitmasks.  The two directions of that bijection are
 two tables that fill themselves on a miss, read by `aub_mask` and
 `aub_of_mask`; the framework base derives members, closures and exact
-approximants from them, and U's meet and join read the tables directly.
+approximants from them, and U's binary meet and join read the tables.
 """
 
 from __future__ import annotations
@@ -93,17 +93,11 @@ class FlowerFramework(ApproximationFramework):
         """The antichain of the maximal elements of `mask`."""
         return self._antichains[mask]
 
-    def glb_U(self, us) -> tuple[str, ...]:
-        down, mask = self._down_cache, self.exact._full
-        for u in us:
-            mask &= down[u]
-        return self._antichains[mask]
+    def meet_U(self, u1, u2) -> tuple[str, ...]:
+        return self._antichains[self._down_cache[u1] & self._down_cache[u2]]
 
-    def lub_U(self, us) -> tuple[str, ...]:
-        down, mask = self._down_cache, 0
-        for u in us:
-            mask |= down[u]
-        return self._antichains[mask] if mask else self.U_least()
+    def join_U(self, u1, u2) -> tuple[str, ...]:
+        return self._antichains[self._down_cache[u1] | self._down_cache[u2]]
 
     # -- combined order -----------------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -164,15 +165,15 @@ class ApproximationFramework(ABC):
         return self.exact.lub(ls)
 
     @abstractmethod
-    def glb_U(self, us: Iterable):
-        """glb in the complete lattice U: the AUB whose lower closure is
-        the meet of the given AUBs' closures, U's greatest for none.  Every
-        lower closure holds the least element, so the meet is never empty."""
+    def meet_U(self, u1, u2):
+        """The meet of two AUBs in the complete lattice U: the AUB whose
+        lower closure is the meet of theirs.  Every lower closure holds
+        the least element, so the meet is never empty."""
 
     @abstractmethod
-    def lub_U(self, us: Iterable):
-        """lub in the complete lattice U: the AUB whose lower closure is
-        the join of the given AUBs' closures, or U's least element for none."""
+    def join_U(self, u1, u2):
+        """The join of two AUBs in the complete lattice U: the AUB whose
+        lower closure is the join of theirs."""
 
     def L_least(self):
         return self._bot
@@ -420,19 +421,18 @@ def _draw(*pools: Sequence) -> Callable[[random.Random], tuple]:
     return lambda rng: tuple(rng.choice(pool) for pool in pools)
 
 
-def _subsets(pool: list, caps: Caps, rng, *, nonempty: bool) -> tuple[Iterable, bool]:
-    """All subsets of a pool of at most MAX_SUBSET_POOL members, else probes."""
-    start = 1 if nonempty else 0
+def _subsets(pool: list, caps: Caps, rng) -> tuple[Iterable, bool]:
+    """The non-empty subsets of a pool of at most MAX_SUBSET_POOL members, else probes."""
 
     def every():
         # Doubling lists the subsets in the order of their bitmasks over the pool.
         subsets = [()]
         for x in pool:
             subsets += [s + (x,) for s in subsets]
-        yield from subsets[start:]
+        yield from subsets[1:]
 
     def draw(rng):
-        return tuple(rng.sample(pool, rng.randint(start, min(len(pool), 8))))
+        return tuple(rng.sample(pool, rng.randint(1, min(len(pool), 8))))
 
     return _probe(every(), 1 << len(pool), draw, caps, rng, limit=1 << MAX_SUBSET_POOL)
 
@@ -686,7 +686,7 @@ def check_abstract_ilp(fw: ApproximationFramework, caps: Caps, rng: random.Rando
 
     def every():
         for u in aubs:
-            subsets, sub_exhaustive = _subsets(group(u, albs), caps, rng, nonempty=True)
+            subsets, sub_exhaustive = _subsets(group(u, albs), caps, rng)
             for subset in subsets:
                 yield u, subset, sub_exhaustive
 
@@ -725,12 +725,15 @@ def check_glb_property(fw: ApproximationFramework, caps: Caps, rng: random.Rando
     """An ALB below every member of an AUB set is below the set's glb.
 
     For each ALB the compatible AUBs of the pool form one set; every
-    qualifying set is a subset of it.  Small sets are enumerated in
-    full.  A set larger than MAX_SUBSET_POOL is checked alone: it
-    dominates each of its subsets, because glbs in the verified complete
-    lattice U are antitone in the set.  glb_U is asked on every set, and
-    compatibility with the ALB once per distinct glb: a pool of 12 has
-    4,096 subsets but at most |U| glbs.
+    qualifying set is a subset of it.  A subset's glb is the left fold of
+    meet_U over its members in pool order, U's greatest for none.  A set
+    of at most MAX_SUBSET_POOL members is covered by its meet-closure:
+    at most |set|·|closure| meets, and compatibility once per glb, tested
+    in the order of the least subset bitmask that reaches each.  A larger
+    set is checked alone: it dominates each of its subsets, because glbs
+    in the verified complete lattice U are antitone in the set.  Its glb
+    is the AUB whose lower closure is the meet of the members' closures,
+    so no intermediate glb (on flowers, an antichain) is computed.
     """
     albs = list(fw.albs())
     aubs, u_complete = _aub_pool(fw, caps, rng)
@@ -745,21 +748,22 @@ def check_glb_property(fw: ApproximationFramework, caps: Caps, rng: random.Rando
     for l, pool in instances:
         if len(pool) > MAX_SUBSET_POOL:
             note = "large pools covered by the dominating full set"
-            subsets = [pool]
+            closure = functools.reduce(operator.and_, map(fw.aub_mask, pool))
+            glbs = {fw.aub_of_mask(closure): (1 << len(pool)) - 1}
         else:
-            subsets, _ = _subsets(pool, caps, rng, nonempty=False)
-        below: dict = {}  # glb -> fw.cross_leq(l, glb)
-        for subset in subsets:
-            glb = fw.glb_U(subset)
-            ok = below.get(glb)
-            if ok is None:
-                ok = below[glb] = fw.cross_leq(l, glb)
-            if not ok:
-                return CheckResult(
-                    "interlattice_glb",
-                    "fail",
-                    {"alb": _show(l), "aubs": [_show(u) for u in subset], "glb": _show(glb)},
-                )
+            # A subset whose last member is u = pool[k] is u alone, the entry
+            # (u, 0), or an earlier subset, whose glb then meets u.  Its mask
+            # exceeds every earlier one, so each glb keeps its least mask.
+            folds: dict = {}  # the glb of a non-empty subset -> its least mask
+            for k, u in enumerate(pool):
+                for glb, mask in [(u, 0), *folds.items()]:
+                    folds.setdefault(fw.meet_U(glb, u) if mask else u, mask | 1 << k)
+            top = fw.U_greatest()
+            glbs = {top: 0} | {glb: mask for glb, mask in folds.items() if glb != top}
+        for glb, mask in glbs.items():
+            if not fw.cross_leq(l, glb):
+                return CheckResult("interlattice_glb", "fail", {
+                    "alb": _show(l), "aubs": [_show(pool[k]) for k in _bits(mask)], "glb": _show(glb)})
     return _result("interlattice_glb", exhaustive, None, note)
 
 
@@ -784,8 +788,8 @@ def check_preamble(fw: ApproximationFramework, caps: Caps, rng: random.Random) -
     triples, trans_exhaustive = _probe(itertools.product(bounds, repeat=3), n ** 3,
                                        _draw(bounds, bounds, bounds), caps, rng,
                                        complete=u_complete)
-    # U must be a complete lattice: bottom, top, and correct binary
-    # meets/joins suffice in the finite case (arbitrary glbs/lubs fold).
+    # U must be a complete lattice: in the finite case its bottom, top and
+    # binary meet_U/join_U suffice, as every glb and lub is their fold.
     # An instance is a pair of AUBs with one witness v that must see the
     # pair's meet and join as its greatest lower and least upper bound.
     lattice_triples, lattice_exhaustive = _probe(
@@ -886,7 +890,7 @@ def _lattice_violations(fw, aubs: list, ups: list[int], downs: list[int]) -> Ite
 
     for p, q in itertools.combinations_with_replacement(range(len(aubs)), 2):
         u1, u2 = aubs[p], aubs[q]
-        meet, join = fw.glb_U((u1, u2)), fw.lub_U((u1, u2))
+        meet, join = fw.meet_U(u1, u2), fw.join_U(u1, u2)
         up_meet, down_join = above(meet), below(join)
         if not (up_meet >> p & up_meet >> q & down_join >> p & down_join >> q & 1):
             yield {"aub1": _show(u1), "aub2": _show(u2)}
@@ -901,7 +905,7 @@ def _lattice_violations(fw, aubs: list, ups: list[int], downs: list[int]) -> Ite
 def _sampled_lattice_violations(fw, triples: Iterable) -> Iterator[dict]:
     """The U-lattice violations among probed (u1, u2, witness) triples."""
     for u1, u2, v in triples:
-        meet, join = fw.glb_U((u1, u2)), fw.lub_U((u1, u2))
+        meet, join = fw.meet_U(u1, u2), fw.join_U(u1, u2)
         if not (
             fw.aub_leq(meet, u1)
             and fw.aub_leq(meet, u2)

@@ -9,7 +9,7 @@ exactly the restriction the flower framework lifts.
 An AUB's lower closure is its principal down-set, and the least AUB
 above a mask is the mask's lub; the framework base derives members,
 closures and exact approximants from that map.  U's meet and join are
-the lattice's own glb and lub, which read only the given AUBs' rows.
+the lattice's own glb and lub of the pair, which read only the pair's rows.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ class IntervalFramework(ApproximationFramework):
         """The lub of `mask`, which exists in a complete lattice."""
         return self.exact.elements[self.exact._lub_mask(mask)]
 
-    def glb_U(self, us) -> str:
-        return self.exact.glb(us)
+    def meet_U(self, u1, u2) -> str:
+        return self.exact.glb((u1, u2))
 
-    def lub_U(self, us) -> str:
-        return self.exact.lub(us)
+    def join_U(self, u1, u2) -> str:
+        return self.exact.lub((u1, u2))
 
     def least_aub_above(self, l) -> str:
         return l

@@ -291,38 +291,38 @@ class WrongPairMeet(FlowerFramework):
     """Mutant: the meet of the AUBs {a} and {a,b} is {bot}, a lower
     bound of both but not the greatest one."""
 
-    def glb_U(self, us):
-        us = list(us)
-        if sorted(us) == [("a",), ("a", "b")]:
+    def meet_U(self, u1, u2):
+        if sorted((u1, u2)) == [("a",), ("a", "b")]:
             return ("bot",)
-        return super().glb_U(us)
+        return super().meet_U(u1, u2)
 
 
 class WrongTripleMeet(FlowerFramework):
-    """Mutant: on the claw, the glb of the AUBs {a,b}, {a,c} and {a,b,c}
-    is {b} rather than {a}; every pair and every other set keeps its
-    glb."""
+    """Mutant: on the claw, the meet of the AUBs {a} and {a,b,c} is {b}
+    rather than {a}; every other pair keeps its meet.  The glb of the
+    triple {a,b}, {a,c}, {a,b,c} folds to that meet, and so does the
+    pair itself, whose bitmask in the pool of the ALB a is smaller."""
 
-    def glb_U(self, us):
-        us = list(us)
-        if sorted(us) == [("a", "b"), ("a", "b", "c"), ("a", "c")]:
+    def meet_U(self, u1, u2):
+        if sorted((u1, u2)) == [("a",), ("a", "b", "c")]:
             return ("b",)
-        return super().glb_U(us)
+        return super().meet_U(u1, u2)
 
 
 class WrongElevenMeet(FlowerFramework):
-    """Mutant: on `twelve_pool_poset`, the glb of the eleven AUBs above x
-    other than {x} is {bot} rather than {x}; every other set keeps its
-    glb.  Only the exhaustive subsets of x's twelve-member pool reach it."""
+    """Mutant: on `twelve_pool_poset`, the meet of {x}, the glb of the
+    first eleven AUBs of x's pool, with the twelfth, {a,b,d}, is {bot}
+    rather than {x}; every other pair keeps its meet.  Every subset that
+    reaches it holds the pool's last member, so only the exhaustive
+    subsets of x's twelve-member pool reach it; the least of them is
+    {x, {a,b,d}}, with bitmask 2,049."""
 
-    ELEVEN = sorted([("a",), ("b",), ("c",), ("d",), ("a", "b"), ("a", "c"), ("a", "d"),
-                     ("b", "c"), ("b", "d"), ("a", "b", "c"), ("a", "b", "d")])
+    PAIR = [("a", "b", "d"), ("x",)]
 
-    def glb_U(self, us):
-        us = list(us)
-        if sorted(us) == self.ELEVEN:
+    def meet_U(self, u1, u2):
+        if sorted((u1, u2)) == self.PAIR:
             return ("bot",)
-        return super().glb_U(us)
+        return super().meet_U(u1, u2)
 
 
 class WrongLubL(FlowerFramework):

@@ -1,5 +1,6 @@
 """Framework axioms, the approximates-relation, and approximant lubs."""
 
+import functools
 import json
 import random
 
@@ -28,7 +29,7 @@ from genaft import (
 )
 from genaft.errors import PreconditionError, RecomposeUndefinedError
 from genaft.flowers import FlowerFramework
-from genaft.framework import DEFAULT_CAPS, MAX_SUBSET_POOL
+from genaft.framework import DEFAULT_CAPS, MAX_SUBSET_POOL, CheckResult
 from genaft.intervals import IntervalFramework
 from corpus import (
     WrongElevenMeet,
@@ -131,9 +132,12 @@ def test_lub_with_shared_aub_joins_albs(fig):
     assert lub.alb == fig.lub(["bot", "a"])
 
 
-def test_glb_U_of_empty_set_is_top(fig):
+def test_U_greatest_and_U_least_are_the_units_of_meet_and_join(fig):
     fw = build_flower_framework(fig)
-    assert fw.glb_U([]) == fw.U_greatest()
+    top, bot = fw.U_greatest(), fw.U_least()
+    for u in fw.enumerate_aubs():
+        assert fw.meet_U(u, top) == fw.meet_U(top, u) == u
+        assert fw.join_U(u, bot) == fw.join_U(bot, u) == u
 
 
 def test_report_serialisation(fig):
@@ -242,31 +246,88 @@ def test_the_order_rows_are_built_once_per_framework(poset):
     assert comparisons[0] == others[0]
 
 
-def test_glb_property_enumerates_a_full_pool_down_to_its_one_wrong_subset():
+def test_glb_property_reports_the_least_subset_that_reaches_a_deep_wrong_meet():
     fw = WrongElevenMeet(twelve_pool_poset(), enumerable=True)
     pool = [u for u in fw.enumerate_aubs() if fw.cross_leq("x", u)]
     assert len(pool) == MAX_SUBSET_POOL
+    # The first eleven members fold to {x}, the first of them; {x} with the
+    # last member, {a,b,d}, is the least subset that reaches the wrong meet.
+    assert (pool[0], pool[-1]) == (("x",), ("a", "b", "d"))
+    assert functools.reduce(fw.meet_U, pool[:-1]) == ("x",)
     result = check_glb_property(fw, DEFAULT_CAPS, random.Random(0))
     assert result.status == "fail"
-    eleven = [u for u in pool if u != ("x",)]
-    assert result.counterexample == {
-        "alb": "x", "aubs": ["{" + ",".join(u) + "}" for u in eleven], "glb": "{bot}"}
+    assert result.counterexample == {"alb": "x", "aubs": ["{x}", "{a,b,d}"], "glb": "{bot}"}
 
 
-def test_glb_property_meets_every_subset_and_tests_each_distinct_meet_once():
+def test_glb_property_meets_within_the_closure_and_tests_each_distinct_glb_once():
+    """Per ALB, at most |pool|·|closure| meets, none for a pool above
+    MAX_SUBSET_POOL, and one compatibility test per distinct glb."""
     fw = build_flower_framework(twelve_pool_poset())
     albs, aubs = fw.albs(), fw.enumerate_aubs()
-    subsets = meets = 0
+    meets = glbs = 0
     for l in albs:
         pool = [u for u in aubs if fw.cross_leq(l, u)]
-        sets = [pool] if len(pool) > MAX_SUBSET_POOL else [
-            [u for k, u in enumerate(pool) if m >> k & 1] for m in range(1 << len(pool))]
-        subsets += len(sets)
-        meets += len({fw.glb_U(s) for s in sets})
-    glbs, compatibility = _counting(fw, "glb_U"), _counting(fw, "cross_leq")
+        if len(pool) > MAX_SUBSET_POOL:
+            glbs += 1
+            continue
+        closure = {fw.U_greatest()} | {
+            functools.reduce(fw.meet_U, [u for k, u in enumerate(pool) if m >> k & 1])
+            for m in range(1, 1 << len(pool))}
+        meets, glbs = meets + len(pool) * len(closure), glbs + len(closure)
+    meet_calls, compatibility = _counting(fw, "meet_U"), _counting(fw, "cross_leq")
     assert check_glb_property(fw, DEFAULT_CAPS, random.Random(0)).status == "pass"
-    assert glbs[0] == subsets
-    assert compatibility[0] <= len(albs) * len(aubs) + meets
+    assert meet_calls[0] <= meets
+    assert compatibility[0] == len(albs) * len(aubs) + glbs
+
+
+class _OneWrongMeet(FlowerFramework):
+    """Flowers whose meet of the pair `wrong_pair` is `wrong`."""
+
+    wrong_pair, wrong = None, None
+
+    def meet_U(self, u1, u2):
+        if sorted((u1, u2)) == self.wrong_pair:
+            return self.wrong
+        return super().meet_U(u1, u2)
+
+
+def _glb_property_by_every_subset(fw) -> CheckResult:
+    """check_glb_property on an enumerated space, by its definition: every
+    subset of each ALB's compatible AUBs in bitmask order, each with the
+    left fold of meet_U over its members as its glb, U's greatest for
+    none; above MAX_SUBSET_POOL, the whole set alone, with the greatest
+    AUB below every member as its glb."""
+    aubs, note, leq = fw.enumerate_aubs(), "", fw.aub_leq
+    for l in fw.albs():
+        pool = [u for u in aubs if fw.cross_leq(l, u)]
+        if len(pool) > MAX_SUBSET_POOL:
+            note = "large pools covered by the dominating full set"
+            glb = _extremum(aubs, lambda v: all(leq(v, u) for u in pool), lambda u, v: leq(v, u))
+            cases = [(pool, glb)]
+        else:
+            subsets = [[u for k, u in enumerate(pool) if m >> k & 1] for m in range(1 << len(pool))]
+            cases = [(s, functools.reduce(fw.meet_U, s) if s else fw.U_greatest()) for s in subsets]
+        for subset, glb in cases:
+            if not fw.cross_leq(l, glb):
+                return CheckResult("interlattice_glb", "fail", {
+                    "alb": l, "aubs": ["{" + ",".join(u) + "}" for u in subset],
+                    "glb": "{" + ",".join(glb) + "}"})
+    return CheckResult("interlattice_glb", "pass", None, note)
+
+
+def test_glb_property_matches_a_scan_of_every_subset_under_one_wrong_meet():
+    statuses = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        fw = _OneWrongMeet(random_bounded_complete_cpo(rng), enumerable=True)
+        aubs = fw.enumerate_aubs()
+        u1, u2 = rng.choice(aubs), rng.choice(aubs)
+        fw.wrong = rng.choice([v for v in aubs if v != fw.meet_U(u1, u2)] or aubs)
+        fw.wrong_pair = sorted((u1, u2))
+        result = check_glb_property(fw, DEFAULT_CAPS, random.Random(0))
+        assert result == _glb_property_by_every_subset(fw), seed
+        statuses.append(result.status)
+    assert {"pass", "fail"} <= set(statuses)
 
 
 def test_flower_antichains_are_computed_once_per_mask(monkeypatch):
@@ -369,14 +430,12 @@ def test_upper_space_matches_its_definition(seed):
         assert fw.U_greatest() == _extremum(aubs, lambda u: True, geq)
         for l in fw.albs():
             assert fw.least_aub_above(l) == _extremum(aubs, lambda u: fw.cross_leq(l, u), leq)
-        assert fw.glb_U([]) == fw.U_greatest()
-        assert fw.lub_U([]) == fw.U_least()
         for u1 in aubs:
             assert fw.aub_of_mask(fw.aub_mask(u1)) == u1
             for u2 in aubs:
-                assert fw.glb_U([u1, u2]) == _extremum(
+                assert fw.meet_U(u1, u2) == _extremum(
                     aubs, lambda v: leq(v, u1) and leq(v, u2), geq)
-                assert fw.lub_U([u1, u2]) == _extremum(
+                assert fw.join_U(u1, u2) == _extremum(
                     aubs, lambda v: leq(u1, v) and leq(u2, v), leq)
         for y in fw.exact.elements:
             assert fw.members(fw.exact_approximant(y)) == {y}
