@@ -315,7 +315,7 @@ class WrongElevenMeet(FlowerFramework):
     rather than {x}; every other pair keeps its meet.  Every subset that
     reaches it holds the pool's last member, so only the exhaustive
     subsets of x's twelve-member pool reach it; the least of them is
-    {x, {a,b,d}}, with bitmask 2,049."""
+    the pair itself, bitmask 2,049."""
 
     PAIR = [("a", "b", "d"), ("x",)]
 
