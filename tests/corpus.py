@@ -287,6 +287,31 @@ class RejectingRecompose(FlowerFramework):
         return super().recompose(l, u)
 
 
+class StrictCross(FlowerFramework):
+    """Mutant: on the vee, the ALB a is not below the AUB {a,b}, although
+    a lies in its lower closure.  recompose's compatibility guard then
+    rejects the pair, which composition 4 reaches from {a} <= {a,b} and
+    approximates.2 from the ALB a with U's greatest, {a,b}."""
+
+    def cross_leq(self, l, u):
+        if (l, tuple(u)) == ("a", ("a", "b")):
+            return False
+        return super().cross_leq(l, u)
+
+
+class MissingMember(FlowerFramework):
+    """Mutant: on the vee, the members of the flower <bot|{a,b}> lack a,
+    although a lies between its bounds.  The flower <a|{a}> is more
+    precise and approximates a, so precision is not antitone in the
+    approximated sets."""
+
+    def members_mask(self, x):
+        mask = super().members_mask(x)
+        if (x.alb, x.aub) == ("bot", ("a", "b")):
+            mask &= ~self.exact.mask_of(["a"])
+        return mask
+
+
 class WrongPairMeet(FlowerFramework):
     """Mutant: the meet of the AUBs {a} and {a,b} is {bot}, a lower
     bound of both but not the greatest one."""

@@ -18,9 +18,11 @@ import pytest
 from genaft import check_framework, report_to_json
 from genaft.cli import main
 from corpus import (
+    MissingMember,
     NonTransitiveOrder,
     NoSideCondition,
     RejectingRecompose,
+    StrictCross,
     SwappedRecompose,
     WrongLubL,
     WrongPairMeet,
@@ -90,6 +92,8 @@ MUTANTS = {
     "wrong_triple_meet": (WrongTripleMeet, claw_poset),
     "rejecting_recompose": (RejectingRecompose, claw_poset),
     "wrong_lub_l": (WrongLubL, vee_poset),
+    "missing_member": (MissingMember, vee_poset),
+    "strict_cross": (StrictCross, vee_poset),
 }
 
 
