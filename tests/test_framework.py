@@ -1,6 +1,7 @@
 """Framework axioms, the approximates-relation, and approximant lubs."""
 
 import functools
+import itertools
 import json
 import random
 
@@ -28,8 +29,9 @@ from genaft import (
     ultimate_approximator,
 )
 from genaft.errors import PreconditionError, RecomposeUndefinedError
+from genaft import framework
 from genaft.flowers import FlowerFramework
-from genaft.framework import DEFAULT_CAPS, MAX_SUBSET_POOL, CheckResult
+from genaft.framework import DEFAULT_CAPS, MAX_SUBSET_POOL, ApproximationFramework, CheckResult
 from genaft.intervals import IntervalFramework
 from corpus import (
     WrongElevenMeet,
@@ -328,6 +330,121 @@ def test_glb_property_matches_a_scan_of_every_subset_under_one_wrong_meet():
         assert result == _glb_property_by_every_subset(fw), seed
         statuses.append(result.status)
     assert {"pass", "fail"} <= set(statuses)
+
+
+def _with_one_wrong_answer(fw, rng: random.Random) -> str:
+    """Give `fw` one seeded wrong answer of aub_leq, cross_leq, recompose
+    or lub_L, and name which.  An interval's bound_leq reads the lattice
+    directly, so it is made the base dispatch over the three relations,
+    which keeps the order rows the mutant's order."""
+    albs, aubs = list(fw.albs()), fw.enumerate_aubs()
+    fw.bound_leq = functools.partial(ApproximationFramework.bound_leq, fw)
+    kind = rng.choice(["aub_leq", "cross_leq", "recompose", "lub_L"])
+    if kind in ("aub_leq", "cross_leq"):
+        true, pair = getattr(fw, kind), (rng.choice(albs if kind == "cross_leq" else aubs), rng.choice(aubs))
+        setattr(fw, kind, lambda a, b: true(a, b) != ((a, b) == pair))
+    elif kind == "recompose":
+        true, l = fw.recompose, rng.choice(albs)
+        u = rng.choice([u for u in aubs if fw.cross_leq(l, u)])
+        xs = fw.enumerate_approximants()
+        # Undefined, some other approximant, or its own AUB spelled off the rows.
+        wrong = rng.choice([None, rng.choice(xs)] + ([true(l, u)._replace(aub=(*u, l))]
+                                                     if isinstance(u, tuple) and l not in u else []))
+
+        def recompose(a, b):
+            if (a, b) != (l, u):
+                return true(a, b)
+            if wrong is None:
+                raise RecomposeUndefinedError("rejected")
+            return wrong
+
+        fw.recompose = recompose
+    else:
+        true, ls = fw.lub_L, frozenset(rng.sample(albs, rng.randint(1, len(albs))))
+        wrong = rng.choice([None, *albs])
+        fw.lub_L = lambda chain: wrong if frozenset(chain) == ls else true(chain)
+    return kind
+
+
+def _result_by_scan(axiom: str, counterexamples) -> CheckResult:
+    cx = next(iter(counterexamples), None)
+    return CheckResult(axiom, "pass" if cx is None else "fail", cx)
+
+
+def _scans_with_framework_calls(fw) -> list[CheckResult]:
+    """approximates.1, the chain ILP and composition bullets 3 and 4 on an
+    enumerated space, by one framework call per instance, in each
+    quantifier's order."""
+    albs, aubs, xs = list(fw.albs()), fw.enumerate_aubs(), fw.enumerate_approximants()
+    show = framework._show
+
+    def attempt(l, u):
+        try:
+            return fw.recompose(l, u)
+        except RecomposeUndefinedError:
+            return None
+
+    def precision():
+        for x, y in itertools.permutations(xs, 2):
+            if fw.leq_p(x, y) and fw.members_mask(y) & ~fw.members_mask(x):
+                yield {"less_precise": show(x), "more_precise": show(y)}
+
+    def chains():
+        every, _ = framework._chains(fw, DEFAULT_CAPS, random.Random(0))
+        for chain, u in itertools.product(every, aubs):
+            if all(fw.cross_leq(l, u) for l in chain):
+                lub = fw.lub_L(chain) if chain else fw.L_least()
+                if lub is None or not fw.cross_leq(lub, u):
+                    yield {"chain": [show(c) for c in chain], "aub": show(u), "lub": show(lub)}
+
+    def monotone():
+        for l1, l2, u in itertools.product(albs, albs, aubs):
+            if fw.alb_leq(l1, l2) and fw.cross_leq(l1, u) and fw.cross_leq(l2, u):
+                x1, x2 = attempt(l1, u), attempt(l2, u)
+                if x1 is None or x2 is None or not fw.leq_p(x1, x2):
+                    cx = {"alb1": show(l1), "alb2": show(l2), "aub": show(u)}
+                    yield cx | ({} if x1 and x2 else {"undefined": f"({show(l1 if x1 is None else l2)}, {show(u)})"})
+
+    def antitone():
+        for u1, u2, l in itertools.product(aubs, aubs, albs):
+            if fw.aub_leq(u1, u2) and fw.cross_leq(l, u1):
+                x1, x2 = attempt(l, u1), attempt(l, u2)
+                if x1 is None or x2 is None or not fw.leq_p(x2, x1):
+                    cx = {"alb": show(l), "aub1": show(u1), "aub2": show(u2)}
+                    yield cx | ({} if x1 and x2 else {"undefined": f"({show(l)}, {show(u1 if x1 is None else u2)})"})
+
+    return [_result_by_scan("approximates.1_antitone_in_precision", precision()),
+            _result_by_scan("chain_interlattice_lub", chains()),
+            _result_by_scan("composition.3_monotone_in_alb", monotone()),
+            _result_by_scan("composition.4_antitone_in_aub", antitone())]
+
+
+def _checked(fw) -> list[CheckResult]:
+    rng = random.Random(0)
+    composition = check_composition_poset(fw, DEFAULT_CAPS, rng)
+    return [check_approximates_relation(fw, DEFAULT_CAPS, rng)[0], check_chain_ilp(fw, DEFAULT_CAPS, rng),
+            *composition[2:4]]
+
+
+def test_exhaustive_checkers_match_a_scan_with_one_call_per_instance_under_one_wrong_answer():
+    """approximates.1, the chain ILP and composition bullets 3 and 4 give
+    the result and the first counterexample of a scan that asks the
+    framework once per instance, on 40 seeded cpos with one wrong answer."""
+    kinds, statuses = set(), set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        cpo = random_bounded_complete_cpo(rng)
+        spaces = [FlowerFramework(cpo, enumerable=True)]
+        if cpo.classify().is_complete_lattice:
+            spaces.append(IntervalFramework(cpo))
+        for fw in spaces:
+            kinds.add(_with_one_wrong_answer(fw, rng))
+            checked = _checked(fw)
+            assert checked == _scans_with_framework_calls(fw), (seed, fw.kind)
+            statuses |= {r.status for r in checked}
+    assert kinds == {"aub_leq", "cross_leq", "recompose", "lub_L"}
+    assert statuses == {"pass", "fail"}
+
 
 
 def test_flower_antichains_are_computed_once_per_mask(monkeypatch):
