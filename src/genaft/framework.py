@@ -142,7 +142,7 @@ class ApproximationFramework(ABC):
         self._recomposed: dict[tuple, Approximant] = {}
         self._closures: dict[int, Approximant] = {}
         self._members: dict[Approximant, int] = {}
-        self._rows: tuple[tuple[int, ...], tuple[int, ...]] | None = None  # see _order_rows
+        self._rows: tuple | None = None  # see _order_rows
         self._top_aub = self.aub_of_mask(exact._full)
 
     # -- the combined order over L and U ----------------------------------
@@ -469,24 +469,37 @@ def _bounds(fw, aubs: Iterable) -> list[tuple[str, object]]:
     return [("L", l) for l in fw.albs()] + [("U", u) for u in aubs]
 
 
-def _order_rows(fw) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The combined order on _bounds(fw, fw.enumerate_aubs()) as bitsets:
-    bit j of rows[i], and bit i of cols[j], say bounds[i] <= bounds[j].
-    Callers ask only when U is enumerated.
+def _rowed(fw) -> bool:
+    """Whether exhaustive quantifiers read the order from `_order_rows`.
+    The rows cost one bound_leq call per pair of bounds, as much as a
+    quadratic scan, so they are built when U is enumerated and a cubic
+    quantifier is exhaustive: composition bullet 3 or 4 or the U-lattice check."""
+    aubs = fw.enumerate_aubs()
+    nl, nu = len(fw.albs()), len(aubs or ())
+    return aubs is not None and min(nl * nl * nu, nl * nu * nu, math.comb(nu + 1, 2) * nu) <= MAX_PAIRS
+
+
+def _order_rows(fw) -> tuple[tuple[int, ...], tuple[int, ...], dict, dict]:
+    """The combined order on _bounds(fw, fw.enumerate_aubs()) as bitsets,
+    and the row of each ALB and of each AUB by value: bit j of rows[i],
+    and bit i of cols[j], say bounds[i] <= bounds[j].  Callers ask only
+    when _rowed(fw), and each asks itself.
 
     The framework's bound_leq is called once per pair, on the first call
-    per framework; the rows are kept on the framework and shared by the
-    preamble and the composition checks, which is sound because
-    frameworks are immutable, as for recompose and closure."""
+    per framework; the rows are kept on the framework and shared by
+    every checker that reads them, which is sound because frameworks are
+    immutable, as for recompose and closure."""
     if fw._rows is None:
-        bounds = _bounds(fw, fw.enumerate_aubs())
+        albs, aubs = fw.albs(), fw.enumerate_aubs()
+        bounds = _bounds(fw, aubs)
         rows, cols = [0] * len(bounds), [0] * len(bounds)
         for i, (s1, b1) in enumerate(bounds):
             for j, (s2, b2) in enumerate(bounds):
                 if fw.bound_leq(s1, b1, s2, b2):
                     rows[i] |= 1 << j
                     cols[j] |= 1 << i
-        fw._rows = tuple(rows), tuple(cols)
+        fw._rows = (tuple(rows), tuple(cols), {l: i for i, l in enumerate(albs)},
+                    {u: len(albs) + k for k, u in enumerate(aubs)})
     return fw._rows
 
 
@@ -519,11 +532,11 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
                             rng: random.Random) -> list[CheckResult]:
     """The five composition-poset requirements, one result per bullet.
 
-    When bullet 3 or 4 is exhaustive, the exhaustive bullets read the
-    combined order from bitset rows; otherwise each instance or probe
-    asks the framework.  Either way a failure reports the first
-    violation in the bullet's own order, and an undefined recomposition
-    is reported, never raised.
+    When `_rowed(fw)`, the exhaustive bullets read the combined order
+    from bitset rows, and bullets 3 and 4 compare two recompositions by
+    one bit test; otherwise each instance or probe asks the framework.
+    Either way a failure reports the first violation in the bullet's own
+    order, and an undefined recomposition is reported, never raised.
     """
     albs = list(fw.albs())
     aubs, u_complete = _aub_pool(fw, caps, rng)
@@ -541,12 +554,9 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
     aub_triples, aub_exhaustive = _probe(
         ((l, u1, u2) for u1, u2, l in itertools.product(aubs, aubs, albs)),
         len(aubs) ** 2 * len(albs), _draw(albs, aubs, aubs), caps, rng, complete=u_complete)
-    # Unless the preamble built them, the rows cost one comparison per pair
-    # of bounds, as much as a quadratic bullet: they pay off only for the
-    # cubic ones.
-    rowed = alb_exhaustive or aub_exhaustive
+    rowed = _rowed(fw)
     if rowed:
-        rows, cols = _order_rows(fw)
+        rows, cols, lpos, upos = _order_rows(fw)
         nl, lows = len(albs), (1 << len(albs)) - 1  # U bounds follow the nl L bounds
 
     def attempt(l, u):
@@ -557,6 +567,14 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
             return fw.recompose(l, u)
         except RecomposeUndefinedError:
             return None
+
+    def looser(x1, x2) -> bool:
+        """not fw.leq_p(x1, x2), by two bit tests when the bounds lie on the rows."""
+        if rowed:
+            a1, b1, a2, b2 = lpos.get(x1.alb), upos.get(x1.aub), lpos.get(x2.alb), upos.get(x2.aub)
+            if None not in (a1, b1, a2, b2):
+                return not rows[a1] >> a2 & rows[b2] >> b1 & 1
+        return not fw.leq_p(x1, x2)
 
     # Bullets 1 and 2 range over the compatible pairs.
     if pairs_exhaustive and rowed:
@@ -576,7 +594,7 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
     results.append(_result("composition.2_recompose_tightens_bounds", pairs_exhaustive, cx2))
 
     # Bullet 3: l1 <= l2, both compatible with u.
-    if alb_exhaustive:
+    if alb_exhaustive and rowed:
         triples = ((albs[i], albs[j], aubs[k]) for i in range(nl) for j in _bits(rows[i] & lows)
                    for k in _bits((rows[i] & rows[j]) >> nl))
     else:
@@ -585,7 +603,7 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
     cx = None
     for l1, l2, u in triples:
         x1, x2 = attempt(l1, u), attempt(l2, u)
-        if x1 is None or x2 is None or not fw.leq_p(x1, x2):
+        if x1 is None or x2 is None or looser(x1, x2):
             cx = w(alb1=l1, alb2=l2, aub=u)
             if x1 is None or x2 is None:
                 cx |= _undefined(l1 if x1 is None else l2, u)
@@ -593,7 +611,7 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
     results.append(_result("composition.3_monotone_in_alb", alb_exhaustive, cx))
 
     # Bullet 4: u1 <= u2 and l compatible with u1.
-    if aub_exhaustive:
+    if aub_exhaustive and rowed:
         triples = ((albs[i], aubs[p], aubs[q]) for p in range(len(aubs))
                    for q in _bits(rows[nl + p] >> nl) for i in _bits(cols[nl + p] & lows))
     else:
@@ -602,7 +620,7 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
     cx = None
     for l, u1, u2 in triples:
         x1, x2 = attempt(l, u1), attempt(l, u2)
-        if x1 is None or x2 is None or not fw.leq_p(x2, x1):
+        if x1 is None or x2 is None or looser(x2, x1):
             cx = w(alb=l, aub1=u1, aub2=u2)
             if x1 is None or x2 is None:
                 cx |= _undefined(l, u1 if x1 is None else u2)
@@ -621,23 +639,31 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
 
 
 def check_chain_ilp(fw: ApproximationFramework, caps: Caps, rng: random.Random) -> CheckResult:
-    """Chains of L bounded by some u have their lub below that u."""
+    """Chains of L bounded by some u have their lub below that u.
+
+    Read from the order rows, a chain's bounding AUBs are one AND of its
+    members' compatible-AUB masks, and lub_L is asked once per chain."""
     aubs, u_complete = _aub_pool(fw, caps, rng)
     chains, c_complete = _chains(fw, caps, rng)
     instances, exhaustive = _probe(itertools.product(chains, aubs), len(chains) * len(aubs),
                                    _draw(chains, aubs), caps, rng,
                                    complete=u_complete and c_complete)
     cross_leq, lub_L = functools.cache(fw.cross_leq), functools.cache(fw.lub_L)
-    for chain, u in instances:
-        if not all(cross_leq(l, u) for l in chain):
-            continue
-        lub = lub_L(chain) if chain else fw.L_least()
-        if lub is None or not cross_leq(lub, u):
-            return CheckResult(
-                "chain_interlattice_lub",
-                "fail",
-                {"chain": [_show(c) for c in chain], "aub": _show(u), "lub": _show(lub)},
-            )
+    if exhaustive and _rowed(fw):
+        rows, _, where, _ = _order_rows(fw)
+        compatible = {l: rows[i] >> len(where) for l, i in where.items()}
+        every = (1 << len(aubs)) - 1
+        bounded = ((c, functools.reduce(operator.and_, map(compatible.get, c), every)) for c in chains)
+        lubs = ((c, m, lub_L(c) if c else fw.L_least()) for c, m in bounded if m)
+        failures = ((c, aubs[_low(bad)], lub) for c, m, lub in lubs
+                    if (bad := m if lub is None else m & ~compatible[lub]))
+    else:
+        lubs = ((c, u, lub_L(c) if c else fw.L_least()) for c, u in instances
+                if all(cross_leq(l, u) for l in c))
+        failures = ((c, u, lub) for c, u, lub in lubs if lub is None or not cross_leq(lub, u))
+    for chain, u, lub in failures:
+        return CheckResult("chain_interlattice_lub", "fail",
+                           {"chain": [_show(c) for c in chain], "aub": _show(u), "lub": _show(lub)})
     return _result("chain_interlattice_lub", exhaustive, None)
 
 
@@ -770,11 +796,10 @@ def check_glb_property(fw: ApproximationFramework, caps: Caps, rng: random.Rando
 def check_preamble(fw: ApproximationFramework, caps: Caps, rng: random.Random) -> list[CheckResult]:
     """Well-formedness of the combined order and the two spaces.
 
-    When transitivity or the U-lattice check is exhaustive, the
-    exhaustive quantifiers read the order from bitset rows, so each pair
-    of bounds is compared once; otherwise each instance or probe asks the
-    framework.  Either way a failure reports the first violation in the
-    quantifier's own order.
+    When `_rowed(fw)`, the exhaustive quantifiers read the order from
+    bitset rows, so each pair of bounds is compared once; otherwise each
+    instance or probe asks the framework.  Either way a failure reports
+    the first violation in the quantifier's own order.
     """
     results = []
     albs = list(fw.albs())
@@ -796,12 +821,9 @@ def check_preamble(fw: ApproximationFramework, caps: Caps, rng: random.Random) -
         ((u1, u2, v) for u1, u2 in itertools.combinations_with_replacement(aubs, 2) for v in aubs),
         math.comb(len(aubs) + 1, 2) * len(aubs), _draw(aubs, aubs, aubs), caps, rng,
         complete=u_complete)
-    # The rows cost one comparison per pair of bounds, as much as
-    # antisymmetry itself: they pay off only for the cubic quantifiers.
-    # They are built once per framework, so composition reuses them.
-    rowed = trans_exhaustive or lattice_exhaustive
+    rowed = _rowed(fw)
     if rowed:
-        rows, cols = _order_rows(fw)
+        rows, cols, _, _ = _order_rows(fw)
 
     def leq(a, b):
         return fw.bound_leq(*a, *b)
@@ -828,7 +850,7 @@ def check_preamble(fw: ApproximationFramework, caps: Caps, rng: random.Random) -
     cx = next(({"bound1": show(a), "bound2": show(b)} for a, b in twins), None)
     results.append(_result("preamble.order_antisymmetric", anti_exhaustive, cx))
 
-    if trans_exhaustive:
+    if trans_exhaustive and rowed:
         gaps = ((bounds[i], bounds[j], bounds[_low(rows[j] & ~rows[i])])
                 for i in range(n) for j in _bits(rows[i]) if rows[j] & ~rows[i])
     else:
@@ -856,7 +878,7 @@ def check_preamble(fw: ApproximationFramework, caps: Caps, rng: random.Random) -
     cx = None if cls.is_bounded_complete else {"exact_space": "not bounded-complete"}
     results.append(_result("preamble.L_bounded_complete_cpo", True, cx))
 
-    if lattice_exhaustive:
+    if lattice_exhaustive and rowed:
         nl = len(albs)
         violations = _lattice_violations(fw, aubs, [r >> nl for r in rows[nl:]],
                                          [c >> nl for c in cols[nl:]])
@@ -921,14 +943,20 @@ def _sampled_lattice_violations(fw, triples: Iterable) -> Iterator[dict]:
 
 def check_approximates_relation(fw: ApproximationFramework, caps: Caps,
                                 rng: random.Random) -> list[CheckResult]:
-    """The four compatibility requirements on the approximates-relation."""
+    """The four compatibility requirements on the approximates-relation;
+    exhaustive precision pairs are read from one bitset per approximant."""
     results = []
     xs, x_complete = _approximant_pool(fw, caps, rng)
     pairs, exhaustive = _probe(itertools.permutations(xs, 2), len(xs) * (len(xs) - 1),
                                _draw(xs, xs), caps, rng, complete=x_complete)
+    above = _precision_rows(fw, xs) if exhaustive and _rowed(fw) else None
+    if above is None:
+        pairs = ((x, y) for x, y in pairs if fw.leq_p(x, y))
+    else:  # j ascends for each i, as in permutations
+        pairs = ((x, xs[j]) for i, x in enumerate(xs) for j in _bits(above[i] & ~(1 << i)))
     members_mask, cx = fw.members_mask, None
     for x, y in pairs:
-        if fw.leq_p(x, y) and members_mask(y) & ~members_mask(x):
+        if members_mask(y) & ~members_mask(x):
             cx = {"less_precise": _show(x), "more_precise": _show(y)}
             break
     results.append(_result("approximates.1_antitone_in_precision", exhaustive, cx))
@@ -976,6 +1004,24 @@ def check_approximates_relation(fw: ApproximationFramework, caps: Caps,
             break
     results.append(_result("approximates.4_exact_iff_unique", exhaustive, cx))
     return results
+
+
+def _precision_rows(fw, xs: Sequence[Approximant]) -> list[int] | None:
+    """Bit j of the i-th int says xs[i] is below xs[j] in precision by the
+    order rows: xs[j]'s ALB lies above xs[i]'s and its AUB below.  None
+    when some bound lies off the rows."""
+    rows, cols, lpos, upos = _order_rows(fw)
+    at = [(lpos.get(x.alb), upos.get(x.aub)) for x in xs]
+    if any(a is None or b is None for a, b in at):
+        return None
+    having = [0] * len(rows)  # bit j: xs[j] has this bound
+    for j, (a, b) in enumerate(at):
+        having[a] |= 1 << j
+        having[b] |= 1 << j
+    # Each approximant has one ALB and one AUB, so the masks of one side are disjoint.
+    spread = functools.cache(lambda mask: sum(map(having.__getitem__, _bits(mask))))
+    lows = (1 << len(lpos)) - 1
+    return [spread(rows[a] & lows) & spread(cols[b] & ~lows) for a, b in at]
 
 
 def check_framework(

@@ -266,10 +266,11 @@ class NonTransitiveOrder(FlowerFramework):
     is not below {a,b}; the combined order loses transitivity.
 
     Only the readers of bound_leq see the mutated order: the preamble and
-    the order rows, which the exhaustive composition bullets read too.
-    Flowers answer
-    alb_leq, aub_leq and cross_leq directly, so the engine, leq_p and the
-    other checkers keep the true order."""
+    the order rows, which the exhaustive quantifiers of the composition
+    bullets, the chain interlattice lub and approximates.1 read too.
+    Flowers answer alb_leq, aub_leq and cross_leq directly, so the engine,
+    leq_p, every sampled probe, and the weak and abstract interlattice lub
+    and glb checks keep the true order."""
 
     def bound_leq(self, side1, b1, side2, b2):
         if (side1, b1, side2, b2) == ("U", ("bot",), "U", ("a", "b")):

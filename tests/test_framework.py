@@ -447,6 +447,25 @@ def test_exhaustive_checkers_match_a_scan_with_one_call_per_instance_under_one_w
 
 
 
+class _AubBelowBot(FlowerFramework):
+    """Flowers whose bound_leq alone puts the AUB {a} below {bot}, which
+    aub_leq denies: off the contract, under which bound_leq only
+    dispatches over the three relations."""
+
+    def bound_leq(self, side1, b1, side2, b2):
+        return (side1, b1, side2, b2) == ("U", ("a",), "U", ("bot",)) or super().bound_leq(side1, b1, side2, b2)
+
+
+def test_the_order_rows_are_the_precision_order_of_the_exhaustive_checkers():
+    """approximates.1 reads precision from the order rows, which are
+    bound_leq, so an overridden bound_leq moves it where leq_p does not."""
+    fw = _AubBelowBot(vee_poset(), enumerable=True)
+    x, y = fw.recompose("bot", ("bot",)), fw.recompose("a", ("a",))
+    assert not fw.leq_p(x, y)
+    result = check_approximates_relation(fw, DEFAULT_CAPS, random.Random(0))[0]
+    assert result.counterexample == {"less_precise": str(x), "more_precise": str(y)}
+    assert _scans_with_framework_calls(fw)[0].status == "pass"
+
 def test_flower_antichains_are_computed_once_per_mask(monkeypatch):
     fw = build_flower_framework(vee_poset())
     fw.enumerate_approximants()  # each flower's closure finds its own max-set
