@@ -217,10 +217,12 @@ def _describe(cls) -> str:
 
 def _parse_semantics(raw: str) -> tuple[str, ...]:
     parts = tuple(s.strip() for s in raw.split(",") if s.strip())
+    if not parts:
+        raise InputError(f"--semantics names no semantics; choose from {', '.join(ALL_SEMANTICS)}")
     bad = [s for s in parts if s not in ALL_SEMANTICS]
     if bad:
         raise InputError(f"unknown semantics: {', '.join(bad)}")
-    return tuple(dict.fromkeys(parts)) or ALL_SEMANTICS  # each name once, first occurrence first
+    return tuple(dict.fromkeys(parts))  # each name once, first occurrence first
 
 
 def _show(fw, key: str, value) -> str:

@@ -113,6 +113,15 @@ def test_solve_unknown_semantics_exits_two(capsys, data_dir):
     assert "magic" in err
 
 
+@pytest.mark.parametrize("raw", ["", ",", " , ", " "])
+@pytest.mark.parametrize("command", [["solve"], ["compare", "--approximator-a", "fitting"]])
+def test_a_semantics_list_naming_none_exits_two(capsys, data_dir, command, raw):
+    """An empty or blank list is an input error, not all four semantics."""
+    code, out, err = run(capsys, *command, str(data_dir / "even_loop.json"), "--semantics", raw)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: --semantics names no semantics") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", [["solve"], ["compare", "--approximator-a", "fitting"]])
 def test_a_repeated_semantics_is_reported_once(capsys, data_dir, command, fmt):
