@@ -470,10 +470,9 @@ def _bounds(fw, aubs: Iterable) -> list[tuple[str, object]]:
 
 
 def _rowed(fw) -> bool:
-    """Whether exhaustive quantifiers read the order from `_order_rows`.
-    The rows cost one bound_leq call per pair of bounds, as much as a
-    quadratic scan, so they are built when U is enumerated and a cubic
-    quantifier is exhaustive: composition bullet 3 or 4 or the U-lattice check."""
+    """Whether exhaustive quantifiers read the order from `_order_rows`: the
+    rows cost one bound_leq call per pair of bounds, a quadratic scan, so
+    only when U is enumerated and composition 3 or 4 or the U-lattice check is."""
     aubs = fw.enumerate_aubs()
     nl, nu = len(fw.albs()), len(aubs or ())
     return aubs is not None and min(nl * nl * nu, nl * nu * nu, math.comb(nu + 1, 2) * nu) <= MAX_PAIRS
@@ -534,7 +533,7 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
 
     When `_rowed(fw)`, the exhaustive bullets read the combined order
     from bitset rows, and bullets 3 and 4 compare two recompositions by
-    one bit test; otherwise each instance or probe asks the framework.
+    two bit tests; otherwise each instance or probe asks the framework.
     Either way a failure reports the first violation in the bullet's own
     order, and an undefined recomposition is reported, never raised.
     """
@@ -559,31 +558,33 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
         rows, cols, lpos, upos = _order_rows(fw)
         nl, lows = len(albs), (1 << len(albs)) - 1  # U bounds follow the nl L bounds
 
-    def attempt(l, u):
-        """fw.recompose(l, u), or None where it is undefined.  An undefined
-        recomposition is the counterexample of the bullet that reaches it,
-        except in bullet 2: bullet 1 ranges over the same pairs."""
+    def attempt(l, u) -> tuple:
+        """fw.recompose(l, u) and, when rowed, the rows of its ALB and AUB
+        (None off the rows); (None, None, None) where it is undefined.  An
+        undefined recomposition is the counterexample of the bullet that
+        reaches it, except in bullet 2: bullet 1 ranges over the same pairs."""
         try:
-            return fw.recompose(l, u)
+            x = fw.recompose(l, u)
         except RecomposeUndefinedError:
-            return None
+            return None, None, None
+        return (x, lpos.get(x.alb), upos.get(x.aub)) if rowed else (x, None, None)
 
-    def looser(x1, x2) -> bool:
-        """not fw.leq_p(x1, x2), by two bit tests when the bounds lie on the rows."""
-        if rowed:
-            a1, b1, a2, b2 = lpos.get(x1.alb), upos.get(x1.aub), lpos.get(x2.alb), upos.get(x2.aub)
-            if None not in (a1, b1, a2, b2):
-                return not rows[a1] >> a2 & rows[b2] >> b1 & 1
-        return not fw.leq_p(x1, x2)
+    def looser(e1, e2) -> bool:
+        """Whether e1's recomposition is not below e2's: two bit tests on the rows."""
+        (x1, a1, b1), (x2, a2, b2) = e1, e2
+        if None in (a1, b1, a2, b2):
+            return not fw.leq_p(x1, x2)
+        return not rows[a1] >> a2 & rows[b2] >> b1 & 1
 
-    # Bullets 1 and 2 range over the compatible pairs.
+    # Bullets 1 and 2 range over the compatible pairs, each attempted once when rowed.
+    if rowed:
+        kept = [{k: attempt(l, aubs[k]) for k in _bits(rows[i] >> nl)} for i, l in enumerate(albs)]
     if pairs_exhaustive and rowed:
-        compatible = [(l, aubs[k]) for i, l in enumerate(albs) for k in _bits(rows[i] >> nl)]
+        compatible = ((l, aubs[k], e[0]) for i, l in enumerate(albs) for k, e in kept[i].items())
     else:
-        compatible = [(l, u) for l, u in lu_pairs if fw.cross_leq(l, u)]
+        compatible = ((l, u, attempt(l, u)[0]) for l, u in lu_pairs if fw.cross_leq(l, u))
     cx1 = cx2 = None
-    for l, u in compatible:
-        x = attempt(l, u)
+    for l, u, x in compatible:
         if x is None:
             cx1 = cx1 or w(alb=l, aub=u)
         elif cx2 is None and not (fw.alb_leq(l, x.alb) and fw.aub_leq(x.aub, u)):
@@ -595,42 +596,42 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
 
     # Bullet 3: l1 <= l2, both compatible with u.
     if alb_exhaustive and rowed:
-        triples = ((albs[i], albs[j], aubs[k]) for i in range(nl) for j in _bits(rows[i] & lows)
-                   for k in _bits((rows[i] & rows[j]) >> nl))
+        triples = ((albs[i], albs[j], aubs[k], kept[i][k], kept[j][k]) for i in range(nl)
+                   for j in _bits(rows[i] & lows) for k in _bits((rows[i] & rows[j]) >> nl))
     else:
-        triples = ((l1, l2, u) for l1, l2, u in alb_triples
+        triples = ((l1, l2, u, attempt(l1, u), attempt(l2, u)) for l1, l2, u in alb_triples
                    if fw.alb_leq(l1, l2) and fw.cross_leq(l1, u) and fw.cross_leq(l2, u))
     cx = None
-    for l1, l2, u in triples:
-        x1, x2 = attempt(l1, u), attempt(l2, u)
-        if x1 is None or x2 is None or looser(x1, x2):
+    for l1, l2, u, e1, e2 in triples:
+        if e1[0] is None or e2[0] is None or looser(e1, e2):
             cx = w(alb1=l1, alb2=l2, aub=u)
-            if x1 is None or x2 is None:
-                cx |= _undefined(l1 if x1 is None else l2, u)
+            if e1[0] is None or e2[0] is None:
+                cx |= _undefined(l1 if e1[0] is None else l2, u)
             break
     results.append(_result("composition.3_monotone_in_alb", alb_exhaustive, cx))
 
     # Bullet 4: u1 <= u2 and l compatible with u1.
     if aub_exhaustive and rowed:
-        triples = ((albs[i], aubs[p], aubs[q]) for p in range(len(aubs))
-                   for q in _bits(rows[nl + p] >> nl) for i in _bits(cols[nl + p] & lows))
+        # u2 may lie off l's compatible AUBs when the order is not transitive.
+        triples = ((albs[i], aubs[p], aubs[q], kept[i][p], kept[i].get(q) or attempt(albs[i], aubs[q]))
+                   for p in range(len(aubs)) for q in _bits(rows[nl + p] >> nl)
+                   for i in _bits(cols[nl + p] & lows))
     else:
-        triples = ((l, u1, u2) for l, u1, u2 in aub_triples
+        triples = ((l, u1, u2, attempt(l, u1), attempt(l, u2)) for l, u1, u2 in aub_triples
                    if fw.aub_leq(u1, u2) and fw.cross_leq(l, u1))
     cx = None
-    for l, u1, u2 in triples:
-        x1, x2 = attempt(l, u1), attempt(l, u2)
-        if x1 is None or x2 is None or looser(x2, x1):
+    for l, u1, u2, e1, e2 in triples:
+        if e1[0] is None or e2[0] is None or looser(e2, e1):
             cx = w(alb=l, aub1=u1, aub2=u2)
-            if x1 is None or x2 is None:
-                cx |= _undefined(l, u1 if x1 is None else u2)
+            if e1[0] is None or e2[0] is None:
+                cx |= _undefined(l, u1 if e1[0] is None else u2)
             break
     results.append(_result("composition.4_antitone_in_aub", aub_exhaustive, cx))
 
     xs, x_exhaustive = _approximant_pool(fw, caps, rng)
     cx = None
     for x in xs:
-        again = attempt(x.alb, x.aub)
+        again = attempt(x.alb, x.aub)[0]
         if again != x:
             cx = w(approximant=x) | (_undefined(x.alb, x.aub) if again is None else {})
             break
@@ -947,17 +948,18 @@ def check_approximates_relation(fw: ApproximationFramework, caps: Caps,
     exhaustive precision pairs are read from one bitset per approximant."""
     results = []
     xs, x_complete = _approximant_pool(fw, caps, rng)
-    pairs, exhaustive = _probe(itertools.permutations(xs, 2), len(xs) * (len(xs) - 1),
-                               _draw(xs, xs), caps, rng, complete=x_complete)
+    ids = range(len(xs))  # a pair of indices is drawn as rng.choice draws a pair of xs
+    pairs, exhaustive = _probe(itertools.permutations(ids, 2), len(xs) * (len(xs) - 1),
+                               _draw(ids, ids), caps, rng, complete=x_complete)
     above = _precision_rows(fw, xs) if exhaustive and _rowed(fw) else None
     if above is None:
-        pairs = ((x, y) for x, y in pairs if fw.leq_p(x, y))
+        pairs = ((i, j) for i, j in pairs if fw.leq_p(xs[i], xs[j]))
     else:  # j ascends for each i, as in permutations
-        pairs = ((x, xs[j]) for i, x in enumerate(xs) for j in _bits(above[i] & ~(1 << i)))
-    members_mask, cx = fw.members_mask, None
-    for x, y in pairs:
-        if members_mask(y) & ~members_mask(x):
-            cx = {"less_precise": _show(x), "more_precise": _show(y)}
+        pairs = ((i, j) for i in ids for j in _bits(above[i] & ~(1 << i)))
+    masks, cx = list(map(fw.members_mask, xs)), None
+    for i, j in pairs:
+        if masks[j] & ~masks[i]:
+            cx = {"less_precise": _show(xs[i]), "more_precise": _show(xs[j])}
             break
     results.append(_result("approximates.1_antitone_in_precision", exhaustive, cx))
 
