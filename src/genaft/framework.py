@@ -554,9 +554,6 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
         ((l, u1, u2) for u1, u2, l in itertools.product(aubs, aubs, albs)),
         len(aubs) ** 2 * len(albs), _draw(albs, aubs, aubs), caps, rng, complete=u_complete)
     rowed = _rowed(fw)
-    if rowed:
-        rows, cols, lpos, upos = _order_rows(fw)
-        nl, lows = len(albs), (1 << len(albs)) - 1  # U bounds follow the nl L bounds
 
     def attempt(l, u) -> tuple:
         """fw.recompose(l, u) and, when rowed, the rows of its ALB and AUB
@@ -570,14 +567,16 @@ def check_composition_poset(fw: ApproximationFramework, caps: Caps,
         return (x, lpos.get(x.alb), upos.get(x.aub)) if rowed else (x, None, None)
 
     def looser(e1, e2) -> bool:
-        """Whether e1's recomposition is not below e2's: two bit tests on the rows."""
+        """Whether e1's recomposition is not below e2's: two bit tests on the rows, leq_p off them."""
         (x1, a1, b1), (x2, a2, b2) = e1, e2
         if None in (a1, b1, a2, b2):
             return not fw.leq_p(x1, x2)
         return not rows[a1] >> a2 & rows[b2] >> b1 & 1
 
-    # Bullets 1 and 2 range over the compatible pairs, each attempted once when rowed.
+    # Bullets 1 and 2 range over the compatible pairs; when rowed, each is attempted once.
     if rowed:
+        rows, cols, lpos, upos = _order_rows(fw)
+        nl, lows = len(albs), (1 << len(albs)) - 1  # U bounds follow the nl L bounds
         kept = [{k: attempt(l, aubs[k]) for k in _bits(rows[i] >> nl)} for i, l in enumerate(albs)]
     if pairs_exhaustive and rowed:
         compatible = ((l, aubs[k], e[0]) for i, l in enumerate(albs) for k, e in kept[i].items())
