@@ -28,8 +28,8 @@ from genaft import (
     report_to_json,
     ultimate_approximator,
 )
-from genaft.errors import PreconditionError, RecomposeUndefinedError
 from genaft import framework
+from genaft.errors import PreconditionError, RecomposeUndefinedError
 from genaft.flowers import FlowerFramework
 from genaft.framework import DEFAULT_CAPS, MAX_SUBSET_POOL, ApproximationFramework, CheckResult
 from genaft.intervals import IntervalFramework
@@ -346,10 +346,10 @@ def _with_one_wrong_answer(fw, rng: random.Random) -> str:
     elif kind == "recompose":
         true, l = fw.recompose, rng.choice(albs)
         u = rng.choice([u for u in aubs if fw.cross_leq(l, u)])
-        xs = fw.enumerate_approximants()
-        # Undefined, some other approximant, or its own AUB spelled off the rows.
-        wrong = rng.choice([None, rng.choice(xs)] + ([true(l, u)._replace(aub=(*u, l))]
-                                                     if isinstance(u, tuple) and l not in u else []))
+        x = rng.choice(fw.enumerate_approximants())
+        # Undefined, some approximant, or on flowers one whose AUB is spelled
+        # off the order rows, with a member repeated.
+        wrong = rng.choice([None, x] + ([x._replace(aub=x.aub + x.aub[:1])] if isinstance(x.aub, tuple) else []))
 
         def recompose(a, b):
             if (a, b) != (l, u):
@@ -403,7 +403,7 @@ def _scans_with_framework_calls(fw) -> list[CheckResult]:
                 x1, x2 = attempt(l1, u), attempt(l2, u)
                 if x1 is None or x2 is None or not fw.leq_p(x1, x2):
                     cx = {"alb1": show(l1), "alb2": show(l2), "aub": show(u)}
-                    yield cx | ({} if x1 and x2 else {"undefined": f"({show(l1 if x1 is None else l2)}, {show(u)})"})
+                    yield cx | ({} if x1 and x2 else framework._undefined(l1 if x1 is None else l2, u))
 
     def antitone():
         for u1, u2, l in itertools.product(aubs, aubs, albs):
@@ -411,7 +411,7 @@ def _scans_with_framework_calls(fw) -> list[CheckResult]:
                 x1, x2 = attempt(l, u1), attempt(l, u2)
                 if x1 is None or x2 is None or not fw.leq_p(x2, x1):
                     cx = {"alb": show(l), "aub1": show(u1), "aub2": show(u2)}
-                    yield cx | ({} if x1 and x2 else {"undefined": f"({show(l)}, {show(u1 if x1 is None else u2)})"})
+                    yield cx | ({} if x1 and x2 else framework._undefined(l, u1 if x1 is None else u2))
 
     return [_result_by_scan("approximates.1_antitone_in_precision", precision()),
             _result_by_scan("chain_interlattice_lub", chains()),
@@ -422,14 +422,28 @@ def _scans_with_framework_calls(fw) -> list[CheckResult]:
 def _checked(fw) -> list[CheckResult]:
     rng = random.Random(0)
     composition = check_composition_poset(fw, DEFAULT_CAPS, rng)
-    return [check_approximates_relation(fw, DEFAULT_CAPS, rng)[0], check_chain_ilp(fw, DEFAULT_CAPS, rng),
-            *composition[2:4]]
+    return [check_approximates_relation(fw, DEFAULT_CAPS, rng)[0],
+            check_chain_ilp(fw, DEFAULT_CAPS, rng), *composition[2:4]]
+
+
+class _TooPreciseOffTheRows(FlowerFramework):
+    """Flowers whose recomposition of (bot, {a,b}) is <bot|{bot,bot}>: too
+    precise, and with its AUB spelled off the order rows."""
+
+    def recompose(self, l, u):
+        x = super().recompose(l, u)
+        return x._replace(aub=("bot", "bot")) if (l, u) == ("bot", ("a", "b")) else x
 
 
 def test_exhaustive_checkers_match_a_scan_with_one_call_per_instance_under_one_wrong_answer():
     """approximates.1, the chain ILP and composition bullets 3 and 4 give
     the result and the first counterexample of a scan that asks the
-    framework once per instance, on 40 seeded cpos with one wrong answer."""
+    framework once per instance, on 40 seeded cpos with one wrong answer
+    and on the vee with a recomposition off the rows."""
+    off_the_rows = _TooPreciseOffTheRows(vee_poset(), enumerable=True)
+    checked = _checked(off_the_rows)
+    assert checked == _scans_with_framework_calls(off_the_rows)
+    assert checked[2].counterexample == {"alb1": "bot", "alb2": "a", "aub": "{a,b}"}
     kinds, statuses = set(), set()
     for seed in range(40):
         rng = random.Random(seed)
@@ -446,14 +460,14 @@ def test_exhaustive_checkers_match_a_scan_with_one_call_per_instance_under_one_w
     assert statuses == {"pass", "fail"}
 
 
-
 class _AubBelowBot(FlowerFramework):
     """Flowers whose bound_leq alone puts the AUB {a} below {bot}, which
     aub_leq denies: off the contract, under which bound_leq only
     dispatches over the three relations."""
 
     def bound_leq(self, side1, b1, side2, b2):
-        return (side1, b1, side2, b2) == ("U", ("a",), "U", ("bot",)) or super().bound_leq(side1, b1, side2, b2)
+        flipped = (side1, b1, side2, b2) == ("U", ("a",), "U", ("bot",))
+        return flipped or super().bound_leq(side1, b1, side2, b2)
 
 
 def test_the_order_rows_are_the_precision_order_of_the_exhaustive_checkers():
@@ -465,6 +479,7 @@ def test_the_order_rows_are_the_precision_order_of_the_exhaustive_checkers():
     result = check_approximates_relation(fw, DEFAULT_CAPS, random.Random(0))[0]
     assert result.counterexample == {"less_precise": str(x), "more_precise": str(y)}
     assert _scans_with_framework_calls(fw)[0].status == "pass"
+
 
 def test_flower_antichains_are_computed_once_per_mask(monkeypatch):
     fw = build_flower_framework(vee_poset())
