@@ -367,7 +367,7 @@ def _with_one_wrong_answer(fw, rng: random.Random) -> str:
 
 
 def _result_by_scan(axiom: str, counterexamples) -> CheckResult:
-    cx = next(iter(counterexamples), None)
+    cx = next(counterexamples, None)
     return CheckResult(axiom, "pass" if cx is None else "fail", cx)
 
 
