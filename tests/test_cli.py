@@ -354,6 +354,8 @@ def _wadf(acceptance, **fields):
 ERROR_EDGES = {
     "invalid_json": ("{", 2, "input error: <file>: invalid JSON at line 1"),
     "json_list": ("[]", 2, "input error: <file>: expected a JSON object"),
+    "not_utf8": (b"\xff\xfe{}", 2, "input error: <file>: not UTF-8 at byte 0"),
+    "nested_too_deeply": ("[" * 100_000 + "]" * 100_000, 2, "input error: <file>: JSON nested too deeply"),
     "no_known_key": ("{}", 2, "input error: unrecognised input"),
     "ael_sentence_not_a_list": (
         json.dumps({"atoms": ["p"], "sentences": ["p"]}), 2, "input error: malformed formula node"),
@@ -395,7 +397,7 @@ ERROR_EDGES = {
 def test_each_error_at_the_json_edge_exits_with_one_stderr_line(capsys, tmp_path, case):
     text, expected_code, prefix = ERROR_EDGES[case]
     path = tmp_path / f"{case}.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (expected_code, "")
     assert err.replace(str(path), "<file>").startswith(prefix) and err.count("\n") == 1, err
