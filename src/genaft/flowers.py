@@ -25,7 +25,7 @@ import random
 
 from .errors import PreconditionError
 from .framework import MAX_SUBSET_POOL, Approximant, ApproximationFramework
-from .posets import FinitePoset, set_id
+from .posets import FinitePoset, _bits, set_id
 
 
 class _Table(dict):
@@ -119,21 +119,29 @@ class FlowerFramework(ApproximationFramework):
         if not self._enumerable:
             return None
         if self._all_aubs is None:
+            # Doubling over the elements lists the antichains, with their
+            # down-sets, in ascending mask order: element i joins each listed
+            # antichain that holds nothing comparable to it.
+            exact, listed = self.exact, [(0, 0)]
+            for i in range(len(exact)):
+                down = exact._down_of(i)
+                near = exact._up_of(i) | down
+                listed += [(m | 1 << i, d | down) for m, d in listed if not m & near]
             # Each antichain is the object filed under its down-set, so the
             # aub_mask of an enumerated AUB hits its cache by identity.
-            exact, self._all_aubs = self.exact, []
-            for m in range(1, 1 << len(exact)):
-                if exact._max_mask(m) == m:
-                    down = exact._down_closure(m)
-                    u = self._antichains.setdefault(down, tuple(sorted(exact.set_of(m))))
-                    self._down_cache[u] = down
-                    self._all_aubs.append(u)
+            self._all_aubs = []
+            for m, down in listed[1:]:
+                u = self._antichains.setdefault(down, tuple(sorted(exact.set_of(m))))
+                self._down_cache[u] = down
+                self._all_aubs.append(u)
         return list(self._all_aubs)
 
     def sample_aub(self, rng: random.Random) -> tuple[str, ...]:
-        k = rng.randint(1, max(1, len(self.exact) // 2))
-        picked = rng.sample(self.exact.elements, min(k, len(self.exact)))
-        return self.aub_of_mask(self.exact.mask_of(picked))
+        # random.sample picks indices, so sampling them draws the stream
+        # that sampling the identifiers did.
+        n = len(self.exact)
+        k = rng.randint(1, max(1, n // 2))
+        return self.aub_of_mask(sum(1 << i for i in rng.sample(range(n), min(k, n))))
 
     # -- approximants ---------------------------------------------------------
 
@@ -154,12 +162,17 @@ def build_flower_framework(exact: FinitePoset) -> FlowerFramework:
 
 
 def enumerate_flowers(fw: FlowerFramework) -> list[Approximant]:
-    """Every flower of `fw` in the order of its member mask: the
-    closures of the non-empty masks that are the members of their own
-    closure.  The test reads the order directly, so that checks exercise
-    members_mask independently."""
-    exact = fw.exact
-    if len(exact) > MAX_SUBSET_POOL:
+    """Every flower of `fw` in the order of its member mask: for each
+    antichain u and each l below all of u, the members up(l) & down(u),
+    whose glb is l and whose max-set is u, so each flower appears once.
+    The members are read from the order directly, so that checks
+    exercise members_mask independently."""
+    exact, aubs = fw.exact, fw.enumerate_aubs()
+    if aubs is None:
         raise PreconditionError(f"flower enumeration is limited to {MAX_SUBSET_POOL} elements")
-    return [fw.closure(m) for m in range(1, 1 << len(exact))
-            if exact._up_of(exact._glb_mask(m)) & exact._down_closure(m) == m]
+    flowers = []
+    for u in aubs:
+        tops, down = exact.mask_of(u), fw.aub_mask(u)
+        flowers += [(exact._up_of(l) & down, l, u) for l in _bits(down) if exact._up_of(l) & tops == tops]
+    flowers.sort()  # member masks are distinct
+    return [Approximant(fw, exact.elements[l], u) for _, l, u in flowers]

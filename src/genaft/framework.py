@@ -160,9 +160,11 @@ class ApproximationFramework(ABC):
     def albs(self) -> Sequence:
         return self.exact.elements
 
-    def lub_L(self, ls: Iterable) -> object | None:
-        """lub in the bounded-complete cpo L, the exact space; None when unbounded."""
-        return self.exact.lub(ls)
+    def join_L(self, l1, l2) -> object | None:
+        """The lub of two ALBs in the bounded-complete cpo L, the exact
+        space; None when they have no upper bound.  The lub of a finite
+        set is the left fold of join_L, which None absorbs."""
+        return self.exact.lub((l1, l2))
 
     @abstractmethod
     def meet_U(self, u1, u2):
@@ -421,34 +423,26 @@ def _draw(*pools: Sequence) -> Callable[[random.Random], tuple]:
     return lambda rng: tuple(rng.choice(pool) for pool in pools)
 
 
-def _subsets(pool: list, caps: Caps, rng) -> tuple[Iterable, bool]:
-    """The non-empty subsets of a pool of at most MAX_SUBSET_POOL members, else probes."""
-
-    def every():
-        # Doubling lists the subsets in the order of their bitmasks over the pool.
-        subsets = [()]
-        for x in pool:
-            subsets += [s + (x,) for s in subsets]
-        yield from subsets[1:]
-
-    def draw(rng):
-        return tuple(rng.sample(pool, rng.randint(1, min(len(pool), 8))))
-
-    return _probe(every(), 1 << len(pool), draw, caps, rng, limit=1 << MAX_SUBSET_POOL)
+def _subsets(pool: list, caps: Caps, rng) -> list[tuple]:
+    """`caps.samples` seeded non-empty subsets of a pool above MAX_SUBSET_POOL."""
+    return [tuple(rng.sample(pool, rng.randint(1, min(len(pool), 8)))) for _ in range(caps.samples)]
 
 
 def _chains(fw, caps: Caps, rng) -> tuple[Iterable, bool]:
-    """Chains of L, grown upward so each set appears once: all of them
-    when L is within MAX_SUBSET_POOL and holds at most MAX_CHAINS
-    non-empty chains, else probes.  L is the exact poset, so a probe
-    climbs through up-sets."""
+    """Chains of L, grown upward so each set appears once and after its
+    prefix: all of them when L is within MAX_SUBSET_POOL and holds at
+    most MAX_CHAINS non-empty chains, else probes.  alb_leq is asked once
+    per ordered pair.  L is the exact poset, so a probe climbs through
+    up-sets."""
     pool, exact = list(fw.albs()), fw.exact
     chains: list[tuple] = [()]
-    stack = [(x,) for x in pool] if len(pool) <= MAX_SUBSET_POOL else []
+    above = ({x: [y for y in pool if y != x and fw.alb_leq(x, y)] for x in pool}
+             if len(pool) <= MAX_SUBSET_POOL else {})
+    stack = [(x,) for x in above]
     while stack and len(chains) <= MAX_CHAINS + 1:
         chain = stack.pop()
         chains.append(chain)
-        stack.extend(chain + (y,) for y in pool if y != chain[-1] and fw.alb_leq(chain[-1], y))
+        stack.extend(chain + (y,) for y in above[chain[-1]])
 
     def draw(rng):
         chain = [rng.choice(pool)]
@@ -642,23 +636,32 @@ def check_chain_ilp(fw: ApproximationFramework, caps: Caps, rng: random.Random) 
     """Chains of L bounded by some u have their lub below that u.
 
     Read from the order rows, a chain's bounding AUBs are one AND of its
-    members' compatible-AUB masks, and lub_L is asked once per chain."""
+    members' compatible-AUB masks.  A chain's lub is join_L of its
+    prefix's lub and its last member, one call per chain."""
     aubs, u_complete = _aub_pool(fw, caps, rng)
     chains, c_complete = _chains(fw, caps, rng)
     instances, exhaustive = _probe(itertools.product(chains, aubs), len(chains) * len(aubs),
                                    _draw(chains, aubs), caps, rng,
                                    complete=u_complete and c_complete)
-    cross_leq, lub_L = functools.cache(fw.cross_leq), functools.cache(fw.lub_L)
+    cross_leq = functools.cache(fw.cross_leq)
+
+    @functools.cache
+    def lub_of(chain):
+        if len(chain) < 2:
+            return chain[0] if chain else fw.L_least()
+        prefix = lub_of(chain[:-1])
+        return prefix if prefix is None else fw.join_L(prefix, chain[-1])
+
     if exhaustive and _rowed(fw):
         rows, _, where, _ = _order_rows(fw)
         compatible = {l: rows[i] >> len(where) for l, i in where.items()}
         every = (1 << len(aubs)) - 1
         bounded = ((c, functools.reduce(operator.and_, map(compatible.get, c), every)) for c in chains)
-        lubs = ((c, m, lub_L(c) if c else fw.L_least()) for c, m in bounded if m)
+        lubs = ((c, m, lub_of(c)) for c, m in bounded if m)
         failures = ((c, aubs[_low(bad)], lub) for c, m, lub in lubs
                     if (bad := m if lub is None else m & ~compatible[lub]))
     else:
-        lubs = ((c, u, lub_L(c) if c else fw.L_least()) for c, u in instances
+        lubs = ((c, u, lub_of(c)) for c, u in instances
                 if all(cross_leq(l, u) for l in c))
         failures = ((c, u, lub) for c, u, lub in lubs if lub is None or not cross_leq(lub, u))
     for chain, u, lub in failures:
@@ -673,10 +676,11 @@ def check_weak_ilp(fw: ApproximationFramework, caps: Caps, rng: random.Random) -
     albs = list(fw.albs())
     instances, exhaustive = _probe(itertools.product(xs, albs), len(xs) * len(albs),
                                    _draw(xs, albs), caps, rng, complete=x_complete)
+    join_L = functools.cache(fw.join_L)  # asked once per pair of ALBs
     for x, l in instances:
         if not fw.cross_leq(l, x.aub):
             continue
-        lub = fw.lub_L([x.alb, l])
+        lub = join_L(x.alb, l)
         if lub is None or not fw.cross_leq(lub, x.aub):
             return CheckResult(
                 "weak_interlattice_lub",
@@ -692,8 +696,13 @@ def check_abstract_ilp(fw: ApproximationFramework, caps: Caps, rng: random.Rando
     Quantified over non-empty sets: the literal empty case degenerates
     to the least approximant and carries no content.  Each shared-AUB
     group is recovered from L alone, since an approximant is its ALB
-    once the AUB is fixed.  A probe draws an AUB and a few ALBs besides
-    the least one, which recomposes with every AUB.
+    once the AUB is fixed.  A set's lub, the closure of the members it
+    shares, must have the left fold of join_L over its ALBs as its ALB:
+    a test of the set's state, that mask and that fold.  A group of at
+    most MAX_SUBSET_POOL is covered by its join-closure, each state once
+    in the order of the least subset bitmask that reaches it; a larger
+    group is probed.  A probe draws an AUB and a few ALBs besides the
+    least one, which recomposes with every AUB.
     """
     albs = list(fw.albs())
     aubs, u_complete = _aub_pool(fw, caps, rng)
@@ -710,40 +719,56 @@ def check_abstract_ilp(fw: ApproximationFramework, caps: Caps, rng: random.Rando
                     xs.append(x)
         return xs
 
+    join_L = functools.cache(fw.join_L)  # asked once per pair of ALBs
+
+    def state_of(x):
+        return fw.members_mask(x), x.alb
+
+    def joined(s, t):
+        """The state of a union: one AND of the masks, one join of the ALBs."""
+        return s[0] & t[0], s[1] if s[1] is None else join_L(s[1], t[1])
+
+    def folded(xs):
+        return functools.reduce(joined, map(state_of, xs))
+
+    def closure(u, xs):
+        # A subset whose last member is xs[k] is xs[k] alone or an earlier
+        # subset joined with it.  Its bitmask exceeds every earlier one, so
+        # each state keeps its least bitmask, and the states arrive in
+        # ascending order of it.
+        least: dict = {}  # a state -> the least subset bitmask reaching it
+        for k, single in enumerate(map(state_of, xs)):
+            for s, bits in [(single, 0), *least.items()]:
+                s = joined(s, single) if bits else s
+                if s not in least:
+                    least[s] = bits | 1 << k
+                    yield u, xs, bits | 1 << k, s, True
+
     def every():
         for u in aubs:
-            subsets, sub_exhaustive = _subsets(group(u, albs), caps, rng)
-            for subset in subsets:
-                yield u, subset, sub_exhaustive
+            xs = group(u, albs)
+            if len(xs) <= MAX_SUBSET_POOL:
+                yield from closure(u, xs)
+            else:
+                yield from ((u, s, (1 << len(s)) - 1, folded(s), False) for s in _subsets(xs, caps, rng))
 
     def draw(rng):
         u = rng.choice(aubs)
         ls = rng.sample(albs, rng.randint(1, min(len(albs), 7)))
-        return u, group(u, [fw.L_least(), *ls]), False
+        xs = group(u, [fw.L_least(), *ls])
+        return u, xs, (1 << len(xs)) - 1, xs and folded(xs), False
 
     instances, exhaustive = _probe(every(), len(aubs) * len(albs), draw, caps, rng,
                                    complete=u_complete)
-    for u, subset, sub_exhaustive in instances:
-        if not subset:
+    for u, xs, bits, state, sub_exhaustive in instances:
+        if not bits:
             continue
         exhaustive = exhaustive and sub_exhaustive
-        lub = fw.lub_p(subset)
-        expected_alb = fw.lub_L([x.alb for x in subset])
-        if (
-            lub is None
-            or lub.aub != u
-            or expected_alb is None
-            or lub.alb != expected_alb
-        ):
-            return CheckResult(
-                "abstract_interlattice_lub",
-                "fail",
-                {
-                    "aub": _show(u),
-                    "albs": [_show(x.alb) for x in subset],
-                    "lub": _show(lub),
-                },
-            )
+        mask, alb = state
+        lub = fw.closure(mask) if mask else None
+        if lub is None or lub.aub != u or alb is None or lub.alb != alb:
+            return CheckResult("abstract_interlattice_lub", "fail", {
+                "aub": _show(u), "albs": [_show(xs[k].alb) for k in _bits(bits)], "lub": _show(lub)})
     return _result("abstract_interlattice_lub", exhaustive, None)
 
 

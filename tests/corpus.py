@@ -352,10 +352,10 @@ class WrongElevenMeet(FlowerFramework):
 
 
 class WrongLubL(FlowerFramework):
-    """Mutant: the lub of any set of ALBs is the last exact element, b on
-    the vee poset, which is not an upper bound of the ALB a."""
+    """Mutant: the join of any pair of ALBs is the last exact element, b
+    on the vee poset, which is not an upper bound of the ALB a."""
 
-    def lub_L(self, ls):
+    def join_L(self, l1, l2):
         return self.exact.elements[-1]
 
 

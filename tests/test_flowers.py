@@ -8,7 +8,7 @@ import pytest
 
 from genaft import FinitePoset, build_flower_framework, check_framework, powerset_lattice, report_ok
 from genaft.errors import ElementNotFoundError, PreconditionError, RecomposeUndefinedError
-from genaft.flowers import enumerate_flowers
+from genaft.flowers import FlowerFramework, enumerate_flowers
 from corpus import (
     NoSideCondition,
     SwappedRecompose,
@@ -77,6 +77,30 @@ def test_flower_enumeration_matches_the_definition(seed):
     poset = random_bounded_complete_cpo(random.Random(seed), max_elements=7)
     fw = build_flower_framework(poset)
     assert [(x.alb, x.aub) for x in enumerate_flowers(fw)] == _brute_flowers(poset)
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)])
+def test_enumerations_by_doubling_match_the_mask_scans(seed):
+    """U and the flowers, order included, against one scan of every mask:
+    the antichains are the masks that are their own max-set, and the
+    flowers the closures of the masks m with up(glb(m)) & down(m) == m.
+    Seed None is the claw; the others are cpos of up to 10 elements."""
+    poset = claw_poset() if seed is None else random_bounded_complete_cpo(random.Random(seed), 10)
+    scanned = build_flower_framework(poset)
+    masks = range(1, 1 << len(poset))
+    aubs = [tuple(sorted(poset.set_of(m))) for m in masks if poset._max_mask(m) == m]
+    flowers = [scanned.closure(m) for m in masks
+               if poset._up_of(poset._glb_mask(m)) & poset._down_closure(m) == m]
+    fw = build_flower_framework(poset)
+    assert fw.enumerate_aubs() == aubs
+    assert [(x.alb, x.aub) for x in enumerate_flowers(fw)] == [(x.alb, x.aub) for x in flowers]
+
+
+def test_flowers_are_enumerated_only_with_their_antichains():
+    chain = FinitePoset([str(i) for i in range(13)], [(str(i), str(i + 1)) for i in range(12)])
+    for fw in (build_flower_framework(chain), FlowerFramework(vee_poset(), enumerable=False)):
+        with pytest.raises(PreconditionError, match="limited to 12 elements"):
+            enumerate_flowers(fw)
 
 
 def test_recompose_can_shrink_aub(fig):

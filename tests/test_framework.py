@@ -210,7 +210,7 @@ def test_sampled_quantifiers_draw_at_most_caps_samples():
     assert aubs_drawn[0] <= k
 
     intervals = build_interval_framework(lattice)
-    joins = _counting(intervals, "lub_L")
+    joins = _counting(intervals, "join_L")
     assert check_weak_ilp(intervals, caps, random.Random(0)).status == "sampled"
     assert joins[0] <= k
 
@@ -332,14 +332,16 @@ def test_glb_property_matches_a_scan_of_every_subset_under_one_wrong_meet():
     assert {"pass", "fail"} <= set(statuses)
 
 
-def _with_one_wrong_answer(fw, rng: random.Random) -> str:
-    """Give `fw` one seeded wrong answer of aub_leq, cross_leq, recompose
-    or lub_L, and name which.  An interval's bound_leq reads the lattice
-    directly, so it is made the base dispatch over the three relations,
-    which keeps the order rows the mutant's order."""
+def _with_one_wrong_answer(fw, rng: random.Random,
+                           kinds=("aub_leq", "cross_leq", "recompose", "join_L")) -> str:
+    """Give `fw` one seeded wrong answer of one of `kinds` (aub_leq,
+    cross_leq, recompose, join_L or members_mask), and name which.  An
+    interval's bound_leq reads the lattice directly, so it is made the
+    base dispatch over the three relations, which keeps the order rows
+    the mutant's order."""
     albs, aubs = list(fw.albs()), fw.enumerate_aubs()
     fw.bound_leq = functools.partial(ApproximationFramework.bound_leq, fw)
-    kind = rng.choice(["aub_leq", "cross_leq", "recompose", "lub_L"])
+    kind = rng.choice(kinds)
     if kind in ("aub_leq", "cross_leq"):
         true, pair = getattr(fw, kind), (rng.choice(albs if kind == "cross_leq" else aubs), rng.choice(aubs))
         setattr(fw, kind, lambda a, b: true(a, b) != ((a, b) == pair))
@@ -359,11 +361,20 @@ def _with_one_wrong_answer(fw, rng: random.Random) -> str:
             return wrong
 
         fw.recompose = recompose
+    elif kind == "members_mask":
+        true, x = fw.members_mask, rng.choice(fw.enumerate_approximants())
+        wrong = true(x) ^ 1 << rng.randrange(len(fw.exact))
+        fw.members_mask = lambda y: wrong if y == x else true(y)
     else:
-        true, ls = fw.lub_L, frozenset(rng.sample(albs, rng.randint(1, len(albs))))
+        true, pair = fw.join_L, {rng.choice(albs), rng.choice(albs)}
         wrong = rng.choice([None, *albs])
-        fw.lub_L = lambda chain: wrong if frozenset(chain) == ls else true(chain)
+        fw.join_L = lambda a, b: wrong if {a, b} == pair else true(a, b)
     return kind
+
+
+def _joined_albs(fw, ls):
+    """The lub of the non-empty ALBs ls: the left fold of join_L, which None absorbs."""
+    return functools.reduce(lambda lub, l: lub if lub is None else fw.join_L(lub, l), ls[1:], ls[0])
 
 
 def _result_by_scan(axiom: str, counterexamples) -> CheckResult:
@@ -393,7 +404,7 @@ def _scans_with_framework_calls(fw) -> list[CheckResult]:
         every, _ = framework._chains(fw, DEFAULT_CAPS, random.Random(0))
         for chain, u in itertools.product(every, aubs):
             if all(fw.cross_leq(l, u) for l in chain):
-                lub = fw.lub_L(chain) if chain else fw.L_least()
+                lub = _joined_albs(fw, chain) if chain else fw.L_least()
                 if lub is None or not fw.cross_leq(lub, u):
                     yield {"chain": [show(c) for c in chain], "aub": show(u), "lub": show(lub)}
 
@@ -456,8 +467,94 @@ def test_exhaustive_checkers_match_a_scan_with_one_call_per_instance_under_one_w
             checked = _checked(fw)
             assert checked == _scans_with_framework_calls(fw), (seed, fw.kind)
             statuses |= {r.status for r in checked}
-    assert kinds == {"aub_leq", "cross_leq", "recompose", "lub_L"}
+    assert kinds == {"aub_leq", "cross_leq", "recompose", "join_L"}
     assert statuses == {"pass", "fail"}
+
+
+def _abstract_ilp_by_every_subset(fw) -> CheckResult:
+    """check_abstract_ilp on an enumerated space, by its definition: every
+    non-empty subset of each AUB's group in bitmask order, whose lub_p
+    must keep the AUB and have the left fold of join_L over the subset's
+    ALBs as its ALB."""
+    show = framework._show
+    for u in fw.enumerate_aubs():
+        group = []
+        for l in fw.albs():
+            if fw.cross_leq(l, u):
+                try:
+                    x = fw.recompose(l, u)
+                except RecomposeUndefinedError:
+                    continue
+                if x.aub == u:
+                    group.append(x)
+        assert len(group) <= MAX_SUBSET_POOL
+        for m in range(1, 1 << len(group)):
+            subset = [x for k, x in enumerate(group) if m >> k & 1]
+            lub, alb = fw.lub_p(subset), _joined_albs(fw, [x.alb for x in subset])
+            if lub is None or lub.aub != u or alb is None or lub.alb != alb:
+                return CheckResult("abstract_interlattice_lub", "fail", {
+                    "aub": show(u), "albs": [show(x.alb) for x in subset], "lub": show(lub)})
+    return CheckResult("abstract_interlattice_lub", "pass", None)
+
+
+def test_abstract_ilp_matches_a_scan_of_every_subset_under_one_wrong_answer():
+    """The join-closure gives the result and the first counterexample of a
+    scan of every subset in bitmask order, on 40 seeded cpos whose
+    flowers and intervals each have one wrong answer."""
+    kinds, statuses = set(), set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        cpo = random_bounded_complete_cpo(rng)
+        spaces = [FlowerFramework(cpo, enumerable=True)]
+        if cpo.classify().is_complete_lattice:
+            spaces.append(IntervalFramework(cpo))
+        for fw in spaces:
+            kinds.add(_with_one_wrong_answer(fw, rng, ("join_L", "members_mask", "recompose", "cross_leq")))
+            result = check_abstract_ilp(fw, DEFAULT_CAPS, random.Random(0))
+            assert result == _abstract_ilp_by_every_subset(fw), (seed, fw.kind)
+            statuses.add(result.status)
+    assert kinds == {"join_L", "members_mask", "recompose", "cross_leq"}
+    assert statuses == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("build, poset", [
+    (build_flower_framework, claw_poset),
+    (build_flower_framework, twelve_pool_poset),
+    (build_interval_framework, lambda: with_top(twelve_pool_poset())),
+], ids=["claw", "twelve-pool", "twelve-pool-with-top"])
+def test_abstract_ilp_joins_within_the_closure_and_tests_each_distinct_state_once(build, poset):
+    """Per AUB group, at most |group|·|closure| joins and one closure per
+    distinct state, where a state is the members' common mask and the
+    fold of join_L over their ALBs."""
+    fw, joins, closures = build(poset()), 0, 0
+    for u in fw.enumerate_aubs():
+        group = [x for l in fw.albs() if fw.cross_leq(l, u) and (x := fw.recompose(l, u)).aub == u]
+        states = set()
+        for m in range(1, 1 << len(group)):
+            subset = [x for k, x in enumerate(group) if m >> k & 1]
+            states.add((functools.reduce(int.__and__, map(fw.members_mask, subset)),
+                        _joined_albs(fw, [x.alb for x in subset])))
+        joins += len(group) * len(states)
+        closures += len(states)
+    join_calls, closure_calls = _counting(fw, "join_L"), _counting(fw, "closure")
+    assert check_abstract_ilp(fw, DEFAULT_CAPS, random.Random(0)).status == "pass"
+    assert 0 < join_calls[0] <= joins
+    assert closure_calls[0] == closures
+
+
+def test_abstract_ilp_draws_subsets_only_for_groups_above_the_pool_bound(monkeypatch):
+    """On a 14-chain every ALB at or below u groups with u, so only the
+    groups of the two top elements, 13 and 14 ALBs, are drawn."""
+    chain = FinitePoset([str(i) for i in range(14)], [(str(i), str(i + 1)) for i in range(13)])
+    drawn, subsets = [], framework._subsets
+
+    def counted(pool, caps, rng):
+        drawn.append(len(pool))
+        return subsets(pool, caps, rng)
+
+    monkeypatch.setattr(framework, "_subsets", counted)
+    result = check_abstract_ilp(build_interval_framework(chain), DEFAULT_CAPS, random.Random(0))
+    assert (result.status, drawn) == ("sampled", [13, 14])
 
 
 class _AubBelowBot(FlowerFramework):
@@ -483,7 +580,7 @@ def test_the_order_rows_are_the_precision_order_of_the_exhaustive_checkers():
 
 def test_flower_antichains_are_computed_once_per_mask(monkeypatch):
     fw = build_flower_framework(vee_poset())
-    fw.enumerate_approximants()  # each flower's closure finds its own max-set
+    fw.enumerate_approximants()  # read from the order: no max-set is computed yet
     masks = []
     max_mask = FinitePoset._max_mask
 
